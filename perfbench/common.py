@@ -125,17 +125,25 @@ def percentile(values, q: float) -> float:
 P99_WINDOWS = 4
 
 
-def report_latency(report, latencies_ms: list) -> None:
-    """p50 over all samples; p99 as the median of per-window p99s.
+def tail(latencies_ms: list, windows: int) -> float:
+    """p99 over all samples, or the median of the p99s of ``windows`` consecutive windows."""
+    size = max(1, len(latencies_ms) // windows)
+    parts = [latencies_ms[i:i + size] for i in range(0, size * windows, size)]
+    return median([percentile(part, 99) for part in parts if part])
 
-    ``latencies_ms`` is in the order the requests were sent.  A shared host
-    can stall for tenths of a second at random; a window caught in a stall
-    moves one of the window p99s, not the reported median of them.
+
+def report_latency(report, latencies_ms: list, raw_ms: list, windows: int = 1) -> None:
+    """p50 and p99 of latencies at reference speed; ``raw_ms`` as measured.
+
+    Both lists are in the order the requests were sent.  With many samples
+    the p99 is taken over all of them, so at least ten lie beyond it; a
+    run with few samples (whole Table III passes) takes the median of
+    window p99s instead, so one slow stretch does not decide it.
     """
-    size = max(1, len(latencies_ms) // P99_WINDOWS)
-    windows = [latencies_ms[i:i + size] for i in range(0, size * P99_WINDOWS, size)]
     report.latency_p50_ms = percentile(latencies_ms, 50)
-    report.latency_p99_ms = median([percentile(w, 99) for w in windows if w])
+    report.latency_p99_ms = tail(latencies_ms, windows)
+    report.raw["latency_p50_ms"] = percentile(raw_ms, 50)
+    report.raw["latency_p99_ms"] = tail(raw_ms, windows)
     report.samples = len(latencies_ms)
 
 

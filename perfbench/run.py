@@ -23,7 +23,8 @@ import time
 
 _STARTED = time.perf_counter()
 
-from common import END_TO_END, LAYERS, SRC, run_record  # noqa: E402
+from calibrate import REFERENCE_S, HostClock, at_reference  # noqa: E402
+from common import END_TO_END, LAYERS, SRC, median, run_record  # noqa: E402
 
 WORKLOAD_NAMES = ["table3_compile", "serve_hit", "serve_miss", "vqe_bind"]
 
@@ -36,6 +37,9 @@ class Report:
         self.seed = seed
         self.traced = traced
         self.import_s = import_s
+        #: kernel samples taken through the run, beside the timed samples
+        self.clock = HostClock()
+        self.import_ref_s = at_reference(import_s, self.clock.sample())
         self.attempted = 0
         self.failed = 0
         self.samples = 0
@@ -43,6 +47,8 @@ class Report:
         self.lines: list[str] = []
         self.rates: dict = {}
         self.layers: dict = {name: 0.0 for name in LAYERS}
+        #: timing metrics as measured, before conversion to reference speed
+        self.raw: dict = {}
         for name in END_TO_END:
             setattr(self, name, 0.0)
 
@@ -68,9 +74,14 @@ class Report:
         print("record: " + json.dumps(run_record(self.seed, self.rates), sort_keys=True))
         for line in self.lines:
             print(line)
-        print("end-to-end metrics" + (" (untraced phase of a traced run)" if self.traced else ""))
+        print(f"host speed: kernel median {median(self.clock.samples) * 1000:.3f} ms over "
+              f"{len(self.clock.samples)} samples, {self.clock.factor():.3f}x the reference "
+              f"{REFERENCE_S * 1000:.3f} ms")
+        print("end-to-end metrics" + (" (untraced phase of a traced run)" if self.traced else "")
+              + ": at reference speed, and as measured")
         for name, unit in END_TO_END.items():
-            print(f"  {name:22s} {getattr(self, name):14.4f} {unit}")
+            raw = f"{self.raw[name]:14.4f}" if name in self.raw else " " * 14
+            print(f"  {name:22s} {getattr(self, name):14.4f} {raw} {unit}")
         print(f"  latency samples        {self.samples:14d}")
         if self.traced:
             print("per-layer metrics")

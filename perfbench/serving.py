@@ -4,6 +4,8 @@ One load-generating process drives the server from at most two threads over
 at most two keep-alive connections, sized for a 2-core machine.  Each run
 has two closed-loop phases: one client waiting for each reply (the latency
 phase, :data:`LATENCY_SHARE` of the time), then two (the capacity phase).
+Every latency of a one-client phase is converted to the reference host
+speed with the calibration kernel sampled just before it (see ``calibrate``).
 
 * ``serve_hit``  — the 8 small-tier programs, warmed into the cache at
   set-up, requested with ``include_result=True``; every result is decoded
@@ -42,6 +44,7 @@ from common import (
     proc_peak_rss_mb,
     report_latency,
 )
+from calibrate import at_reference
 from oracle import circuit_digest, same_gates
 
 #: share of a serve_hit / serve_miss run spent in the one-client latency phase
@@ -125,21 +128,29 @@ class Phase:
     """What one load phase measured."""
 
     latencies_ms: list = field(default_factory=list)
+    #: ``latencies_ms`` at reference speed, from the kernel sample before each
+    scaled_ms: list = field(default_factory=list)
     roundtrips_ms: list = field(default_factory=list)
     attempted: int = 0
     failed: int = 0
     errors: list = field(default_factory=list)
     elapsed_s: float = 0.0
+    #: ``elapsed_s`` at reference speed
+    scaled_s: float = 0.0
     max_outstanding: int = 0
     capacity_rps: float = 0.0
+    #: ``capacity_rps`` at reference speed
+    scaled_rps: float = 0.0
 
     def merge(self, other: "Phase") -> None:
         self.latencies_ms += other.latencies_ms
+        self.scaled_ms += other.scaled_ms
         self.roundtrips_ms += other.roundtrips_ms
         self.attempted += other.attempted
         self.failed += other.failed
         self.errors += other.errors
         self.elapsed_s += other.elapsed_s
+        self.scaled_s += other.scaled_s
         self.max_outstanding = max(self.max_outstanding, other.max_outstanding)
 
     def add_capacity_phase(self, closed: "Phase") -> None:
@@ -158,25 +169,33 @@ def _client(port: int):
     return Client(port=port, timeout=REQUEST_TIMEOUT_S)
 
 
-def closed_loop(port: int, seconds: float, threads: int, next_request, send, check) -> Phase:
-    """Each of ``threads`` clients sends its next request when the last returns."""
+def closed_loop(clients: list, seconds: float, next_request, send, check, host) -> Phase:
+    """Each client sends its next request when its last one returns.
+
+    With one client, ``host`` (a :class:`calibrate.HostClock`) samples the
+    kernel between requests, and each latency and each request's share of
+    the elapsed time is scaled by the latest sample.  With more, a kernel
+    sample would hold the interpreter lock while the other clients'
+    requests are timed, so nothing is scaled here.
+    """
     lock = threading.Lock()
     phase = Phase()
     start = _clock()
     deadline = start + seconds
     ends = []
+    solo = len(clients) == 1
 
     def worker(slot: int) -> None:
-        client = _client(port)
         local = Phase()
         last = start
         try:
             while _clock() < deadline:
+                kernel_s = host.current() if solo else None
                 request = next_request(slot)
                 sent = _clock()
                 good = False
                 try:
-                    response = send(client, request)
+                    response = send(clients[slot], request)
                     done = _clock()
                     good = check(request, response)
                 except Exception as error:  # noqa: BLE001 — counted as a failure
@@ -185,29 +204,47 @@ def closed_loop(port: int, seconds: float, threads: int, next_request, send, che
                 local.attempted += 1
                 local.failed += not good
                 local.latencies_ms.append((done - sent) * 1000.0)
+                if solo:
+                    local.scaled_ms.append(at_reference(local.latencies_ms[-1], kernel_s))
+                    local.scaled_s += at_reference(done - last, kernel_s)
                 last = done
         finally:
-            client.close()
             with lock:
                 phase.merge(local)
                 ends.append(last)
 
-    workers = [threading.Thread(target=worker, args=(slot,)) for slot in range(threads)]
+    workers = [threading.Thread(target=worker, args=(slot,)) for slot in range(len(clients))]
     for thread in workers:
         thread.start()
     for thread in workers:
         thread.join()
     phase.roundtrips_ms = list(phase.latencies_ms)
     phase.elapsed_s = max(ends) - start
-    phase.max_outstanding = threads
+    phase.max_outstanding = len(clients)
     return phase
 
 
-def latency_then_capacity(port: int, seconds: float, next_request, send, check) -> Phase:
-    """One client for the latency phase, then :data:`THREADS` for capacity."""
-    phase = closed_loop(port, seconds * LATENCY_SHARE, 1, next_request, send, check)
-    phase.add_capacity_phase(
-        closed_loop(port, seconds * (1 - LATENCY_SHARE), THREADS, next_request, send, check))
+def solo_loop(port: int, seconds: float, next_request, send, check, host) -> Phase:
+    """One client on one keep-alive connection."""
+    with _client(port) as client:
+        return closed_loop([client], seconds, next_request, send, check, host)
+
+
+def latency_then_capacity(port: int, seconds: float, next_request, send, check, host) -> Phase:
+    """One client for the latency phase, then :data:`THREADS` for capacity.
+
+    The capacity phase spreads over both vCPUs, which no kernel sample in
+    this process sees at once: its rate is scaled by the run's median kernel.
+    """
+    phase = solo_loop(port, seconds * LATENCY_SHARE, next_request, send, check, host)
+    clients = [_client(port) for _ in range(THREADS)]
+    try:
+        phase.add_capacity_phase(closed_loop(
+            clients, seconds * (1 - LATENCY_SHARE), next_request, send, check, host))
+    finally:
+        for client in clients:
+            client.close()
+    phase.scaled_rps = phase.capacity_rps * host.factor()
     return phase
 
 
@@ -275,7 +312,7 @@ class ServeHit:
 
         self.expected = {name: repro.compile(terms, level=3) for name, terms in self.programs.items()}
 
-    def phase(self, port: int, seconds: float) -> Phase:
+    def phase(self, port: int, seconds: float, host) -> Phase:
         picks = balanced_picks(self.rng, self.names, int(400 * seconds))
         position = [0]
         lock = threading.Lock()
@@ -288,7 +325,7 @@ class ServeHit:
         def send(client, name):
             return client.compile(self.programs[name], level=3)
 
-        return latency_then_capacity(port, seconds, next_request, send, self._check)
+        return latency_then_capacity(port, seconds, next_request, send, self._check, host)
 
     def _check(self, name: str, response) -> bool:
         return response.result is not None and same_gates(response.result, self.expected[name])
@@ -298,6 +335,7 @@ class ServeHit:
         # of the compiled programs it receives per second (the mix is balanced)
         mean_terms = sum(len(terms) for terms in self.programs.values()) / len(self.programs)
         report.compile_terms_per_s = report.capacity_rps * mean_terms
+        report.raw["compile_terms_per_s"] = report.raw["capacity_rps"] * mean_terms
         report.cx_count = sum(r.cx_count() for r in self.expected.values())
         report.entangling_depth = sum(r.entangling_depth() for r in self.expected.values())
 
@@ -324,8 +362,10 @@ class ServeMiss:
         self.warmup = [(name, _fresh_coefficients(base[name], self.rng)) for name in self.names]
         self.cursor = 0
         self.sent: list = []
-        #: compile seconds the server reported per program structure
+        #: compile seconds the server reported per program structure, as
+        #: measured and at reference speed
         self.compile_s: dict[str, list[float]] = {}
+        self.compile_ref_s: dict[str, list[float]] = {}
 
     def warm(self, port: int) -> None:
         with _client(port) as client:
@@ -341,7 +381,7 @@ class ServeMiss:
         self.cursor += 1
         return self.requests[self.cursor - 1]
 
-    def phase(self, port: int, seconds: float) -> Phase:
+    def phase(self, port: int, seconds: float, host) -> Phase:
         lock = threading.Lock()
         digests: dict[int, str] = {}
         sent = []
@@ -359,11 +399,13 @@ class ServeMiss:
             with lock:
                 digests[id(request)] = circuit_digest(response.result)
                 sent.append(request)
-                self.compile_s.setdefault(request[0], []).append(
-                    response.metrics["compile_seconds"])
+                seconds = response.metrics["compile_seconds"]
+                self.compile_s.setdefault(request[0], []).append(seconds)
+                self.compile_ref_s.setdefault(request[0], []).append(
+                    at_reference(seconds, host.last))
             return True
 
-        phase = latency_then_capacity(port, seconds, next_request, send, record)
+        phase = latency_then_capacity(port, seconds, next_request, send, record, host)
         self.sent.extend((request, digests[id(request)]) for request in sent)
         return phase
 
@@ -382,6 +424,8 @@ class ServeMiss:
         # the compile rate the server measured on every miss of the run
         base = _small_tier()
         report.compile_terms_per_s = geomean(
+            len(base[name]) / median(times) for name, times in self.compile_ref_s.items())
+        report.raw["compile_terms_per_s"] = geomean(
             len(base[name]) / median(times) for name, times in self.compile_s.items())
         first = {}
         for (name, terms), _ in self.sent:
@@ -426,9 +470,10 @@ class VqeBind:
         self.template = compile_template(self.ansatz, level=3)
         self.first = None
         self.compile_s: list[float] = []
+        self.compile_ref_s: list[float] = []
         self.mismatches = 0
 
-    def phase(self, port: int, seconds: float) -> Phase:
+    def phase(self, port: int, seconds: float, host) -> Phase:
         rng = random.Random(self.rng.random())
 
         def next_request(_slot):
@@ -448,13 +493,15 @@ class VqeBind:
                 # from-scratch compiles also time the compiler
                 result, seconds = timed_compile(self.ansatz.to_sum(self.angles[index]))
                 self.compile_s.append(seconds)
+                self.compile_ref_s.append(at_reference(seconds, host.last))
                 if not same_gates(response.result, result):
                     self.mismatches += 1
                     return False
             return same_gates(response.result, self.template.bind(self.angles[index]))
 
-        phase = closed_loop(port, seconds, 1, next_request, send, check)
+        phase = solo_loop(port, seconds, next_request, send, check, host)
         phase.capacity_rps = (phase.attempted - phase.failed) / phase.elapsed_s
+        phase.scaled_rps = (phase.attempted - phase.failed) / phase.scaled_s
         return phase
 
     def finish(self, report) -> None:
@@ -463,7 +510,8 @@ class VqeBind:
             report.fail(f"{self.mismatches} binds differ from a from-scratch compile")
         if not self.compile_s:
             report.fail("no bind was sampled for the from-scratch comparison")
-        report.compile_terms_per_s = self.ansatz.num_terms / median(self.compile_s)
+        report.compile_terms_per_s = self.ansatz.num_terms / median(self.compile_ref_s)
+        report.raw["compile_terms_per_s"] = self.ansatz.num_terms / median(self.compile_s)
         report.cx_count = self.first.cx_count()
         report.entangling_depth = self.first.entangling_depth()
 
@@ -484,8 +532,12 @@ def _set_up(workload, work_dir: str, probe_output: str | None = None):
 
 
 def _summarize(report, phase: Phase) -> None:
-    report_latency(report, phase.latencies_ms)
-    report.capacity_rps = phase.capacity_rps
+    # set-up is mostly the spawned server starting on either vCPU, which one
+    # kernel sample before it does not see: the run's median kernel scales it
+    report.setup_s = report.raw["setup_s"] / report.clock.factor()
+    report_latency(report, phase.scaled_ms, phase.latencies_ms)
+    report.capacity_rps = phase.scaled_rps
+    report.raw["capacity_rps"] = phase.capacity_rps
     report.attempted += phase.attempted
     report.failed += phase.failed
     for error in phase.errors[:5]:
@@ -504,6 +556,7 @@ def run(name: str, seed: int, seconds: float, traced: bool, report) -> None:
     try:
         trials = []
         for trial in range(SETUP_TRIALS):
+            report.clock.sample()
             start = _clock()
             workload.generate()
             generated = _clock() - start
@@ -512,13 +565,13 @@ def run(name: str, seed: int, seconds: float, traced: bool, report) -> None:
             if trial < SETUP_TRIALS - 1:
                 server.stop()
                 server = None
-        report.setup_s = report.import_s + median(trials)
+        report.raw["setup_s"] = report.import_s + median(trials)
         report.note(f"set-up: imports {report.import_s:.3f} s + median of {SETUP_TRIALS} "
                     f"(generate, spawn, warm) {median(trials):.3f} s")
         workload.prepare_oracle()
 
         if not traced:
-            phase = workload.phase(server.port, seconds)
+            phase = workload.phase(server.port, seconds, report.clock)
             report.peak_rss_mb = server.peak_rss_mb()
             server.stop()
             server = None
@@ -527,7 +580,7 @@ def run(name: str, seed: int, seconds: float, traced: bool, report) -> None:
             return
 
         # untraced phase, then the same load against the probed launcher
-        untraced = workload.phase(server.port, seconds * 0.4)
+        untraced = workload.phase(server.port, seconds * 0.4, report.clock)
         report.peak_rss_mb = server.peak_rss_mb()
         server.stop()
         server = None
@@ -540,7 +593,7 @@ def run(name: str, seed: int, seconds: float, traced: bool, report) -> None:
         time.sleep(0.05)  # the signal is handled between the server's bytecodes
         uninstall = install_client(client_probe)
         try:
-            traced_phase = workload.phase(server.port, seconds * 0.6)
+            traced_phase = workload.phase(server.port, seconds * 0.6, report.clock)
         finally:
             uninstall()
         snapshot = server.stop()
@@ -548,9 +601,9 @@ def run(name: str, seed: int, seconds: float, traced: bool, report) -> None:
         merged = Phase()
         merged.merge(untraced)
         merged.merge(traced_phase)
-        merged.capacity_rps = untraced.capacity_rps
+        merged.capacity_rps, merged.scaled_rps = untraced.capacity_rps, untraced.scaled_rps
         _summarize(report, merged)
-        report_latency(report, untraced.latencies_ms)  # untraced phase only
+        report_latency(report, untraced.scaled_ms, untraced.latencies_ms)  # untraced phase only
         workload.finish(report)
 
         requests = len(traced_phase.roundtrips_ms)

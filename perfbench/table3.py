@@ -3,9 +3,12 @@
 Each pass compiles all 17 rows once, in an order drawn from the seed.  The
 first pass is warm-up and belongs to set-up; timed passes repeat until the
 time is up.  A pass's latency is the time to compile the whole table; the
-capacity is compiles per second of compile time.  Every later output must be gate-identical to the first, and the
-first output of every row is checked against the naive circuit on a seeded
-random statevector, in two worker processes after the timed phase.
+capacity is compiles per second of compile time.  The calibration kernel is
+timed before every compile, and each compile time is converted to the
+reference speed with it (see ``calibrate``).  Every later output must be
+gate-identical to the first, and the first output of every row is checked
+against the naive circuit on a seeded random statevector, in two worker
+processes after the timed phase.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import os
 import random
 import time
 
+from calibrate import at_reference
 from common import (
     BENCH_DIR,
+    P99_WINDOWS,
     PAPER_CX,
     TABLE3_ROWS,
     geomean,
@@ -40,16 +45,24 @@ def generate_rows() -> dict:
     return {name: get_benchmark(name).terms() for name in TABLE3_ROWS}
 
 
-def compile_pass(rows: dict, order: list[str], samples: dict, outputs: dict) -> int:
-    """Compile every row once; returns how many outputs differ from the first."""
+def compile_pass(rows: dict, order: list[str], samples: dict, scaled: dict, outputs: dict,
+                 host) -> int:
+    """Compile every row once; returns how many outputs differ from the first.
+
+    ``samples`` gets each compile's seconds and ``scaled`` the same at
+    reference speed, from the kernel sample of ``host`` (a
+    :class:`calibrate.HostClock`) taken just before it.
+    """
     import repro
 
     clock = time.perf_counter
     mismatches = 0
     for name in order:
+        kernel_s = host.sample()
         start = clock()
         result = repro.compile(rows[name], level=3)
         samples[name].append(clock() - start)
+        scaled[name].append(at_reference(samples[name][-1], kernel_s))
         digest = circuit_digest(result)
         first = outputs.setdefault(name, (digest, result))
         if first[0] != digest:
@@ -57,19 +70,23 @@ def compile_pass(rows: dict, order: list[str], samples: dict, outputs: dict) -> 
     return mismatches
 
 
-def timed_passes(rows: dict, rng: random.Random, seconds: float, outputs: dict) -> dict:
+def timed_passes(rows: dict, rng: random.Random, seconds: float, outputs: dict, host) -> dict:
     """Passes until ``seconds`` are up; a pass's latency is its compile seconds."""
     samples = {name: [] for name in rows}
+    scaled = {name: [] for name in rows}
     passes: list[float] = []
+    scaled_passes: list[float] = []
     failed = attempted = 0
     deadline = time.perf_counter() + seconds
     while time.perf_counter() < deadline:
         order = list(rows)
         rng.shuffle(order)
-        failed += compile_pass(rows, order, samples, outputs)
+        failed += compile_pass(rows, order, samples, scaled, outputs, host)
         passes.append(sum(samples[name][-1] for name in order))
+        scaled_passes.append(sum(scaled[name][-1] for name in order))
         attempted += len(order)
-    return {"samples": samples, "passes": passes, "attempted": attempted, "failed": failed}
+    return {"samples": samples, "scaled": scaled, "passes": passes,
+            "scaled_passes": scaled_passes, "attempted": attempted, "failed": failed}
 
 
 def verify_outputs(rows: dict, outputs: dict, seed: int) -> dict[str, bool]:
@@ -136,18 +153,22 @@ def quality(outputs: dict) -> dict:
 
 def run(seed: int, seconds: float, traced: bool, report) -> None:
     rng = random.Random(seed)
-    setup_trials = []
+    setup_trials, scaled_trials = [], []
     rows = None
     for _ in range(SETUP_TRIALS):
+        kernel_s = report.clock.sample()
         start = time.perf_counter()
         rows = generate_rows()
         setup_trials.append(time.perf_counter() - start)
-    start = time.perf_counter()
+        scaled_trials.append(at_reference(setup_trials[-1], kernel_s))
     outputs: dict = {}
     warm = {name: [] for name in rows}
-    failed = compile_pass(rows, list(rows), warm, outputs)
-    warm_s = time.perf_counter() - start
-    report.setup_s = report.import_s + median(setup_trials) + warm_s
+    warm_scaled = {name: [] for name in rows}
+    failed = compile_pass(rows, list(rows), warm, warm_scaled, outputs, report.clock)
+    warm_s = sum(v for values in warm.values() for v in values)
+    report.setup_s = (report.import_ref_s + median(scaled_trials)
+                      + sum(v for values in warm_scaled.values() for v in values))
+    report.raw["setup_s"] = report.import_s + median(setup_trials) + warm_s
     report.note(f"set-up: imports {report.import_s:.3f} s, generation "
                 f"{median(setup_trials):.3f} s (median of {SETUP_TRIALS}), warm-up pass {warm_s:.3f} s")
 
@@ -156,11 +177,11 @@ def run(seed: int, seconds: float, traced: bool, report) -> None:
         from breakdown import compile_self_times, compiler_layers, format_rows
         from probes import Probe, install_compiler
 
-        untraced = timed_passes(rows, rng, seconds * 0.4, outputs)
+        untraced = timed_passes(rows, rng, seconds * 0.4, outputs, report.clock)
         probe = Probe()
         uninstall = install_compiler(probe)
         try:
-            traced_phase = timed_passes(rows, rng, seconds * 0.6, outputs)
+            traced_phase = timed_passes(rows, rng, seconds * 0.6, outputs, report.clock)
         finally:
             uninstall()
         phases = [untraced, traced_phase]
@@ -176,19 +197,23 @@ def run(seed: int, seconds: float, traced: bool, report) -> None:
         report.lines.append(f"  {'untraced mean compile':40s} {untraced_ms:10.4f} ms")
         report.lines.append(f"  {'tracing overhead':40s} {traced_ms - untraced_ms:10.4f} ms")
     else:
-        phases = [timed_passes(rows, rng, seconds, outputs)]
+        phases = [timed_passes(rows, rng, seconds, outputs, report.clock)]
 
     report.peak_rss_mb = self_peak_rss_mb()
     for phase in phases:
         failed += phase["failed"]
         report.attempted += phase["attempted"]
-    timed = phases[0]["samples"]
-    report_latency(report, [seconds * 1000.0 for seconds in phases[0]["passes"]])
-    compiles = [v for values in timed.values() for v in values]
-    report.capacity_rps = len(compiles) / sum(compiles)
-    report.compile_terms_per_s = geomean(
-        len(rows[name]) / median(values) for name, values in timed.items()
-    )
+    timed = phases[0]
+    report_latency(report, [s * 1000.0 for s in timed["scaled_passes"]],
+                   [s * 1000.0 for s in timed["passes"]], P99_WINDOWS)
+
+    def rates(samples: dict) -> tuple[float, float]:
+        compiles = [v for values in samples.values() for v in values]
+        return (len(compiles) / sum(compiles),
+                geomean(len(rows[name]) / median(values) for name, values in samples.items()))
+
+    report.capacity_rps, report.compile_terms_per_s = rates(timed["scaled"])
+    report.raw["capacity_rps"], report.raw["compile_terms_per_s"] = rates(timed["samples"])
     report.cx_count = sum(outputs[name][1].cx_count() for name in rows)
     report.entangling_depth = sum(outputs[name][1].entangling_depth() for name in rows)
     report.failed += failed
