@@ -26,9 +26,10 @@ measures how fast the workload's Pauli terms conjugate through it:
   tier, or the engine has regressed to super-linear behaviour.
 
 It also times :func:`repro.compile_many` against a sequential compile loop
-over the tier's programs — recording the overhead-aware executor plan
-(:func:`repro.compiler.plan_batch`) that ``compile_many`` resolved for the
-batch — and records each workload's per-pass compile-time breakdown.
+over the tier's programs — recording the plan
+(:func:`repro.compiler.plan_batch`: ``executor`` is ``serial`` or ``pool``)
+that ``compile_many`` chose for the batch — and records each workload's
+per-pass compile-time breakdown.
 
 The ``service`` block measures the compilation-as-a-service layer on H2O:
 cold-compile vs. warm-cache-hit latency through the

@@ -81,12 +81,11 @@ def main() -> None:
     )
 
     # Batches of independent programs go through repro.compile_many: one
-    # resolved pipeline, a worker pool when it pays off, and a shared
-    # conjugation-tableau cache so identical Clifford tails are frozen once.
-    # The executor is resolved overhead-aware (repro.compiler.plan_batch):
-    # small batches like this one run sequentially — pool startup used to
-    # make them *slower* than a plain loop — while large batches get a
-    # chunked process pool, since the synthesis passes are GIL-bound.
+    # resolved pipeline and a shared conjugation-tableau cache, so identical
+    # Clifford tails are frozen once.  repro.compiler.plan_batch runs small
+    # batches like this one serially — a worker pool would make them
+    # *slower* than a plain loop — and hands large ones to a CompilePool
+    # (pass pool=... to reuse warm workers), since synthesis is GIL-bound.
     batch = repro.compile_many(
         [
             [PauliTerm.from_label("ZZII", 0.4), PauliTerm.from_label("XXYY", 0.7)],

@@ -6,9 +6,9 @@ The public API centers on the composable pass-pipeline compiler:
 * :func:`repro.compile` — the one-call entry point: pick a preset
   ``level`` (0..3, 3 = the full QuCLEAR flow), an optional device
   :class:`~repro.compiler.Target`, or any registered pipeline.
-* :func:`repro.compile_many` — the batch entry point: shard independent
-  programs across a ``concurrent.futures`` worker pool with a shared
-  conjugation-tableau cache.
+* :func:`repro.compile_many` — the batch entry point: compile independent
+  programs serially with a shared conjugation-tableau cache, or on a
+  :class:`~repro.compiler.CompilePool` when the batch is large enough.
 * :mod:`repro.compiler` — the pass/pipeline machinery: :class:`Pipeline`,
   :class:`Target`, the :class:`CompilerRegistry` (QuCLEAR *and* every
   baseline under one roof), and the individual passes.
@@ -49,9 +49,6 @@ Quick start::
 
     # Any registered compiler, one unified result type:
     baseline = repro.compile(terms, pipeline="qiskit-like")
-
-The legacy ``QuCLEAR`` object remains available as a deprecated facade over
-the preset pipeline.
 """
 
 from repro.arrays import (
@@ -72,17 +69,16 @@ from repro.clifford import (
 )
 from repro.core import (
     CliffordExtractor,
-    CompilationResult,
     ExtractionResult,
     LegacyCliffordExtractor,
     ObservableAbsorber,
     ProbabilityAbsorber,
-    QuCLEAR,
     absorb_observables,
     absorb_probabilities,
 )
 from repro.paulis import PackedPauliTable, PauliString, PauliTerm, SparsePauliSum
 from repro.compiler import (
+    CompilationResult,
     CompilerRegistry,
     Pipeline,
     Target,
@@ -119,7 +115,6 @@ __all__ = [
     "ExtractionResult",
     "ObservableAbsorber",
     "ProbabilityAbsorber",
-    "QuCLEAR",
     "absorb_observables",
     "absorb_probabilities",
     "PackedPauliTable",

@@ -18,23 +18,21 @@ method (see DESIGN.md for the substitution rationale):
   Clifford frame, no uncomputation per gadget, with the final Clifford frame
   emitted explicitly at the end of the circuit (Rustiq's idea, without
   QuCLEAR's absorption step).
+
+Every baseline is also registered by name in the unified
+:class:`~repro.compiler.registry.CompilerRegistry`:
+``repro.get_registry().compile("qiskit-like", terms)``.
 """
 
-from repro.baselines.result import BaselineResult, CompilationResult
 from repro.baselines.naive import compile_naive, compile_qiskit_like
 from repro.baselines.paulihedral import compile_paulihedral_like
 from repro.baselines.tket import compile_tket_like
 from repro.baselines.rustiq import compile_rustiq_like
-from repro.baselines.registry import BASELINE_COMPILERS, compile_with
 
 __all__ = [
-    "BaselineResult",
-    "CompilationResult",
     "compile_naive",
     "compile_qiskit_like",
     "compile_paulihedral_like",
     "compile_tket_like",
     "compile_rustiq_like",
-    "BASELINE_COMPILERS",
-    "compile_with",
 ]

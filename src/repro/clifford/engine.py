@@ -14,7 +14,7 @@ Two batch strategies are provided on top of
 
 :class:`ConjugationCache` memoizes frozen conjugators by tableau content so
 batch compilation (:func:`repro.compile_many`) shares them across programs
-and worker threads.
+and the service's scheduler threads.
 """
 
 from __future__ import annotations
@@ -251,9 +251,9 @@ class ConjugationCache:
         return winner
 
     def __getstate__(self) -> dict:
-        # The lock is not picklable; results returned from a
-        # ProcessPoolExecutor carry the cache in their property set, so it
-        # must survive a round-trip (a fresh lock is fine on the other side).
+        # The lock is not picklable; a pickled result carries the cache in
+        # its property set, so it must survive a round-trip (a fresh lock is
+        # fine on the other side).
         with self._lock:
             return {"store": dict(self._store), "hits": self.hits, "misses": self.misses}
 

@@ -16,7 +16,9 @@ The subsystem decomposes compilation into small passes chained by a
 * :class:`CompilerRegistry` / :func:`get_registry` — the unified catalogue of
   QuCLEAR and every baseline compiler;
 * :func:`compile` — the one-call entry point, re-exported as
-  :func:`repro.compile`.
+  :func:`repro.compile`;
+* :func:`compile_many` / :func:`plan_batch` — batch compilation, serial or
+  on a :class:`CompilePool`.
 """
 
 from repro.compiler.result import CompilationResult

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,11 +21,6 @@ from repro.exceptions import CompilerError, InvalidProgramError
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
 from repro.transpile.coupling import CouplingMap
-
-#: executor strategies accepted by :func:`compile_many` ("pool" routes the
-#: batch through a caller-supplied long-lived :class:`CompilePool`)
-_EXECUTORS = ("auto", "threads", "processes", "serial", "pool")
-
 
 def validate_program(
     program: Sequence[PauliTerm] | SparsePauliSum,
@@ -138,55 +132,32 @@ def _run_one(
     return pipeline.run(program, target=device, properties=properties, backend=backend)
 
 
-#: per-process conjugation cache for the ``executor="processes"`` path (a
-#: cache object cannot be shared across process boundaries)
-_PROCESS_CACHE: ConjugationCache | None = None
-
-
-def _process_worker(payload) -> CompilationResult:
-    global _PROCESS_CACHE
-    if _PROCESS_CACHE is None:
-        _PROCESS_CACHE = ConjugationCache()
-    pipeline, device, program, backend = payload
-    result = _run_one(pipeline, device, program, _PROCESS_CACHE, backend=backend)
-    # Don't ship the whole per-process cache back with every result: the
-    # pickle payload would grow as O(results x cache size).  The result's
-    # lazy absorbers tolerate a missing cache (PropertySet reads None).
-    result.properties.pop("conjugation_cache", None)
-    return result
-
-
 def _default_worker_count(num_programs: int) -> int:
     return max(1, min(num_programs, os.cpu_count() or 1, 32))
 
 
 #: below this many total Pauli terms a batch is too small for any worker
-#: pool to amortize its startup + handoff overhead (measured: the 8-program
-#: small bench tier, ~600 terms, compiled *slower* under threads than
-#: sequentially)
+#: pool to amortize its handoff overhead (measured: the 8-program small bench
+#: tier, ~600 terms, compiled *slower* on workers than sequentially)
 SERIAL_BATCH_TERMS = 2500
 
-#: above this many total terms the per-program synthesis work (pure-Python,
-#: GIL-bound) dwarfs process startup + result pickling, so a process pool
-#: actually scales; in between, threads at least overlap the numpy segments
+#: without a live pool, a batch needs this many total terms before a
+#: transient :class:`CompilePool` pays back its worker spawn and ``import
+#: repro`` (synthesis is GIL-bound Python, so only processes scale it)
 PROCESS_BATCH_TERMS = 20000
-
-#: with a *live* :class:`~repro.compiler.pool.CompilePool` (workers already
-#: spawned, repro imported, conjugation caches warm) the only per-batch cost
-#: left is pickling, so the processes cutoff collapses to the plain
-#: pool-overhead cutoff — any batch worth parallelizing at all is worth
-#: sending to the warm pool
-POOL_BATCH_TERMS = SERIAL_BATCH_TERMS
 
 
 @dataclass(frozen=True)
 class BatchPlan:
     """How :func:`compile_many` will execute a batch.
 
-    ``executor`` is the *resolved* strategy (never ``"auto"``), ``chunksize``
-    the per-submission chunk for the process pool, and ``reason`` a short
-    human-readable justification — the benchmark records the plan alongside
-    the measured batch speedup.
+    ``executor`` is ``"serial"`` (an in-process loop) or ``"pool"`` (the
+    caller's :class:`CompilePool`, or a transient one of ``max_workers``
+    workers when the caller passed none).  ``chunksize`` is the per-dispatch
+    chunk for the pool, ``num_programs``/``total_terms`` count the regular
+    (non-bind) programs, and ``reason`` is a short human-readable
+    justification — the benchmark records the plan beside the measured
+    batch speedup.
     """
 
     executor: str
@@ -199,125 +170,71 @@ class BatchPlan:
 
 def plan_batch(
     programs: Sequence[Sequence[PauliTerm] | SparsePauliSum],
-    max_workers: int | None = None,
-    executor: str = "auto",
     pool: "CompilePool | None" = None,
+    conjugation_cache: ConjugationCache | None = None,
 ) -> BatchPlan:
-    """Resolve the executor strategy for a batch, overhead-aware.
+    """Choose serial or :class:`CompilePool` execution for a batch.
 
-    ``"auto"`` falls back to sequential execution for small batches/programs
-    (where pool startup and GIL contention outweigh any overlap), picks a
-    chunked process pool for large batches (the synthesis passes are
-    GIL-bound Python), and threads for the middle ground.  An explicit
-    ``executor`` is honored, with one degenerate exception: a single-program
-    or single-worker batch always resolves to ``"serial"`` (there is nothing
-    to parallelize, so no pool is spun up).
+    The plan depends only on what the caller hands :func:`compile_many` and
+    on the host's CPU count:
 
-    ``pool`` is a live :class:`~repro.compiler.pool.CompilePool`: its workers
-    are already spawned and warm, so ``"auto"`` routes any batch above the
-    plain pool-overhead cutoff (:data:`POOL_BATCH_TERMS`) to it instead of
-    waiting for the much higher fresh-process cutoff.  A disabled pool
-    (``max_workers=0``) is treated as absent.
+    * every program a bind, a single program, or fewer than
+      :data:`SERIAL_BATCH_TERMS` total terms → serial;
+    * a usable ``pool`` (``max_workers > 0``) → that pool, whose workers
+      are already spawned and warm;
+    * no usable pool, no caller ``conjugation_cache`` and at least
+      :data:`PROCESS_BATCH_TERMS` terms on a multi-CPU host → a transient
+      pool;
+    * anything else → serial (a caller's conjugation cache pools tableau
+      freezes only in-process).
+
+    Bound templates (:class:`~repro.parametric.BoundProgram`) replay a
+    pre-compiled skeleton inline in microseconds, so they never join a pool
+    and count as no work here.
     """
-    if executor not in _EXECUTORS:
-        raise CompilerError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
-    if executor == "pool" and (pool is None or not pool.usable):
-        raise CompilerError(
-            "executor='pool' needs a usable CompilePool (max_workers > 0) "
-            "passed as pool="
-        )
     from repro.parametric.program import BoundProgram
 
-    program_list = list(programs)
-    # a bound template replays a pre-compiled skeleton in microseconds — it
-    # contributes no synthesis work for a pool to amortize, so it plans as
-    # zero terms
-    sizes = [
-        0 if isinstance(program, BoundProgram) else len(program)
-        for program in program_list
-    ]
-    total_terms = sum(sizes)
-    if program_list and all(
-        isinstance(program, BoundProgram) for program in program_list
-    ):
-        return BatchPlan(
-            "serial",
-            1,
-            1,
-            len(program_list),
-            0,
+    regular = [program for program in programs if not isinstance(program, BoundProgram)]
+    count = len(regular)
+    total_terms = sum(len(program) for program in regular)
+
+    def serial(reason: str) -> BatchPlan:
+        return BatchPlan("serial", 1, 1, count, total_terms, reason)
+
+    def pooled(workers: int, reason: str) -> BatchPlan:
+        chunksize = max(1, count // (workers * 4))
+        return BatchPlan("pool", workers, chunksize, count, total_terms, reason)
+
+    if not regular:
+        return serial(
             "every program is a bound template; binds replay inline in "
-            "microseconds, no pool can help",
+            "microseconds, no pool can help"
         )
-    workers = (
-        max_workers if max_workers is not None else _default_worker_count(len(program_list))
-    )
-    chunksize = max(1, len(program_list) // (workers * 4)) if workers else 1
-    if executor == "pool":
-        if len(program_list) <= 1:
-            return BatchPlan(
-                "serial", 1, 1, len(program_list), total_terms, "single program or worker"
-            )
-        pool_chunksize = max(1, len(program_list) // (pool.max_workers * 4))
-        return BatchPlan(
-            "pool",
-            pool.max_workers,
-            pool_chunksize,
-            len(program_list),
-            total_terms,
-            "explicit executor='pool'",
-        )
-    if executor != "auto":
-        reason = f"explicit executor={executor!r}"
-        if len(program_list) <= 1 or workers <= 1:
-            executor, reason = "serial", "single program or worker"
-        return BatchPlan(executor, workers, chunksize, len(program_list), total_terms, reason)
-    if len(program_list) <= 1:
-        return BatchPlan(
-            "serial", 1, 1, len(program_list), total_terms, "single program or worker"
-        )
+    if count == 1:
+        return serial("single program")
     if total_terms < SERIAL_BATCH_TERMS:
-        return BatchPlan(
-            "serial",
-            1,
-            1,
-            len(program_list),
-            total_terms,
+        return serial(
             f"batch of {total_terms} terms is below the {SERIAL_BATCH_TERMS}-term "
-            "pool-overhead cutoff",
+            "pool-overhead cutoff"
         )
-    if pool is not None and pool.usable and total_terms >= POOL_BATCH_TERMS:
-        pool_chunksize = max(1, len(program_list) // (pool.max_workers * 4))
-        return BatchPlan(
-            "pool",
+    if pool is not None and pool.usable:
+        return pooled(
             pool.max_workers,
-            pool_chunksize,
-            len(program_list),
-            total_terms,
-            f"batch of {total_terms} terms rides the live warm compile pool: "
-            "worker spawn and repro import are already paid, only pickling is left",
+            f"batch of {total_terms} terms rides the caller's warm compile pool",
         )
+    if conjugation_cache is not None:
+        return serial("caller-supplied conjugation cache is shareable only in-process")
+    if total_terms < PROCESS_BATCH_TERMS:
+        return serial(
+            f"no live pool, and {total_terms} terms is below the "
+            f"{PROCESS_BATCH_TERMS}-term cutoff for spawning one"
+        )
+    workers = _default_worker_count(count)
     if workers <= 1:
-        return BatchPlan(
-            "serial", 1, 1, len(program_list), total_terms, "single program or worker"
-        )
-    if total_terms >= PROCESS_BATCH_TERMS:
-        return BatchPlan(
-            "processes",
-            workers,
-            chunksize,
-            len(program_list),
-            total_terms,
-            f"batch of {total_terms} terms amortizes process startup; synthesis "
-            "is GIL-bound so threads cannot scale it",
-        )
-    return BatchPlan(
-        "threads",
+        return serial("a single CPU: a transient pool cannot help")
+    return pooled(
         workers,
-        chunksize,
-        len(program_list),
-        total_terms,
-        "mid-size batch: threads overlap the numpy segments without pickling",
+        f"batch of {total_terms} terms amortizes a transient pool's worker spawn",
     )
 
 
@@ -326,8 +243,6 @@ def compile_many(
     target: Target | CouplingMap | str | None = None,
     level: int = MAX_OPTIMIZATION_LEVEL,
     pipeline: Pipeline | str | None = None,
-    max_workers: int | None = None,
-    executor: str = "auto",
     conjugation_cache: ConjugationCache | None = None,
     backend: "str | ArrayBackend | None" = None,
     pool: CompilePool | None = None,
@@ -336,50 +251,39 @@ def compile_many(
 
     Every program goes through the same resolved pipeline (preset ``level``,
     explicit ``pipeline``, or registered name — identical semantics to
-    :func:`repro.compile`), sharded across a :mod:`concurrent.futures`
-    worker pool.  Results come back in input order.
-
-    A single :class:`~repro.clifford.engine.ConjugationCache` is shared by
-    all workers (and attached to each run's property set), so programs whose
-    extraction produces the same Clifford tail freeze the packed conjugation
-    map only once; pass ``conjugation_cache`` to share it across several
-    ``compile_many`` calls.
+    :func:`repro.compile`), either in a serial in-process loop or on a
+    :class:`~repro.compiler.pool.CompilePool`, as :func:`plan_batch` decides.
+    Results come back in input order and are gate-identical to
+    :func:`repro.compile` whichever way the batch ran.
 
     Parameters
     ----------
     programs:
         The batch; each entry is what :func:`repro.compile` accepts as
         ``terms``, or a :class:`~repro.parametric.BoundProgram` (a compiled
-        template plus one parameter vector), which binds inline instead of
-        joining the worker pool.
+        template plus one parameter vector), which binds inline and never
+        joins a pool.  ``target``/``level``/``pipeline`` do not apply to a
+        bind — those were fixed when its template compiled.
     target, level, pipeline:
         As in :func:`repro.compile`, applied to every program.
-    max_workers:
-        Worker-pool width; defaults to ``min(len(programs), cpu_count, 32)``.
-    executor:
-        ``"auto"`` (the default) resolves the strategy with
-        :func:`plan_batch` — sequential for small batches (pool startup and
-        GIL contention made small-tier batches *slower* than a plain loop),
-        a chunked process pool for large ones (the synthesis passes are
-        GIL-bound Python), threads in between.  ``"serial"``, ``"threads"``
-        and ``"processes"`` force the respective strategy; with
-        ``"processes"`` the conjugation cache is per-process and submissions
-        are chunked to amortize pickling.
+    conjugation_cache:
+        A :class:`~repro.clifford.engine.ConjugationCache` shared by every
+        serially compiled program and attached to its result, so programs
+        whose extraction produces the same Clifford tail freeze the packed
+        conjugation map only once; pass one to share it across several
+        ``compile_many`` calls.  A batch without one gets a fresh cache.
+        Supplying one keeps the batch in-process unless ``pool`` is given.
     backend:
         Array backend for the packed engine, applied to every program in the
         batch (same precedence as :func:`repro.compile`).  Backend names and
-        the built-in backend instances are picklable, so the setting survives
-        the ``"processes"`` path.
+        the built-in backend instances are picklable, so the setting reaches
+        pool workers.
     pool:
         A long-lived :class:`~repro.compiler.pool.CompilePool` whose warm
-        workers take the batch instead of a per-call pool: ``"auto"`` routes
-        any batch above the plain pool-overhead cutoff to it (the fresh
-        process-startup cutoff no longer applies), and ``executor="pool"``
-        forces it.  A batch that loses its pool workers mid-flight
-        transparently falls back to in-process threads — slower, never
-        failed.  Like the ``"processes"`` path, pool workers keep private
-        per-process conjugation caches, so a caller-supplied
-        ``conjugation_cache`` is only consulted by the in-process strategies.
+        workers take any batch of at least :data:`SERIAL_BATCH_TERMS` terms.
+        Pool workers keep private per-process conjugation caches and return
+        results without one.  A batch whose pool loses its workers
+        mid-flight finishes serially in-process — slower, never failed.
     """
     from repro.parametric.program import BoundProgram
 
@@ -389,101 +293,43 @@ def compile_many(
         else list(program)
         for program in programs
     ]
-    if not program_list:
-        return []
-
-    # Bound templates ride along in a mixed batch but never join the worker
-    # pool: each one replays its template's skeleton inline (microseconds,
-    # already validated at construction), while the regular programs flow
-    # through the planned batch below.  ``target``/``level``/``pipeline``
-    # do not apply to a bind — those were fixed when its template compiled.
-    bind_indices = [
-        index
-        for index, program in enumerate(program_list)
-        if isinstance(program, BoundProgram)
-    ]
-    if bind_indices:
-        results: "list[CompilationResult | None]" = [None] * len(program_list)
-        for index in bind_indices:
-            bound = program_list[index]
-            results[index] = bound.template.bind(bound.params)
-        regular = [
-            (index, program)
-            for index, program in enumerate(program_list)
-            if not isinstance(program, BoundProgram)
-        ]
-        if regular:
-            compiled = compile_many(
-                [program for _, program in regular],
-                target=target,
-                level=level,
-                pipeline=pipeline,
-                max_workers=max_workers,
-                executor=executor,
-                conjugation_cache=conjugation_cache,
-                backend=backend,
-            )
-            for (index, _), result in zip(regular, compiled):
-                results[index] = result
+    results: "list[CompilationResult | None]" = [None] * len(program_list)
+    regular_indices = []
+    for index, program in enumerate(program_list):
+        if isinstance(program, BoundProgram):
+            results[index] = program.template.bind(program.params)
+        else:
+            validate_program(program, source="repro.compile_many", index=index)
+            regular_indices.append(index)
+    if not regular_indices:
         return results
 
-    for index, program in enumerate(program_list):
-        validate_program(program, source="repro.compile_many", index=index)
-    plan = plan_batch(program_list, max_workers=max_workers, executor=executor, pool=pool)
-    if executor == "auto" and plan.executor == "processes" and conjugation_cache is not None:
-        # the documented cache-sharing contract: a caller-supplied cache
-        # pools conjugator freezes across calls, which only works in-process
-        # (the process path keeps a private per-worker cache and strips it
-        # from results) — auto must not silently downgrade that
-        plan = BatchPlan(
-            "threads",
-            plan.max_workers,
-            plan.chunksize,
-            plan.num_programs,
-            plan.total_terms,
-            "caller-supplied conjugation cache is shareable only in-process; "
-            "keeping threads instead of auto-selecting processes",
-        )
+    regular = [program_list[index] for index in regular_indices]
+    plan = plan_batch(regular, pool=pool, conjugation_cache=conjugation_cache)
     resolved = _resolve_pipeline(pipeline, level)
     device = as_target(target)
     routed = ensure_device_routing(resolved, device)
-    cache = conjugation_cache if conjugation_cache is not None else ConjugationCache()
-
-    if plan.executor == "serial":
-        return [
-            _run_one(routed, device, program, cache, backend=backend)
-            for program in program_list
-        ]
-
+    compiled = None
     if plan.executor == "pool":
         try:
-            return pool.map_compile(
-                routed, device, program_list, backend=backend, chunksize=plan.chunksize
-            )
-        except CompilePoolBrokenError:
-            # the warm workers died mid-batch (OOM kill, segfault): degrade
-            # to in-process threads so the batch still completes; the pool
-            # rebuilds itself lazily for the next one
-            workers = max(1, plan.max_workers)
-            with ThreadPoolExecutor(max_workers=workers) as fallback:
-                return list(
-                    fallback.map(
-                        lambda program: _run_one(
-                            routed, device, program, cache, backend=backend
-                        ),
-                        program_list,
-                    )
+            if pool is not None and pool.usable:
+                compiled = pool.map_compile(
+                    routed, device, regular, backend=backend, chunksize=plan.chunksize
                 )
-
-    if plan.executor == "processes":
-        payloads = [(routed, device, program, backend) for program in program_list]
-        with ProcessPoolExecutor(max_workers=plan.max_workers) as pool:
-            return list(pool.map(_process_worker, payloads, chunksize=plan.chunksize))
-
-    with ThreadPoolExecutor(max_workers=plan.max_workers) as pool:
-        return list(
-            pool.map(
-                lambda program: _run_one(routed, device, program, cache, backend=backend),
-                program_list,
-            )
-        )
+            else:
+                with CompilePool(plan.max_workers) as transient:
+                    compiled = transient.map_compile(
+                        routed, device, regular, backend=backend, chunksize=plan.chunksize
+                    )
+        except CompilePoolBrokenError:
+            # the workers died mid-batch (OOM kill, segfault): finish the
+            # batch in-process; a long-lived pool rebuilds itself lazily
+            pass
+    if compiled is None:
+        cache = conjugation_cache if conjugation_cache is not None else ConjugationCache()
+        compiled = [
+            _run_one(routed, device, program, cache, backend=backend) for program in regular
+        ]
+    for index, result in zip(regular_indices, compiled):
+        results[index] = result
+    return results

@@ -1,29 +1,28 @@
 """A long-lived process pool for the compile stage.
 
-:func:`repro.compile_many` historically spun up a fresh
-:class:`~concurrent.futures.ProcessPoolExecutor` per batch, which is why
-:func:`~repro.compiler.api.plan_batch` only reaches for processes above a
-~20k-term cutoff — below that, interpreter startup plus ``import repro``
-per worker costs more than the GIL-bound synthesis it parallelizes.
-:class:`CompilePool` removes that startup tax: the workers are forked/spawned
-**once**, pre-import :mod:`repro` (and with it numpy and the packed engine),
-warm a per-worker :class:`~repro.clifford.engine.ConjugationCache`, and then
-survive across batches.  A service scheduler that owns one can shard every
-batch over real cores for the cost of pickling the programs alone, so the
-profitable-batch cutoff drops from ~20k terms to the plain pool-overhead
-cutoff (~2.5k).
+:class:`CompilePool` is the only way :func:`repro.compile_many` leaves the
+calling process.  The workers are forked/spawned **once**, pre-import
+:mod:`repro` (and with it numpy and the packed engine), warm a per-worker
+:class:`~repro.clifford.engine.ConjugationCache`, and then survive across
+batches.  A service scheduler that owns one can shard every batch over real
+cores for the cost of pickling the programs alone, so
+:func:`~repro.compiler.api.plan_batch` hands it any batch above the plain
+pool-overhead cutoff (~2.5k terms).  Without a live pool, ``compile_many``
+opens a transient one only for batches of ~20k terms and more, where the
+GIL-bound synthesis dwarfs worker spawn and ``import repro``.
 
 The pool is deliberately forgiving about worker death: a batch that trips
 :class:`~concurrent.futures.process.BrokenProcessPool` (a worker OOM-killed
 or segfaulted mid-compile) marks the executor broken, tears it down, and
 raises :class:`CompilePoolBrokenError`; the *next* use transparently builds a
-fresh executor.  :func:`repro.compile_many` catches that error and falls back
-to in-process threads, so callers see a slower batch, never a failed one.
+fresh executor.  :func:`repro.compile_many` catches that error and finishes
+the batch serially in-process, so callers see a slower batch, never a
+failed one.
 
 Construction is cheap (the executor is created lazily on first use) and
 ``max_workers=0`` is an explicit "no pool" marker: :meth:`CompilePool.usable`
 is false and every planner treats the pool as absent — the knob a service
-operator uses to force the in-process thread path on a one-core box.
+operator uses to keep compilation in-process on a one-core box.
 """
 
 from __future__ import annotations
@@ -69,8 +68,9 @@ def _pool_worker(payload):
         properties={"conjugation_cache": _WORKER_CACHE},
         backend=backend,
     )
-    # as in the per-batch process path: never pickle the worker's whole
-    # conjugation cache back with every result
+    # never pickle the worker's whole conjugation cache back with every
+    # result: the payload would grow as O(results x cache size), and the
+    # result's lazy absorbers tolerate a missing cache
     result.properties.pop("conjugation_cache", None)
     return result
 

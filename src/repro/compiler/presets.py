@@ -11,8 +11,8 @@
   routing to the target (the absorbers are built lazily by the result).
 
 When no target is supplied the routing pass is a no-op, so a level-3 run on
-an all-to-all device produces exactly the circuit of the legacy
-``QuCLEAR().compile(...)``.
+an all-to-all device produces exactly the circuit of
+``quclear_pipeline().run(...)``.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ def quclear_passes(
 ) -> list:
     """The logical-circuit portion of the QuCLEAR flow as a pass list.
 
-    This is exactly what the legacy ``QuCLEAR(...)`` object ran: grouping,
-    extraction with the requested feature flags, and (optionally) the
-    peephole pass — no routing, no absorption preparation.
+    Grouping, extraction with the requested feature flags, and (optionally)
+    the peephole pass — no routing, no absorption preparation.
 
     When local optimization is requested the extraction pass streams its
     emission through the wire-indexed peephole engine (``fuse_peephole``):
@@ -66,7 +65,8 @@ def quclear_passes(
 
 
 def quclear_pipeline(name: str = "quclear", **flags) -> Pipeline:
-    """A logical-only QuCLEAR pipeline with the legacy feature flags."""
+    """A logical-only QuCLEAR pipeline with the :func:`quclear_passes`
+    feature flags."""
     return Pipeline(quclear_passes(**flags), name=name)
 
 

@@ -1,9 +1,7 @@
 """The unified result type returned by every registered compiler pipeline.
 
-Historically the QuCLEAR flow returned ``repro.core.framework.CompilationResult``
-while the baselines returned a separate ``BaselineResult``; the two are merged
-here so that every pipeline in the :class:`~repro.compiler.registry.CompilerRegistry`
-— QuCLEAR presets and baselines alike — produces the same object and the
+Every pipeline in the :class:`~repro.compiler.registry.CompilerRegistry` —
+QuCLEAR presets and baselines alike — produces the same object, so the
 evaluation harness never has to branch on the compiler kind.
 
 Pipelines that perform Clifford Extraction populate :attr:`extracted_clifford`

@@ -10,9 +10,10 @@
   loop, kept as the bit-for-bit ground truth of the equivalence tests.
 * :mod:`repro.core.absorption` — Clifford Absorption for observable and
   probability measurements (CA-Pre / CA-Post).
-* :mod:`repro.core.framework` — the deprecated :class:`QuCLEAR` facade over
-  the :mod:`repro.compiler` pass pipeline (new code should use
-  :func:`repro.compile`).
+
+The end-to-end flow (paper Fig. 6) is the :mod:`repro.compiler` pass
+pipeline: :func:`repro.compile` or
+:func:`repro.compiler.quclear_pipeline`.
 """
 
 from repro.core.commuting import commuting_block_bounds, convert_commute_sets
@@ -25,7 +26,6 @@ from repro.core.absorption import (
     absorb_observables,
     absorb_probabilities,
 )
-from repro.core.framework import QuCLEAR, CompilationResult
 from repro.core.measurement_grouping import (
     MeasurementGroup,
     group_observables,
@@ -46,6 +46,4 @@ __all__ = [
     "ProbabilityAbsorber",
     "absorb_observables",
     "absorb_probabilities",
-    "QuCLEAR",
-    "CompilationResult",
 ]

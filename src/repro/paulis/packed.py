@@ -29,7 +29,6 @@ within each word on a big-endian host.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -73,41 +72,6 @@ def unpack_bits(words: np.ndarray, num_qubits: int) -> np.ndarray:
 def popcount_rows(words: np.ndarray) -> np.ndarray:
     """Per-row population count of a host ``(rows, W)`` word matrix."""
     return np.bitwise_count(words).sum(axis=-1).astype(np.int64)
-
-
-def apply_gate_to_words(
-    x_words: np.ndarray, z_words: np.ndarray, phases: np.ndarray, gate: "Gate"
-) -> None:
-    """Deprecated shim: use ``backend.apply_gate_to_words`` instead.
-
-    The per-gate kernels moved to :mod:`repro.arrays`; this host-numpy entry
-    point remains for callers that operated on raw word arrays.
-    """
-    warnings.warn(
-        "repro.paulis.packed.apply_gate_to_words is deprecated; route through "
-        "an ArrayBackend (repro.arrays.resolve_backend(...).apply_gate_to_words)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    NUMPY.apply_gate_to_words(x_words, z_words, phases, gate)
-
-
-def apply_basis_layer_to_words(
-    x_words: np.ndarray,
-    z_words: np.ndarray,
-    phases: np.ndarray,
-    y_mask: np.ndarray,
-    h_mask: np.ndarray,
-) -> None:
-    """Deprecated shim: use ``backend.apply_basis_layer_to_words`` instead."""
-    warnings.warn(
-        "repro.paulis.packed.apply_basis_layer_to_words is deprecated; route "
-        "through an ArrayBackend "
-        "(repro.arrays.resolve_backend(...).apply_basis_layer_to_words)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    NUMPY.apply_basis_layer_to_words(x_words, z_words, phases, y_mask, h_mask)
 
 
 def conjugate_row_through_generators(

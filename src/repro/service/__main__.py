@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="size of the long-lived compile process pool each server keeps "
-        "warm (0 disables it — compilation stays on in-process threads)",
+        "warm (0 disables it — compilation stays in-process)",
     )
     parser.add_argument(
         "--ttl-seconds",

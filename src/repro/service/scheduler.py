@@ -1,9 +1,9 @@
 """Request coalescing: buffer concurrent submissions, compile them as one batch.
 
 The server accepts requests one at a time, but the compiler is at its best
-over *batches* — :func:`repro.compiler.plan_batch` resolves the
-overhead-aware executor (serial / threads / chunked processes) from the
-batch's total term count, and a shared
+over *batches* — :func:`repro.compiler.plan_batch` decides between an
+in-process serial loop and the scheduler's compile pool from the batch's
+total term count, and a shared
 :class:`~repro.clifford.engine.ConjugationCache` pools tableau freezes across
 programs.  :class:`BatchingScheduler` bridges the two: a submission parks an
 ``asyncio`` future and starts (or joins) a short collection window — a few
@@ -21,9 +21,10 @@ conjugation cache, and survive across batches, so a batch big enough to
 parallelize compiles on real cores instead of GIL-sharing the server
 process — and without paying process spawn + import per batch, the
 profitable cutoff drops from ~20k total terms to ~2.5k.  A pool that dies
-mid-batch degrades that batch to in-process threads
+mid-batch finishes that batch serially in-process
 (``service.pool_fallbacks``); ``pool_workers=0`` keeps everything
-in-process.
+in-process, because the scheduler always hands ``compile_many`` a
+conjugation cache.
 
 Bind requests (:mod:`repro.parametric`) never enter the batching window:
 :func:`execute_bind` replays a pre-compiled template skeleton in
@@ -44,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import repro
+from repro.clifford.engine import ConjugationCache
 from repro.compiler.api import validate_program
 from repro.compiler.pool import CompilePool
 from repro.exceptions import (
@@ -121,8 +123,8 @@ def execute_batch(
     ``pool`` is the scheduler's long-lived
     :class:`~repro.compiler.pool.CompilePool`: when the batch's total term
     count clears the warm-pool cutoff, the misses compile on real cores
-    instead of GIL-sharing the server process; a dead pool degrades the batch
-    to in-process threads (counted as ``service.pool_fallbacks``).
+    instead of GIL-sharing the server process; a dead pool finishes the batch
+    serially in-process (counted as ``service.pool_fallbacks``).
     """
     telemetry = telemetry if telemetry is not None else Telemetry()
     completed: list[CompletedJob] = [CompletedJob(None, None) for _ in jobs]
@@ -252,11 +254,15 @@ def _execute_group(
         return
 
     # Compile phase: every distinct missing program through compile_many as
-    # one planned batch (plan_batch resolves serial/threads/processes), with
+    # one planned batch (plan_batch picks serial or the pool), with
     # the cache's shared conjugation cache pooling tableau freezes.
     ordered_keys = list(missing)
     programs = [jobs[missing[key][0]].program for key in ordered_keys]
-    conjugation_cache = cache.conjugation_cache if cache is not None else None
+    # always a conjugation cache, so a batch without a live pool stays
+    # in-process (compile_many never opens a transient pool beside one)
+    conjugation_cache = (
+        cache.conjugation_cache if cache is not None else ConjugationCache()
+    )
     live_pool = pool if pool is not None and pool.usable else None
     pool_batches_before = live_pool.batches if live_pool is not None else 0
     pool_breaks_before = live_pool.breaks if live_pool is not None else 0

@@ -196,27 +196,20 @@ class TestCacheKeyIndependence:
         assert restored.circuit == result_from_wire(reference_wire).circuit
 
 
-class TestDeprecationShims:
-    def test_module_level_helpers_warn_and_delegate(self, rng):
+class TestRawWordKernels:
+    def test_apply_gate_to_words_matches_numpy(self, rng, backend):
         from repro.circuits.gate import Gate
-        from repro.paulis.packed import apply_gate_to_words
 
         reference_table, _ = random_table(rng, 5, 4)
-        shimmed = reference_table.copy()
-        with pytest.warns(DeprecationWarning):
-            apply_gate_to_words(
-                shimmed.x_words,
-                shimmed.z_words,
-                shimmed.phases,
-                Gate("h", (1,)),
-            )
-        direct = reference_table.copy()
+        raw = reference_table.copy().to_backend(backend)
+        backend.apply_gate_to_words(raw.x_words, raw.z_words, raw.phases, Gate("h", (1,)))
         NUMPY.apply_gate_to_words(
-            direct.x_words, direct.z_words, direct.phases, Gate("h", (1,))
+            reference_table.x_words,
+            reference_table.z_words,
+            reference_table.phases,
+            Gate("h", (1,)),
         )
-        assert np.array_equal(shimmed.x_words, direct.x_words)
-        assert np.array_equal(shimmed.z_words, direct.z_words)
-        assert np.array_equal(shimmed.phases, direct.phases)
+        assert_tables_identical(raw, reference_table)
 
 
 class TestTargetIntegration:
@@ -257,7 +250,7 @@ class TestTargetIntegration:
         assert Target.sycamore().array_backend is None
         assert Target.fully_connected(4).array_backend is None
 
-    def test_compile_many_threads_backend(self, rng):
+    def test_compile_many_applies_backend(self, rng):
         terms_a = random_pauli_terms(rng, 6, 8)
         terms_b = random_pauli_terms(rng, 6, 8)
         results = repro.compile_many([terms_a, terms_b], backend="reference")

@@ -3,20 +3,18 @@
 import pytest
 
 from repro.baselines import (
-    BASELINE_COMPILERS,
     compile_naive,
     compile_paulihedral_like,
     compile_qiskit_like,
     compile_rustiq_like,
     compile_tket_like,
-    compile_with,
 )
+from repro.compiler import get_registry
 from repro.circuits.statevector import circuits_equivalent
 from repro.evaluation.breakdown import absorption_style, feature_breakdown, local_optimization_ablation
 from repro.evaluation.comparison import compare_compilers, compare_on_benchmark
 from repro.evaluation.mapping import compare_mapped_compilers
 from repro.evaluation.reporting import format_table
-from repro.exceptions import WorkloadError
 from repro.paulis.term import PauliTerm
 from repro.synthesis.trotter import synthesize_trotter_circuit
 from repro.transpile.coupling import CouplingMap
@@ -24,6 +22,15 @@ from repro.workloads.qaoa import maxcut_qaoa_terms, regular_graph
 
 from tests.conftest import random_pauli_terms
 
+
+#: every baseline function under its registry name
+BASELINES = {
+    "naive": compile_naive,
+    "qiskit-like": compile_qiskit_like,
+    "paulihedral-like": compile_paulihedral_like,
+    "tket-like": compile_tket_like,
+    "rustiq-like": compile_rustiq_like,
+}
 
 CHEMISTRY_LIKE_LABELS = ["XXYZ", "YZXX", "ZZZZ", "XYXY", "ZXYZ", "YYXX", "XZZY", "ZYXZ"]
 
@@ -38,26 +45,26 @@ def _chemistry_like_terms():
 class TestBaselineCorrectness:
     """Every baseline must preserve the program unitary exactly."""
 
-    @pytest.mark.parametrize(
-        "compiler",
-        [compile_naive, compile_qiskit_like, compile_paulihedral_like, compile_tket_like, compile_rustiq_like],
-    )
+    @pytest.mark.parametrize("compiler", list(BASELINES.values()))
     def test_unitary_preserved_on_random_programs(self, compiler, rng):
         terms = random_pauli_terms(rng, 3, 5)
         original = synthesize_trotter_circuit(terms)
         result = compiler(terms)
         assert circuits_equivalent(original, result.circuit)
 
-    @pytest.mark.parametrize("name", sorted(BASELINE_COMPILERS))
+    @pytest.mark.parametrize("name", sorted(BASELINES))
     def test_unitary_preserved_on_chemistry_terms(self, name):
         terms = _chemistry_like_terms()
         original = synthesize_trotter_circuit(terms)
-        result = compile_with(name, terms)
+        result = get_registry().compile(name, terms)
         assert circuits_equivalent(original, result.circuit)
 
-    def test_unknown_baseline(self):
-        with pytest.raises(WorkloadError):
-            compile_with("nope", _chemistry_like_terms())
+    @pytest.mark.parametrize("name", sorted(BASELINES))
+    def test_functions_match_registry(self, name, rng):
+        terms = random_pauli_terms(rng, 3, 5)
+        direct = BASELINES[name](terms)
+        registered = get_registry().compile(name, terms)
+        assert direct.circuit == registered.circuit
 
 
 class TestBaselineBehaviour:

@@ -1,10 +1,14 @@
-"""Tests for the batch compile entry point (repro.compile_many)."""
+"""Tests for the batch compile entry point (repro.compile_many) and its planner."""
 
+import os
+
+import numpy as np
 import pytest
 
 import repro
 from repro.clifford.engine import ConjugationCache
-from repro.exceptions import CompilerError
+from repro.compiler import CompilePool, plan_batch
+from repro.parametric import BoundProgram, ParametricProgram, compile_template
 from repro.paulis.term import PauliTerm
 from repro.paulis.sum import SparsePauliSum
 
@@ -25,33 +29,11 @@ class TestCompileMany:
             assert batch_result.circuit == reference.circuit
             assert batch_result.extracted_clifford == reference.extracted_clifford
 
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
-    def test_executor_strategies_agree(self, rng, executor):
-        programs = _programs(rng, count=3)
-        reference = [repro.compile(program, level=2) for program in programs]
-        batch = repro.compile_many(programs, level=2, executor=executor, max_workers=2)
-        assert [r.circuit for r in batch] == [r.circuit for r in reference]
-
-    def test_process_pool_roundtrip(self, rng):
-        # Results must pickle back across the process boundary; the bulky
-        # per-process ConjugationCache is stripped before the return trip.
-        programs = _programs(rng, count=2)
-        reference = [repro.compile(program, level=3) for program in programs]
-        batch = repro.compile_many(
-            programs, level=3, executor="processes", max_workers=2
-        )
-        assert [r.circuit for r in batch] == [r.circuit for r in reference]
-        assert batch[0].properties["conjugation_cache"] is None
-        # lazy absorption still works without the cache
-        observable = random_pauli(rng, 4)
-        assert batch[0].absorb_observables([observable])
-
     def test_results_in_input_order(self, rng):
         programs = _programs(rng, count=6)
         batch = repro.compile_many(programs, level=0)
         for result, program in zip(batch, programs):
-            # level 0 emits one V-shaped block per rotation, in program order
-            assert result.circuit.num_qubits == program[0].num_qubits
+            assert result.circuit == repro.compile(program, level=0).circuit
 
     def test_empty_batch(self):
         assert repro.compile_many([]) == []
@@ -62,10 +44,6 @@ class TestCompileMany:
         batch = repro.compile_many([observable, terms], level=1)
         assert len(batch) == 2
 
-    def test_unknown_executor_rejected(self, rng):
-        with pytest.raises(CompilerError):
-            repro.compile_many(_programs(rng, count=2), executor="fleet")
-
     def test_registered_pipeline_name(self, rng):
         programs = _programs(rng, count=2)
         batch = repro.compile_many(programs, pipeline="quclear")
@@ -73,218 +51,48 @@ class TestCompileMany:
         assert [r.circuit for r in batch] == [r.circuit for r in reference]
 
 
-class TestBatchPlan:
-    """Overhead-aware executor resolution (the compile_many 0.93x fix)."""
-
-    def test_small_batch_falls_back_to_serial(self, rng):
-        from repro.compiler import plan_batch
-
-        # max_workers pinned so the verdict is the term-count cutoff, not the
-        # host's core count
-        plan = plan_batch(_programs(rng, count=4), max_workers=4)
-        assert plan.executor == "serial"
-        assert plan.total_terms == 24
-        assert "cutoff" in plan.reason
-
-    def test_single_program_is_serial_even_when_forced(self, rng):
-        from repro.compiler import plan_batch
-
-        plan = plan_batch(_programs(rng, count=1), executor="threads")
-        assert plan.executor == "serial"
-
-    def test_large_batch_picks_processes(self, rng):
-        from repro.compiler import plan_batch
-        from repro.compiler.api import PROCESS_BATCH_TERMS
-
-        program = random_pauli_terms(rng, 4, 500)
-        batch = [program] * (PROCESS_BATCH_TERMS // 500 + 1)
-        plan = plan_batch(batch, max_workers=4)
-        assert plan.executor == "processes"
-        assert plan.chunksize >= 1
-        assert plan.max_workers >= 1
-
-    def test_mid_batch_picks_threads(self, rng):
-        from repro.compiler import plan_batch
-        from repro.compiler.api import SERIAL_BATCH_TERMS
-
-        program = random_pauli_terms(rng, 4, SERIAL_BATCH_TERMS // 2 + 1)
-        plan = plan_batch([program, program], max_workers=4)
-        assert plan.executor == "threads"
-
-    def test_explicit_executor_honored(self, rng):
-        from repro.compiler import plan_batch
-
-        plan = plan_batch(_programs(rng, count=3), executor="processes", max_workers=2)
-        assert plan.executor == "processes"
-        assert plan.max_workers == 2
-
-    def test_invalid_executor_rejected(self, rng):
-        from repro.compiler import plan_batch
-
-        with pytest.raises(CompilerError):
-            plan_batch(_programs(rng, count=2), executor="fleet")
-
-    def test_auto_never_trades_a_shared_cache_for_processes(self, rng):
-        # a caller-supplied conjugation cache only pools work in-process: a
-        # process-sized batch must still come back with the cache attached
-        from repro.compiler.api import PROCESS_BATCH_TERMS
-
-        per_program = PROCESS_BATCH_TERMS // 2 + 1
-        terms = random_pauli_terms(rng, 4, 6)
-        programs = [terms * (per_program // len(terms) + 1)] * 2
-        cache = ConjugationCache()
-        batch = repro.compile_many(
-            programs, level=0, max_workers=2, conjugation_cache=cache
-        )
-        assert all(result.properties["conjugation_cache"] is cache for result in batch)
-
-    def test_auto_serial_matches_thread_results(self, rng):
-        # the fallback must be a pure strategy change, never a result change
-        programs = _programs(rng, count=3)
-        auto = repro.compile_many(programs, level=2)
-        threaded = repro.compile_many(programs, level=2, executor="threads", max_workers=2)
-        assert [r.circuit for r in auto] == [r.circuit for r in threaded]
+@pytest.fixture(scope="module")
+def bound():
+    """A bound template: planned as no work, never sent to a pool."""
+    terms = random_pauli_terms(np.random.default_rng(5), 3, 4)
+    program = ParametricProgram([term.pauli for term in terms], [0, 1, 0, 1])
+    return BoundProgram(compile_template(program, level=3), [0.3, -0.7])
 
 
-class TestBatchPlanBoundaries:
-    """Exact threshold behavior of the overhead-aware executor resolution.
+#: (programs' term counts, bound programs, pool, caller cache, CPUs) -> plan
+PLAN_TABLE = [
+    pytest.param([], 2, None, False, 4, "serial", 1, id="all-bind"),
+    pytest.param([30000], 1, "live", False, 4, "serial", 1, id="single-program"),
+    pytest.param([1250, 1249], 0, "live", False, 4, "serial", 1, id="2499-terms-live-pool"),
+    pytest.param([1250, 1250], 0, "live", False, 4, "pool", 3, id="2500-terms-live-pool"),
+    pytest.param([1250, 1250], 1, "live", False, 4, "pool", 3, id="mixed-batch-live-pool"),
+    pytest.param([1250, 1250], 0, "disabled", False, 4, "serial", 1, id="disabled-pool-ignored"),
+    pytest.param([10000, 9999], 0, None, False, 4, "serial", 1, id="19999-terms-no-pool"),
+    pytest.param([10000, 10000], 0, None, False, 4, "pool", 2, id="20000-terms-transient-pool"),
+    pytest.param([10000, 10000], 0, None, False, 1, "serial", 1, id="20000-terms-one-cpu"),
+    pytest.param([10000, 10000], 0, None, True, 4, "serial", 1, id="20000-terms-caller-cache"),
+    pytest.param([10000, 10000], 0, "live", True, 4, "pool", 3, id="caller-cache-live-pool"),
+]
 
-    ``plan_batch`` only reads ``len(program)`` per entry, so the boundary
-    programs are built by repeating one term — the term *count* is what's
-    under test, not the synthesis.
-    """
 
-    @staticmethod
-    def _program_of(rng, total_terms):
-        seed = random_pauli_terms(rng, 4, 1)
-        return seed * total_terms
-
-    def test_exactly_at_serial_cutoff_is_threads(self, rng):
-        from repro.compiler import plan_batch
-        from repro.compiler.api import SERIAL_BATCH_TERMS
-
-        half = SERIAL_BATCH_TERMS // 2
-        plan = plan_batch(
-            [self._program_of(rng, half), self._program_of(rng, SERIAL_BATCH_TERMS - half)],
-            max_workers=4,
-        )
-        assert plan.total_terms == SERIAL_BATCH_TERMS
-        assert plan.executor == "threads"
-
-    def test_one_below_serial_cutoff_is_serial(self, rng):
-        from repro.compiler import plan_batch
-        from repro.compiler.api import SERIAL_BATCH_TERMS
-
-        half = SERIAL_BATCH_TERMS // 2
-        plan = plan_batch(
-            [
-                self._program_of(rng, half),
-                self._program_of(rng, SERIAL_BATCH_TERMS - half - 1),
-            ],
-            max_workers=4,
-        )
-        assert plan.total_terms == SERIAL_BATCH_TERMS - 1
-        assert plan.executor == "serial"
-        assert plan.max_workers == 1
-
-    def test_exactly_at_process_cutoff_is_processes(self, rng):
-        from repro.compiler import plan_batch
-        from repro.compiler.api import PROCESS_BATCH_TERMS
-
-        half = PROCESS_BATCH_TERMS // 2
-        plan = plan_batch(
-            [
-                self._program_of(rng, half),
-                self._program_of(rng, PROCESS_BATCH_TERMS - half),
-            ],
-            max_workers=4,
-        )
-        assert plan.total_terms == PROCESS_BATCH_TERMS
-        assert plan.executor == "processes"
-
-    def test_one_below_process_cutoff_is_threads(self, rng):
-        from repro.compiler import plan_batch
-        from repro.compiler.api import PROCESS_BATCH_TERMS
-
-        half = PROCESS_BATCH_TERMS // 2
-        plan = plan_batch(
-            [
-                self._program_of(rng, half),
-                self._program_of(rng, PROCESS_BATCH_TERMS - half - 1),
-            ],
-            max_workers=4,
-        )
-        assert plan.total_terms == PROCESS_BATCH_TERMS - 1
-        assert plan.executor == "threads"
-
-    def test_explicit_serial_override_beats_process_sized_batch(self, rng):
-        from repro.compiler import plan_batch
-        from repro.compiler.api import PROCESS_BATCH_TERMS
-
-        programs = [self._program_of(rng, PROCESS_BATCH_TERMS)] * 2
-        plan = plan_batch(programs, max_workers=4, executor="serial")
-        assert plan.executor == "serial"
-        assert "explicit" in plan.reason
-
-    def test_explicit_threads_override_beats_process_sized_batch(self, rng):
-        from repro.compiler import plan_batch
-        from repro.compiler.api import PROCESS_BATCH_TERMS
-
-        programs = [self._program_of(rng, PROCESS_BATCH_TERMS)] * 2
-        plan = plan_batch(programs, max_workers=4, executor="threads")
-        assert plan.executor == "threads"
-        assert "explicit" in plan.reason
-
-    def test_explicit_processes_override_beats_tiny_batch(self, rng):
-        from repro.compiler import plan_batch
-
-        plan = plan_batch(
-            [self._program_of(rng, 3), self._program_of(rng, 3)],
-            max_workers=4,
-            executor="processes",
-        )
-        assert plan.executor == "processes"
-
-    def test_explicit_override_still_degenerates_to_serial_alone(self, rng):
-        # the one documented exception: nothing to parallelize
-        from repro.compiler import plan_batch
-
-        plan = plan_batch([self._program_of(rng, 50)], executor="processes")
-        assert plan.executor == "serial"
-        plan = plan_batch(
-            [self._program_of(rng, 50)] * 3, max_workers=1, executor="threads"
-        )
-        assert plan.executor == "serial"
-
-    def test_explicit_processes_never_shares_the_caller_cache(self, rng):
-        # the shared-cache-never-with-processes invariant, explicit flavor:
-        # workers keep private per-process caches, results come back with the
-        # cache stripped, and the caller's object stays untouched
-        programs = [random_pauli_terms(rng, 4, 5) for _ in range(2)]
-        cache = ConjugationCache()
-        batch = repro.compile_many(
-            programs,
-            level=3,
-            executor="processes",
-            max_workers=2,
-            conjugation_cache=cache,
-        )
-        assert all(r.properties["conjugation_cache"] is not cache for r in batch)
-        assert all(r.properties["conjugation_cache"] is None for r in batch)
-        assert cache.stats()["entries"] == 0
-
-    def test_auto_downgrade_reason_mentions_the_cache(self, rng):
-        # the auto path's cache-preserving downgrade is observable via the
-        # results: every result must carry the caller's cache object
-        from repro.compiler.api import PROCESS_BATCH_TERMS
-
-        per_program = PROCESS_BATCH_TERMS // 2 + 1
-        programs = [self._program_of(rng, per_program)] * 2
-        cache = ConjugationCache()
-        batch = repro.compile_many(
-            programs, level=0, max_workers=2, conjugation_cache=cache
-        )
-        assert all(r.properties["conjugation_cache"] is cache for r in batch)
+@pytest.mark.parametrize(
+    "sizes, binds, pool_kind, with_cache, cpus, executor, workers", PLAN_TABLE
+)
+def test_plan_table(
+    rng, bound, monkeypatch, sizes, binds, pool_kind, with_cache, cpus, executor, workers
+):
+    # plan_batch only reads len(program), so each program repeats one term
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    seed = random_pauli_terms(rng, 4, 1)
+    programs = [seed * size for size in sizes] + [bound] * binds
+    pool = {"live": CompilePool(3), "disabled": CompilePool(0), None: None}[pool_kind]
+    cache = ConjugationCache() if with_cache else None
+    plan = plan_batch(programs, pool=pool, conjugation_cache=cache)
+    assert (plan.executor, plan.max_workers) == (executor, workers)
+    assert (plan.num_programs, plan.total_terms) == (len(sizes), sum(sizes))
+    assert plan.reason
+    if pool is not None:
+        assert not pool.alive  # planning never spawns workers
 
 
 class TestSharedConjugationCache:

@@ -1,11 +1,13 @@
-"""The long-lived compile process pool and its planner integration."""
+"""The long-lived compile process pool and compile_many's use of it."""
 
 import pytest
 
 import repro
-from repro.compiler import CompilePool, CompilePoolBrokenError
-from repro.compiler.api import POOL_BATCH_TERMS, plan_batch
+from repro.compiler import CompilePool, CompilePoolBrokenError, preset_pipeline
+from repro.compiler.api import SERIAL_BATCH_TERMS
 from repro.exceptions import CompilerError
+from repro.parametric import BoundProgram, ParametricProgram, compile_template
+from repro.workloads.registry import get_benchmark
 
 from tests.conftest import random_pauli_terms
 
@@ -20,6 +22,20 @@ def pool():
     with CompilePool(max_workers=2) as shared:
         shared.warm()
         yield shared
+
+
+@pytest.fixture(scope="module")
+def pool_sized_batch():
+    """Just over the pool-overhead cutoff, so compile_many routes to a pool."""
+    import numpy as np
+
+    rng = np.random.default_rng(17)
+    count = SERIAL_BATCH_TERMS // 60 + 1
+    return _programs(rng, count=count, qubits=3, terms=60)
+
+
+def _circuits(results):
+    return [result.circuit for result in results]
 
 
 class TestCompilePoolBasics:
@@ -53,37 +69,71 @@ class TestPoolCompilation:
     def test_matches_sequential_compile(self, rng, pool):
         programs = _programs(rng)
         reference = [repro.compile(program, level=3) for program in programs]
-        batch = repro.compile_many(programs, level=3, executor="pool", pool=pool)
-        assert [r.circuit for r in batch] == [r.circuit for r in reference]
+        batch = pool.map_compile(preset_pipeline(3), None, programs)
+        assert _circuits(batch) == _circuits(reference)
         assert [r.extracted_clifford for r in batch] == [
             r.extracted_clifford for r in reference
         ]
 
     def test_results_strip_worker_cache(self, rng, pool):
-        batch = repro.compile_many(
-            _programs(rng, count=2), level=3, executor="pool", pool=pool
-        )
+        batch = pool.map_compile(preset_pipeline(3), None, _programs(rng, count=2))
         assert batch[0].properties.get("conjugation_cache") is None
 
     def test_counters_advance(self, rng, pool):
         before = pool.stats()
-        repro.compile_many(_programs(rng, count=3), executor="pool", pool=pool)
+        pool.map_compile(preset_pipeline(1), None, _programs(rng, count=3))
         after = pool.stats()
         assert after["batches"] == before["batches"] + 1
         assert after["programs"] == before["programs"] + 3
 
-    def test_broken_pool_falls_back_to_threads(self, rng, pool):
-        programs = _programs(rng, count=3)
-        reference = [repro.compile(program) for program in programs]
+    def test_compile_many_routes_large_batches_to_the_pool(self, pool, pool_sized_batch):
+        reference = repro.compile_many(pool_sized_batch, level=1)
+        before = pool.batches
+        batch = repro.compile_many(pool_sized_batch, level=1, pool=pool)
+        assert pool.batches == before + 1
+        assert _circuits(batch) == _circuits(reference)
+
+    def test_mixed_batch_keeps_the_pool(self, pool, pool_sized_batch):
+        # a bind riding along must not knock the regular programs off the pool
+        terms = get_benchmark("UCC-(2,4)").terms()
+        program = ParametricProgram.from_terms(terms, list(range(len(terms))))
+        template = compile_template(program, level=1)
+        bound = BoundProgram(template, [0.1 * (i + 1) for i in range(len(terms))])
+        mixed = [bound] + pool_sized_batch
+        before = pool.batches
+        batch = repro.compile_many(mixed, level=1, pool=pool)
+        assert pool.batches == before + 1
+        serial = repro.compile_many(mixed, level=1)
+        assert _circuits(batch) == _circuits(serial)
+        assert batch[0].circuit == template.bind(bound.params).circuit
+
+    def test_transient_pool_without_a_caller_pool(
+        self, monkeypatch, pool_sized_batch
+    ):
+        # lower the transient-pool cutoff so a small batch takes that path;
+        # pool results come back without the worker's conjugation cache
+        monkeypatch.setattr(repro.compiler.api, "PROCESS_BATCH_TERMS", SERIAL_BATCH_TERMS)
+        monkeypatch.setattr(repro.compiler.api.os, "cpu_count", lambda: 2)
+        reference = [repro.compile(program, level=1) for program in pool_sized_batch]
+        batch = repro.compile_many(pool_sized_batch, level=1)
+        assert _circuits(batch) == _circuits(reference)
+        assert all(r.properties.get("conjugation_cache") is None for r in batch)
+
+    def test_broken_pool_falls_back_to_serial(self, pool, pool_sized_batch):
+        reference = repro.compile_many(pool_sized_batch, level=1)
+        pool.warm()
+        breaks = pool.breaks
         # kill the workers behind the executor's back mid-lifetime
         for process in list(pool._executor._processes.values()):
             process.terminate()
-        batch = repro.compile_many(programs, executor="pool", pool=pool)
-        assert [r.circuit for r in batch] == [r.circuit for r in reference]
-        assert pool.stats()["breaks"] >= 1
+        batch = repro.compile_many(pool_sized_batch, level=1, pool=pool)
+        assert _circuits(batch) == _circuits(reference)
+        assert pool.breaks == breaks + 1
+        # the serial fallback attaches an in-process conjugation cache
+        assert batch[0].properties["conjugation_cache"] is not None
         # the next use lazily revives the executor
-        revived = repro.compile_many(programs, executor="pool", pool=pool)
-        assert [r.circuit for r in revived] == [r.circuit for r in reference]
+        revived = repro.compile_many(pool_sized_batch, level=1, pool=pool)
+        assert _circuits(revived) == _circuits(reference)
         assert pool.alive
 
     def test_map_compile_raises_on_broken_pool(self, rng, pool):
@@ -91,45 +141,5 @@ class TestPoolCompilation:
         pool.warm()
         for process in list(pool._executor._processes.values()):
             process.terminate()
-        pipeline = repro.compiler.preset_pipeline(3)
         with pytest.raises(CompilePoolBrokenError):
-            pool.map_compile(pipeline, None, programs)
-
-
-class TestPoolPlanning:
-    def test_explicit_pool_without_pool_rejected(self, rng):
-        with pytest.raises(CompilerError):
-            plan_batch(_programs(rng, count=2), executor="pool")
-
-    def test_explicit_pool_with_disabled_pool_rejected(self, rng):
-        with pytest.raises(CompilerError):
-            plan_batch(
-                _programs(rng, count=2),
-                executor="pool",
-                pool=CompilePool(max_workers=0),
-            )
-
-    def test_auto_routes_large_batches_to_live_pool(self, rng):
-        pool = CompilePool(max_workers=2)  # never started: planning is free
-        count = POOL_BATCH_TERMS // 40 + 1
-        programs = _programs(rng, count=count, qubits=6, terms=40)
-        plan = plan_batch(programs, pool=pool)
-        assert plan.executor == "pool"
-        assert "pool" in plan.reason
-
-    def test_auto_ignores_disabled_pool(self, rng):
-        count = POOL_BATCH_TERMS // 40 + 1
-        programs = _programs(rng, count=count, qubits=6, terms=40)
-        plan = plan_batch(programs, pool=CompilePool(max_workers=0))
-        assert plan.executor != "pool"
-
-    def test_auto_keeps_small_batches_serial(self, rng):
-        pool = CompilePool(max_workers=2)
-        plan = plan_batch(_programs(rng, count=2), pool=pool)
-        assert plan.executor == "serial"
-
-    def test_single_program_never_pools(self, rng):
-        pool = CompilePool(max_workers=2)
-        programs = [random_pauli_terms(rng, 8, POOL_BATCH_TERMS + 10)]
-        assert plan_batch(programs, pool=pool).executor == "serial"
-        assert plan_batch(programs, executor="pool", pool=pool).executor == "serial"
+            pool.map_compile(preset_pipeline(3), None, programs)

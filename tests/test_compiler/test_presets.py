@@ -168,39 +168,13 @@ class TestDeviceAwareCompile:
         result = repro.compile(terms, level=3)
         assert result.observable_absorber() is result.observable_absorber()
 
-    def test_compile_with_empty_program_keeps_synthesis_error(self):
-        import warnings
+    def test_registry_compile_rejects_empty_program(self):
+        with pytest.raises(CompilerError, match="non-empty"):
+            repro.get_registry().compile("naive", [])
 
-        from repro.baselines.registry import compile_with
-        from repro.exceptions import SynthesisError
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(SynthesisError, match="zero Pauli terms"):
-                compile_with("naive", [])
-
-    def test_compile_with_rejects_non_baselines(self, rng):
-        import warnings
-
-        from repro.baselines.registry import compile_with
-        from repro.exceptions import WorkloadError
-
-        terms = random_pauli_terms(rng, 3, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(WorkloadError, match="unknown baseline"):
-                compile_with("QUCLEAR", terms)
-
-    def test_facade_empty_program_keeps_synthesis_error(self):
-        import warnings
-
-        from repro.exceptions import SynthesisError
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            compiler = repro.QuCLEAR()
-        with pytest.raises(SynthesisError, match="empty"):
-            compiler.compile([])
+    def test_registry_rejects_unknown_compiler(self, rng):
+        with pytest.raises(CompilerError, match="unknown compiler"):
+            repro.get_registry().compile("nope", random_pauli_terms(rng, 3, 3))
 
     def test_targetless_compile_matches_logical_pipeline(self, rng):
         from repro.compiler import quclear_pipeline

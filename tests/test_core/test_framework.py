@@ -1,9 +1,10 @@
-"""End-to-end tests of the QuCLEAR framework object."""
+"""End-to-end tests of the QuCLEAR flow (paper Fig. 6) through the pipeline API."""
 
 import pytest
 
+import repro
 from repro.circuits.statevector import Statevector, circuits_equivalent
-from repro.core.framework import QuCLEAR
+from repro.compiler import quclear_pipeline
 from repro.paulis.pauli import PauliString
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
@@ -16,28 +17,28 @@ class TestCompile:
     def test_compile_equivalence_with_local_opt(self, rng):
         for _ in range(6):
             terms = random_pauli_terms(rng, 3, 6)
-            result = QuCLEAR().compile(terms)
+            result = repro.compile(terms, level=3)
             original = synthesize_trotter_circuit(terms)
             reconstructed = result.circuit.compose(result.extracted_clifford)
             assert circuits_equivalent(original, reconstructed)
 
     def test_local_opt_never_increases_cx(self, rng):
         terms = random_pauli_terms(rng, 4, 8)
-        with_opt = QuCLEAR(local_optimize=True).compile(terms)
-        without_opt = QuCLEAR(local_optimize=False).compile(terms)
+        with_opt = quclear_pipeline(local_optimize=True).run(terms)
+        without_opt = quclear_pipeline(local_optimize=False).run(terms)
         assert with_opt.cx_count() <= without_opt.cx_count()
 
     def test_compile_beats_native_on_chemistry_like_terms(self, rng):
         # High-weight Pauli strings: extraction should roughly halve the CNOTs.
         labels = ["XXYZ", "YZXX", "ZZZZ", "XYXY", "ZXYZ", "YYXX"]
         terms = [PauliTerm.from_label(label, 0.1 * (i + 1)) for i, label in enumerate(labels)]
-        result = QuCLEAR().compile(terms)
+        result = repro.compile(terms, level=3)
         native = synthesize_trotter_circuit(terms)
         assert result.cx_count() < native.cx_count()
 
     def test_metrics_keys(self, rng):
         terms = random_pauli_terms(rng, 3, 3)
-        metrics = QuCLEAR().compile(terms).metrics()
+        metrics = repro.compile(terms, level=3).metrics()
         assert set(metrics) == {
             "cx_count",
             "entangling_depth",
@@ -47,8 +48,8 @@ class TestCompile:
 
     def test_compile_hamiltonian(self):
         hamiltonian = SparsePauliSum.from_labels(["ZZI", "IZZ", "XII"], [0.5, 0.5, 0.3])
-        result = QuCLEAR().compile_hamiltonian(hamiltonian, time_step=0.7)
         terms = rotation_terms_from_hamiltonian(hamiltonian, time=0.7)
+        result = repro.compile(terms, level=3)
         original = synthesize_trotter_circuit(terms)
         reconstructed = result.circuit.compose(result.extracted_clifford)
         assert circuits_equivalent(original, reconstructed)
@@ -56,19 +57,20 @@ class TestCompile:
     def test_compile_accepts_sparse_pauli_sum(self):
         observable = SparsePauliSum.from_labels(["ZZ", "XX"], [0.3, 0.4])
         terms = [PauliTerm(t.pauli, t.coefficient) for t in observable]
-        result = QuCLEAR().compile(terms)
+        result = repro.compile(observable, level=3)
         assert result.metadata["rotation_count"] == 2
+        assert result.circuit == repro.compile(terms, level=3).circuit
 
     def test_compile_time_recorded(self, rng):
         terms = random_pauli_terms(rng, 3, 3)
-        assert QuCLEAR().compile(terms).compile_seconds > 0
+        assert repro.compile(terms, level=3).compile_seconds > 0
 
 
 class TestHybridWorkflows:
     def test_observable_workflow(self, rng):
         terms = random_pauli_terms(rng, 3, 5)
         observable = PauliString.from_label("ZXY")
-        result = QuCLEAR().compile(terms)
+        result = repro.compile(terms, level=3)
         absorbed = result.absorb_observables([observable])[0]
         optimized_value = absorbed.sign * Statevector.from_circuit(
             result.circuit
@@ -89,7 +91,7 @@ class TestHybridWorkflows:
             )
         for qubit in range(num_qubits):
             terms.append(PauliTerm(PauliString.single(num_qubits, qubit, "X"), 0.9))
-        result = QuCLEAR().compile(terms)
+        result = repro.compile(terms, level=3)
         absorber = result.probability_absorber()
         original = Statevector.from_circuit(synthesize_trotter_circuit(terms)).probability_dict()
         measured = Statevector.from_circuit(
@@ -105,11 +107,10 @@ class TestHybridWorkflows:
         original = synthesize_trotter_circuit(terms)
         for reorder in (False, True):
             for recursive in (False, True):
-                compiler = QuCLEAR(
+                result = quclear_pipeline(
                     reorder_within_blocks=reorder,
                     recursive_tree=recursive,
                     local_optimize=False,
-                )
-                result = compiler.compile(terms)
+                ).run(terms)
                 reconstructed = result.circuit.compose(result.extracted_clifford)
                 assert circuits_equivalent(original, reconstructed)

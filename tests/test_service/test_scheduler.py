@@ -89,6 +89,25 @@ class TestExecuteBatch:
         assert completed[0].key is None
         assert completed[0].result.circuit == repro.compile(program, level=3).circuit
 
+    def test_without_a_cache_or_pool_compiles_in_process(self, rng, monkeypatch):
+        # pool_workers=0 keeps compilation in-process even for a batch big
+        # enough for a transient pool: results keep an in-process cache,
+        # which pool workers strip
+        from repro.compiler import api
+
+        monkeypatch.setattr(api, "PROCESS_BATCH_TERMS", api.SERIAL_BATCH_TERMS)
+        monkeypatch.setattr(api.os, "cpu_count", lambda: 2)
+        count = api.SERIAL_BATCH_TERMS // 60 + 1
+        jobs = [
+            CompileJob(program=random_pauli_terms(rng, 3, 60), level=1)
+            for _ in range(count)
+        ]
+        completed = execute_batch(jobs)
+        assert all(job.error is None for job in completed)
+        assert all(
+            job.result.properties["conjugation_cache"] is not None for job in completed
+        )
+
     def test_invalid_program_isolated_even_without_a_cache(self, rng):
         # cache-less servers must keep the per-job error isolation too: the
         # up-front validation runs per job, not only inside cache.key_for

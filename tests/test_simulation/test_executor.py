@@ -5,7 +5,6 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.statevector import Statevector
 from repro.core.extraction import CliffordExtractor
-from repro.core.framework import QuCLEAR
 from repro.core.measurement_grouping import (
     MeasurementGroup,
     group_observables,
