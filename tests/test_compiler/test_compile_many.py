@@ -7,10 +7,11 @@ import pytest
 
 import repro
 from repro.clifford.engine import ConjugationCache
-from repro.compiler import CompilePool, plan_batch
+from repro.compiler import CompilePool, get_registry, plan_batch
 from repro.parametric import BoundProgram, ParametricProgram, compile_template
 from repro.paulis.term import PauliTerm
 from repro.paulis.sum import SparsePauliSum
+from repro.workloads.registry import SMALL_BENCHMARKS, get_benchmark
 
 from tests.conftest import random_pauli, random_pauli_terms
 
@@ -72,6 +73,17 @@ PLAN_TABLE = [
     pytest.param([10000, 10000], 0, None, False, 1, "serial", 1, id="20000-terms-one-cpu"),
     pytest.param([10000, 10000], 0, None, True, 4, "serial", 1, id="20000-terms-caller-cache"),
     pytest.param([10000, 10000], 0, "live", True, 4, "pool", 3, id="caller-cache-live-pool"),
+    pytest.param([], 3, "live", False, 4, "serial", 1, id="all-bind-live-pool"),
+    pytest.param([30000], 0, None, False, 4, "serial", 1, id="single-program-no-pool"),
+    pytest.param([1250, 1249], 0, None, False, 4, "serial", 1, id="2499-terms-no-pool"),
+    pytest.param([1250, 1250], 0, None, False, 4, "serial", 1, id="2500-terms-no-pool"),
+    pytest.param([10000, 9999], 0, "live", False, 4, "pool", 3, id="19999-terms-live-pool"),
+    pytest.param([10000, 10000], 0, "disabled", False, 4, "pool", 2, id="disabled-pool-transient"),
+    pytest.param([10000, 10000], 0, "disabled", True, 4, "serial", 1, id="disabled-pool-caller-cache"),
+    pytest.param([10000, 10000], 2, None, False, 4, "pool", 2, id="mixed-batch-transient-pool"),
+    pytest.param([10000, 9999], 3, None, False, 4, "serial", 1, id="binds-add-no-terms"),
+    pytest.param([500] * 40, 0, None, False, 64, "pool", 32, id="transient-pool-capped-at-32"),
+    pytest.param([7000, 7000, 6000], 0, None, False, 2, "pool", 2, id="transient-pool-capped-at-cpus"),
 ]
 
 
@@ -93,6 +105,39 @@ def test_plan_table(
     assert plan.reason
     if pool is not None:
         assert not pool.alive  # planning never spawns workers
+
+
+def test_pool_chunksize_gives_each_worker_four_dispatches(rng, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seed = random_pauli_terms(rng, 4, 1)
+    plan = plan_batch([seed * 500] * 40)
+    assert (plan.executor, plan.max_workers, plan.chunksize) == ("pool", 2, 5)
+
+
+class TestBatchGateIdentity:
+    """A serial batch is gate-identical to compiling each program alone."""
+
+    @pytest.mark.parametrize("workload", SMALL_BENCHMARKS)
+    def test_small_benchmarks(self, workload):
+        terms = get_benchmark(workload).terms()
+        programs = [terms, list(reversed(terms))]
+        batch = repro.compile_many(programs, level=3)
+        for result, program in zip(batch, programs):
+            reference = repro.compile(program, level=3)
+            assert result.circuit == reference.circuit
+            assert result.extracted_clifford == reference.extracted_clifford
+
+    @pytest.mark.parametrize("name", get_registry().names())
+    def test_registered_pipelines_match_registry_compile(self, name, rng):
+        programs = _programs(rng, count=2)
+        batch = repro.compile_many(programs, pipeline=name)
+        reference = [get_registry().compile(name, program) for program in programs]
+        assert [r.circuit for r in batch] == [r.circuit for r in reference]
+
+    def test_bind_only_batch_replays_templates(self, bound):
+        batch = repro.compile_many([bound, bound], level=3)
+        expected = bound.template.bind(bound.params).circuit
+        assert [r.circuit for r in batch] == [expected, expected]
 
 
 class TestSharedConjugationCache:

@@ -7,7 +7,7 @@ from repro.compiler import CompilePool, CompilePoolBrokenError, preset_pipeline
 from repro.compiler.api import SERIAL_BATCH_TERMS
 from repro.exceptions import CompilerError
 from repro.parametric import BoundProgram, ParametricProgram, compile_template
-from repro.workloads.registry import get_benchmark
+from repro.workloads.registry import SMALL_BENCHMARKS, get_benchmark
 
 from tests.conftest import random_pauli_terms
 
@@ -74,6 +74,12 @@ class TestPoolCompilation:
         assert [r.extracted_clifford for r in batch] == [
             r.extracted_clifford for r in reference
         ]
+
+    def test_matches_compile_on_small_benchmarks(self, pool):
+        programs = [get_benchmark(name).terms() for name in SMALL_BENCHMARKS]
+        reference = [repro.compile(program, level=3) for program in programs]
+        batch = pool.map_compile(preset_pipeline(3), None, programs)
+        assert _circuits(batch) == _circuits(reference)
 
     def test_results_strip_worker_cache(self, rng, pool):
         batch = pool.map_compile(preset_pipeline(3), None, _programs(rng, count=2))

@@ -9,6 +9,7 @@ from repro.paulis.pauli import PauliString
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
 from repro.synthesis.trotter import rotation_terms_from_hamiltonian, synthesize_trotter_circuit
+from repro.workloads.registry import get_benchmark
 
 from tests.conftest import random_pauli_terms
 
@@ -60,6 +61,15 @@ class TestCompile:
         result = repro.compile(observable, level=3)
         assert result.metadata["rotation_count"] == 2
         assert result.circuit == repro.compile(terms, level=3).circuit
+
+    @pytest.mark.parametrize("workload", ["UCC-(2,4)", "MaxCut-(n15, r4)"])
+    def test_default_pipeline_matches_level3_on_benchmarks(self, workload):
+        terms = get_benchmark(workload).terms()
+        pipeline = quclear_pipeline().run(terms)
+        preset = repro.compile(terms, level=3)
+        assert pipeline.circuit == preset.circuit
+        assert pipeline.cx_count() == preset.cx_count()
+        assert pipeline.entangling_depth() == preset.entangling_depth()
 
     def test_compile_time_recorded(self, rng):
         terms = random_pauli_terms(rng, 3, 3)
@@ -114,3 +124,14 @@ class TestHybridWorkflows:
                 ).run(terms)
                 reconstructed = result.circuit.compose(result.extracted_clifford)
                 assert circuits_equivalent(original, reconstructed)
+
+    @pytest.mark.parametrize("reorder", [False, True])
+    @pytest.mark.parametrize("recursive", [False, True])
+    def test_peephole_keeps_every_ablation_correct(self, reorder, recursive, rng):
+        terms = random_pauli_terms(rng, 3, 6)
+        flags = {"reorder_within_blocks": reorder, "recursive_tree": recursive}
+        optimized = quclear_pipeline(local_optimize=True, **flags).run(terms)
+        plain = quclear_pipeline(local_optimize=False, **flags).run(terms)
+        reconstructed = optimized.circuit.compose(optimized.extracted_clifford)
+        assert circuits_equivalent(synthesize_trotter_circuit(terms), reconstructed)
+        assert optimized.cx_count() <= plain.cx_count()
