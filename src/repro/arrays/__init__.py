@@ -11,6 +11,10 @@ the backend implementations and the name registry:
 * :func:`resolve_backend` — names/instances/env override to singletons;
   selection precedence: explicit argument > ``Target.array_backend`` >
   ``REPRO_ARRAY_BACKEND`` > ``"numpy"``.
+
+The compile passes themselves (commuting-block scan, Clifford extraction)
+transpose their input to host bit columns once
+(:mod:`repro.paulis.columns`) and do not run on the backend.
 """
 
 from repro.arrays.backend import ArrayBackend, NumpyBackend, ReferenceBackend

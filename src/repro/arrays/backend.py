@@ -28,7 +28,7 @@ through :func:`repro.arrays.resolve_backend` rather than constructing them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -195,25 +195,9 @@ class ArrayBackend:
         """``dest[mask] += values`` (``values`` aligned with the selected rows)."""
         dest[mask] += values
 
-    def roll_down(self, array):
-        """The array with rows rotated one step toward higher indices."""
-        return self.xp.roll(array, 1, axis=0)
-
     def column_bits(self, words, word: int, shift: int):
         """The 0/1 value of one qubit column for every row, as ``int64``."""
         return self.to_int64(self.band(self.rshift(words[:, word], shift), 1))
-
-    def support_bits(self, words, word_indices: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        """Per-row 0/1 values of several qubit columns, as host ``uint8``.
-
-        ``word_indices`` / ``shifts`` are host arrays naming the qubits; the
-        result is ``(rows, len(word_indices))`` on the host — this feeds the
-        branch-and-bound candidate scan, which is host-side Python.
-        """
-        gathered = words[:, self.xp.asarray(np.asarray(word_indices))]
-        shift_arr = self.asarray_words(np.asarray(shifts, dtype=np.uint64))
-        bits = self.band(self.rshift(gathered, shift_arr), 1)
-        return self.to_numpy(bits).astype(np.uint8)
 
     # ------------------------------------------------------------------ #
     # Coarse engine kernels (written only in terms of the primitives)

@@ -37,6 +37,7 @@ if TYPE_CHECKING:
     from repro.circuits.circuit import QuantumCircuit
     from repro.circuits.gate import Gate
     from repro.clifford.tableau import CliffordTableau
+    from repro.paulis.columns import PauliColumns
 
 
 def conjugate_table_by_circuit(
@@ -52,20 +53,24 @@ def conjugate_table_by_circuit(
 
 
 def stream_gates_over_suffix(
-    table: PackedPauliTable,
+    table: "PackedPauliTable | PauliColumns",
     gates: Sequence["Gate"],
     start: int = 0,
     stop: int | None = None,
 ) -> None:
     """Conjugate rows ``[start, stop)`` of ``table`` through ``gates`` in place.
 
-    The engine-facing name for the table-native extraction hot path: every
-    basis-change / CNOT-tree gate a term emits is pushed across the whole
-    remaining program (and the tableau generator rows riding at the end of
-    the table) at once, instead of re-conjugating each later Pauli object
-    individually.  This is a thin alias — the semantics (one whole-column
-    bitwise expression per gate, phases folded modulo 4 after the batch) are
-    defined by :meth:`~repro.paulis.packed.PackedPauliTable.apply_gates`.
+    The engine-facing name for the extraction hot path: every CNOT-tree gate
+    a term emits is pushed across the whole remaining program (and the
+    tableau generator rows riding at the end of the table) at once, instead
+    of re-conjugating each later Pauli object individually.  Any table with
+    an ``apply_gates(gates, start, stop)`` method works.  On a
+    :class:`~repro.paulis.packed.PackedPauliTable` that is one whole-column
+    array expression per gate; on the column-major
+    :class:`~repro.paulis.columns.PauliColumns` the extractor uses, a few
+    big-integer operations per gate.  The extractor streams over the whole
+    column table: rows it has already emitted are conjugated too, which is
+    harmless (they are never read again) and cheaper than masking them out.
     """
     table.apply_gates(gates, start=start, stop=stop)
 

@@ -65,23 +65,19 @@ class Pass(abc.ABC):
 class GroupCommuting(Pass):
     """Partition the Pauli program into maximal runs of commuting strings.
 
-    The scan runs on the bit-packed store (the program sum's own table when
-    one entered the pipeline); the partition is recorded both as row offsets
-    (``program.block_bounds``, what the table-native extractor consumes) and
-    as term-list blocks for any legacy consumer.
+    The scan transposes the bit-packed store (the program sum's own table
+    when one entered the pipeline) to host bit columns; the partition is
+    recorded both as row offsets (``program.block_bounds``, what the
+    extractor consumes) and as term-list blocks for any legacy consumer.
     """
 
     def run(self, program: Program, context: PassContext) -> None:
         terms = self._require_terms(program)
-        backend = context.properties["array_backend"]
         if program.sum is not None:
             table = program.sum.packed_table
-            if backend is not None:
-                table = table.to_backend(backend)
         else:
-            table = PackedPauliTable.from_paulis((t.pauli for t in terms), backend=backend)
-        # stash for CliffordExtraction so the same Paulis are packed (and
-        # moved to the active backend) exactly once
+            table = PackedPauliTable.from_paulis(t.pauli for t in terms)
+        # stash for CliffordExtraction so the same Paulis are packed once
         program.packed_table = table
         bounds = commuting_block_bounds(table)
         program.block_bounds = bounds
@@ -135,7 +131,6 @@ class CliffordExtraction(Pass):
             blocks=program.blocks,
             block_bounds=program.block_bounds,
             packed_table=program.packed_table,
-            backend=context.properties["array_backend"],
         )
         program.circuit = extraction.optimized_circuit
         program.extracted_clifford = extraction.extracted_clifford

@@ -5,15 +5,18 @@ strings; the blocks themselves stay in program order.  This keeps the
 optimization free of any high-level knowledge about the benchmark (unlike
 Paulihedral, which also reorders blocks).
 
-The scan runs over the bit-packed symplectic form: the commutation test of
-one string against the whole current block is a single popcount expression
-over ``uint64`` words instead of a Python loop over block members.
+The scan runs on bit columns (:mod:`repro.paulis.columns`): one Python
+integer per qubit whose bit ``r`` is row ``r``'s bit there.  Row ``r``
+anticommutes with row ``s`` iff bit ``s`` of
+``XOR_{q: x_rq} z[q]  ^  XOR_{q: z_rq} x[q]`` is set, so testing one string
+against the whole current block costs O(weight) integer operations.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from repro.paulis.columns import bit_planes, table_bits
 from repro.paulis.packed import PackedPauliTable
 from repro.paulis.term import PauliTerm
 
@@ -23,21 +26,25 @@ def commuting_block_bounds(table: PackedPauliTable) -> list[int]:
 
     Returns the block start offsets plus the final row count, so block ``k``
     is the row range ``[bounds[k], bounds[k + 1])``.  This is the table-native
-    form the packed extractor consumes — no term objects are materialized.
-    The scan runs on the table's array backend.
+    form the extractor consumes — no term objects are materialized.  Tables
+    on any array backend are transposed to host bit columns once.
     """
-    be = table.backend
-    x_words, z_words = table.x_words, table.z_words
+    x_bits, z_bits = table_bits(table)
+    x_columns, z_columns = bit_planes(x_bits.T), bit_planes(z_bits.T)
     bounds = [0]
     start = 0
-    for index in range(1, len(table)):
-        overlap = be.popcount_rows(
-            be.bxor(
-                be.band(x_words[index], z_words[start:index]),
-                be.band(z_words[index], x_words[start:index]),
-            )
-        )
-        if be.any(be.band(overlap, 1)):
+    for index, (x_row, z_row) in enumerate(zip(bit_planes(x_bits), bit_planes(z_bits))):
+        parity = 0
+        while x_row:
+            low = x_row & -x_row
+            parity ^= z_columns[low.bit_length() - 1]
+            x_row ^= low
+        while z_row:
+            low = z_row & -z_row
+            parity ^= x_columns[low.bit_length() - 1]
+            z_row ^= low
+        # bits [start, index) are the rows of the current block
+        if (parity >> start) & ((1 << (index - start)) - 1):
             bounds.append(index)
             start = index
     bounds.append(len(table))

@@ -1,4 +1,4 @@
-"""Clifford Extraction (Algorithm 2 of the paper), table-native.
+"""Clifford Extraction (Algorithm 2 of the paper), on bit columns.
 
 The extractor walks the Pauli-rotation program term by term.  For every term
 it synthesizes only the *left* half of the usual V-shaped block (basis-change
@@ -8,13 +8,15 @@ the program by conjugating every later Pauli string, and the accumulated
 Clifford tail is returned separately so that Clifford Absorption can dispose
 of it classically.
 
-Since PR 3 the whole pass runs on the bit-packed store: the remaining program
-lives as one :class:`~repro.paulis.packed.PackedPauliTable` (with the ``2n``
-tableau generator rows riding at the end of the same table), every emitted
-gate is streamed in place across the table suffix as whole-column bitwise
-ops, and lookahead / next-Pauli selection read rows straight from the table
-instead of re-conjugating :class:`~repro.paulis.pauli.PauliString` objects.
-The original per-term loop is preserved in
+The pass runs on a column-major table
+(:class:`~repro.paulis.columns.PauliColumns`): one Python integer per qubit
+and symplectic half whose bit ``r`` belongs to row ``r``, with the ``2n``
+tableau generator rows riding in the top bits.  Every emitted gate is a few
+big-integer operations that conjugate all rows at once (a CX is two XORs),
+in-block reordering permutes a list of row indices instead of moving bits,
+and lookahead / next-Pauli selection read the same columns.  The input is
+transposed to host columns once, so the pass does not depend on the array
+backend.  The original per-term loop is preserved in
 :mod:`repro.core.extraction_legacy` as the ground truth the equivalence
 tests diff bit-for-bit.
 
@@ -33,21 +35,24 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.arrays import ArrayBackend, NUMPY, resolve_backend
+from repro.arrays import NUMPY
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import Gate
 from repro.clifford.engine import stream_gates_over_suffix
 from repro.transpile.wire_optimizer import GateStreamOptimizer
 from repro.clifford.tableau import CliffordTableau
 from repro.core.commuting import commuting_block_bounds
-from repro.core.tree_synthesis import PackedRowGuide, chain_tree_cost, synthesize_tree
+from repro.core.tree_synthesis import ColumnRowGuide, chain_tree_cost, synthesize_tree
 from repro.exceptions import SynthesisError
-from repro.paulis.packed import PackedPauliTable, words_for_qubits
+from repro.paulis.columns import PauliColumns
+from repro.paulis.packed import PackedPauliTable
 from repro.paulis.pauli import PauliString
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
 from repro.synthesis.pauli_rotation import basis_change_gates_sparse
 
+#: integer counters recorded in ``ExtractionResult.metadata["stage_counters"]``
+STAGE_COUNTERS = ("rotations", "basis_gates", "tree_cx", "candidates_scored", "rows_moved")
 
 @dataclass
 class ExtractionResult:
@@ -67,6 +72,10 @@ class ExtractionResult:
         The input rotation terms, unchanged.
     rotation_count:
         Number of ``Rz`` rotations emitted (identity terms are dropped).
+    metadata:
+        Pass flags plus ``stage_counters``: integer counts of the rotations,
+        basis-change gates and tree CNOTs emitted, the candidates whose cost
+        the in-block selection evaluated, and the rows it moved.
     """
 
     optimized_circuit: QuantumCircuit
@@ -176,7 +185,6 @@ class CliffordExtractor:
         blocks: list[list[PauliTerm]] | None = None,
         block_bounds: Sequence[int] | None = None,
         packed_table: PackedPauliTable | None = None,
-        backend: "str | ArrayBackend | None" = None,
     ) -> ExtractionResult:
         """Run Clifford Extraction over a Pauli-rotation program.
 
@@ -189,27 +197,15 @@ class CliffordExtractor:
         ``packed_table`` may hand over an already-packed table of the
         program's Paulis (row ``k`` = ``terms[k].pauli``, e.g. the table the
         grouping pass scanned) so they are not re-packed here; it is read,
-        never mutated.  For :class:`SparsePauliSum` input it is adopted only
-        when it matches the sum's own store row-for-row (the grouping pass
-        handing back the store on the active backend).
-
-        ``backend`` pins the array backend the pass table lives on; when
-        omitted the input table's backend is kept.  Whatever the backend,
-        gate emission and the returned tableau are host-side (the synthesis
-        boundary).
+        never mutated.  :class:`SparsePauliSum` input always uses the sum's
+        own store.  Whatever array backend the input lives on, it is
+        transposed to host bit columns once and the rest of the pass is
+        host-side.
         """
         if isinstance(terms, SparsePauliSum):
             source_sum: SparsePauliSum | None = terms
             term_list: list[PauliTerm] | None = None
             base = source_sum.packed_table
-            # the grouping pass may hand back the sum's own store already
-            # moved to the active backend — adopt it instead of re-transferring
-            if (
-                packed_table is not None
-                and packed_table.num_rows == base.num_rows
-                and packed_table.num_qubits == base.num_qubits
-            ):
-                base = packed_table
             coefficients = source_sum.coefficient_vector()
             num_qubits = source_sum.num_qubits
         else:
@@ -237,87 +233,78 @@ class CliffordExtractor:
             )
             coefficients = np.array([t.coefficient for t in term_list], dtype=float)
 
-        be = resolve_backend(backend) if backend is not None else base.backend
-        if base.backend is not be:
-            base = base.to_backend(be)
-
         start = time.perf_counter()
         num_rows = len(base)
         bounds = _resolve_block_bounds(base, blocks, block_bounds)
 
-        # One packed table for the whole pass: the program rows followed by
-        # the 2n tableau generator rows, so every suffix stream updates the
-        # remaining program AND the conjugation tableau in the same array op.
-        # Assembled host-side, then moved to the pass backend in one shot.
-        words = words_for_qubits(num_qubits)
-        x_words = np.zeros((num_rows + 2 * num_qubits, words), dtype=np.uint64)
-        z_words = np.zeros_like(x_words)
-        phases = np.zeros(num_rows + 2 * num_qubits, dtype=np.int64)
-        x_words[:num_rows] = be.to_numpy(base.x_words)
-        z_words[:num_rows] = be.to_numpy(base.z_words)
-        phases[:num_rows] = be.to_numpy(base.phases)
-        one = np.uint64(1)
-        for qubit in range(num_qubits):
-            mask = one << np.uint64(qubit & 63)
-            x_words[num_rows + 2 * qubit, qubit >> 6] = mask
-            z_words[num_rows + 2 * qubit + 1, qubit >> 6] = mask
-        table = PackedPauliTable(num_qubits, x_words, z_words, phases, backend=be)
-        # rebind: the constructor may have copied during validation/transfer
-        x_words, z_words, phases = table.x_words, table.z_words, table.phases
+        # One column table for the whole pass: the program rows followed by
+        # the 2n tableau generator rows, so every gate updates the remaining
+        # program AND the conjugation tableau in the same column operation.
+        # The transpose to host columns is the pass's only array-backend work.
+        columns = PauliColumns.from_table(base, generator_rows=True)
+        x_columns, z_columns = columns.x, columns.z
 
         optimized_gates: list[Gate] = []
         #: emission-fused peephole: gates stream into the optimizer the
         #: moment a term emits them, so the tail never exists unoptimized
         stream = GateStreamOptimizer(num_qubits) if self.fuse_peephole else None
         left_gates: list[Gate] = []
-        rotation_count = 0
-        lookahead_limit = num_rows
+        counters = dict.fromkeys(STAGE_COUNTERS, 0)
 
         for block_start, block_end in zip(bounds, bounds[1:]):
-            for position in range(block_start, block_end):
-                x_row = x_words[position]
-                z_row = z_words[position]
-                x_ints = be.tolist(x_row)
-                z_ints = be.tolist(z_row)
-                if not any(x_ints) and not any(z_ints):
+            # Logical order of the block's rows.  Row bits never move: the
+            # in-block reordering permutes this list instead.  A chosen row is
+            # moved to the next position and emitted right after, so the rows
+            # still waiting behind it always stay in ascending row order.
+            order = list(range(block_start, block_end))
+            waiting = ((1 << block_end) - 1) ^ ((1 << block_start) - 1)
+            for index in range(len(order)):
+                row = order[index]
+                waiting ^= 1 << row
+                support: list[int] = []
+                support_x: list[int] = []
+                support_z: list[int] = []
+                for qubit in range(num_qubits):
+                    x_bit = (x_columns[qubit] >> row) & 1
+                    z_bit = (z_columns[qubit] >> row) & 1
+                    if x_bit | z_bit:
+                        support.append(qubit)
+                        support_x.append(x_bit)
+                        support_z.append(z_bit)
+                if not support:
                     # exp(-i theta/2 I) is a global phase; nothing to emit.
                     continue
-                num_y = sum((x & z).bit_count() for x, z in zip(x_ints, z_ints))
-                if (int(phases[position]) - num_y) % 2:
+                num_y = sum(x & z for x, z in zip(support_x, support_z))
+                if (columns.phase(row) - num_y) % 2:
                     raise SynthesisError(
-                        f"term {table.row(position)!r} conjugated to a "
-                        "non-Hermitian Pauli"
+                        f"term {columns.row(row)!r} conjugated to a non-Hermitian Pauli"
                     )
-                support = _support_from_words(x_ints, z_ints)
-                support_x = [(x_ints[q >> 6] >> (q & 63)) & 1 for q in support]
-                support_z = [(z_ints[q >> 6] >> (q & 63)) & 1 for q in support]
                 basis_gates = basis_change_gates_sparse(support, support_x, support_z)
-
                 if basis_gates:
-                    # Masked basis layer over the whole suffix (and tableau
-                    # rows); a no-op — skipped — for pure-Z/I terms.  h_mask
-                    # must be copied out of the row view before the layer
-                    # mutates it.
-                    table.apply_basis_layer(be.band(x_row, z_row), be.copy(x_row), start=position)
+                    columns.apply_gates(basis_gates)
 
-                if self.reorder_within_blocks and position + 1 < block_end:
-                    best = self._find_next_packed(table, position, block_end, support)
-                    if best is not None and best != position + 1:
-                        table.move_row(best, position + 1)
-                        window = slice(position + 1, best + 1)
-                        coefficients[window] = np.roll(coefficients[window], 1)
+                if self.reorder_within_blocks and index + 1 < len(order):
+                    best = self._find_next_row(columns, waiting, support, counters)
+                    if best != order[index + 1]:
+                        order.insert(index + 1, order.pop(order.index(best, index + 1)))
+                        counters["rows_moved"] += 1
 
-                if not self.cross_block_lookahead:
-                    lookahead_limit = block_end
-                lookahead_cache: dict[int, PackedRowGuide] = {}
+                lookahead_cache: dict[int, ColumnRowGuide | None] = {}
 
-                def lookahead(depth: int) -> PackedRowGuide | None:
-                    row_index = position + 1 + depth
-                    if row_index >= lookahead_limit:
-                        return None
+                def lookahead(depth: int) -> ColumnRowGuide | None:
                     if depth not in lookahead_cache:
-                        lookahead_cache[depth] = PackedRowGuide(
-                            x_words[row_index], z_words[row_index]
+                        position = index + 1 + depth
+                        if position < len(order):
+                            guide_row = order[position]
+                        elif self.cross_block_lookahead:
+                            # later blocks are not reordered yet
+                            guide_row = block_end + position - len(order)
+                        else:
+                            guide_row = num_rows
+                        lookahead_cache[depth] = (
+                            ColumnRowGuide(x_columns, z_columns, guide_row)
+                            if guide_row < num_rows
+                            else None
                         )
                     return lookahead_cache[depth]
 
@@ -327,26 +314,22 @@ class CliffordExtractor:
                     recursive=self.recursive_tree,
                     max_depth=self.max_lookahead,
                 )
-                stream_gates_over_suffix(table, tree_gates, start=position)
+                stream_gates_over_suffix(columns, tree_gates)
 
-                x_ints = be.tolist(x_row)
-                z_ints = be.tolist(z_row)
-                root_word = root >> 6
-                reduced_to_root = (
-                    not any(x_ints)
-                    and z_ints[root_word] == 1 << (root & 63)
-                    and all(
-                        word == 0 for i, word in enumerate(z_ints) if i != root_word
-                    )
-                )
-                if not reduced_to_root:
+                # Only support qubits were touched, so the row is Z on its
+                # root iff it is so on the support.
+                if any(
+                    (x_columns[qubit] >> row) & 1
+                    or ((z_columns[qubit] >> row) & 1) != (qubit == root)
+                    for qubit in support
+                ):
                     raise SynthesisError(
                         "internal error: the synthesized tree does not reduce the "
                         "current Pauli to Z on its root "
-                        f"(got {table.row(position).to_label()!r})"
+                        f"(got {columns.row(row).to_label()!r})"
                     )
-                angle = float(coefficients[position])
-                if int(phases[position]) % 4 == 2:
+                angle = float(coefficients[row])
+                if columns.phase(row) == 2:
                     angle = -angle
 
                 rotation = Gate("rz", (root,), (angle,))
@@ -358,7 +341,9 @@ class CliffordExtractor:
                     optimized_gates.extend(basis_gates)
                     optimized_gates.extend(tree_gates)
                     optimized_gates.append(rotation)
-                rotation_count += 1
+                counters["rotations"] += 1
+                counters["basis_gates"] += len(basis_gates)
+                counters["tree_cx"] += len(tree_gates)
                 left_gates.extend(basis_gates)
                 left_gates.extend(tree_gates)
 
@@ -367,15 +352,8 @@ class CliffordExtractor:
         optimized = QuantumCircuit.from_trusted_gates(num_qubits, optimized_gates)
         left_halves = QuantumCircuit.from_trusted_gates(num_qubits, left_gates)
         extracted = left_halves.inverse()
-        # Host transfer happens once, inside from_packed_rows (the boundary).
         conjugation = CliffordTableau.from_packed_rows(
-            PackedPauliTable(
-                num_qubits,
-                x_words[num_rows:],
-                z_words[num_rows:],
-                phases[num_rows:],
-                backend=be,
-            )
+            columns.to_table(num_rows, num_rows + 2 * num_qubits)
         )
         elapsed = time.perf_counter() - start
         if term_list is None:
@@ -385,6 +363,7 @@ class CliffordExtractor:
             "reorder_within_blocks": self.reorder_within_blocks,
             "recursive_tree": self.recursive_tree,
             "peephole_fused": self.fuse_peephole,
+            "stage_counters": counters,
         }
         if stream is not None:
             metadata["pre_optimization_cx"] = stream.appended_cx
@@ -393,89 +372,91 @@ class CliffordExtractor:
             extracted_clifford=extracted,
             conjugation=conjugation,
             terms=term_list,
-            rotation_count=rotation_count,
+            rotation_count=counters["rotations"],
             elapsed_seconds=elapsed,
             metadata=metadata,
         )
 
     # ------------------------------------------------------------------ #
-    def _find_next_packed(
+    def _find_next_row(
         self,
-        table: PackedPauliTable,
-        position: int,
-        block_end: int,
+        columns: PauliColumns,
+        candidates: int,
         support: list[int],
-    ) -> int | None:
-        """Greedy choice of the string to place right after the current one.
+        counters: dict[str, int],
+    ) -> int:
+        """Greedy choice of the row to place right after the current one.
 
-        Bit-identical to the legacy ``find_next_pauli`` — a candidate's cost
-        is its weight after conjugation through the non-recursive chain tree
-        the current support would get with the candidate as the only guide —
-        but computed on table rows: the candidates are already conjugated by
-        everything extracted so far (including the current basis layer), the
-        tree-invariant off-support weights come from one vectorized popcount,
-        and candidates are visited in argsorted-weight order so that
-        ``cost >= off_support_weight`` prunes most exact cost evaluations.
+        ``candidates`` is the bit mask of the block's waiting rows, whose row
+        order is their program order (see the extraction loop).  Returns the
+        argmin over (cost, row) — bit-identical to the legacy
+        ``find_next_pauli``, where a candidate's cost is its weight after
+        conjugation through the non-recursive chain tree the current support
+        would get with the candidate as the only guide.
+
+        That cost is the candidate's off-support weight (tree-invariant) plus
+        :func:`chain_tree_cost` on the support, which is zero exactly when the
+        candidate is the identity on the support.  The off-support weights of
+        all candidates are summed at once into a bit-sliced counter, one plane
+        per binary digit, and the weight classes are visited in ascending
+        order: a class holding a candidate that is the identity on the support
+        is decided without any cost evaluation, and no class above the best
+        cost found is visited.
         """
-        first = position + 1
-        count = block_end - first
-        if count == 1:
-            return first
-        be = table.backend
-        x_words = table.x_words
-        z_words = table.z_words
-        support_mask_host = np.zeros(x_words.shape[1], dtype=np.uint64)
-        one = np.uint64(1)
+        if not candidates & (candidates - 1):
+            return candidates.bit_length() - 1
+        x_columns, z_columns = columns.x, columns.z
+        on_support = 0
         for qubit in support:
-            support_mask_host[qubit >> 6] |= one << np.uint64(qubit & 63)
-        support_mask = be.asarray_words(support_mask_host)
-        candidate_x = x_words[first:block_end]
-        candidate_z = z_words[first:block_end]
-        off_weights = be.to_numpy(
-            be.popcount_rows(be.bandnot(be.bor(candidate_x, candidate_z), support_mask))
-        )
+            on_support |= x_columns[qubit] | z_columns[qubit]
+        identity_on_support = candidates & ~on_support
 
-        word_index = np.asarray([q >> 6 for q in support])
-        shifts = np.asarray([q & 63 for q in support], dtype=np.uint64)
-        support_x = be.support_bits(candidate_x, word_index, shifts)
-        support_z = be.support_bits(candidate_z, word_index, shifts)
+        digits: list[int] = []
+        in_support = set(support)
+        for qubit in range(columns.num_qubits):
+            if qubit in in_support:
+                continue
+            carry = (x_columns[qubit] | z_columns[qubit]) & candidates
+            for place, digit in enumerate(digits):
+                if not carry:
+                    break
+                digits[place] = digit ^ carry
+                carry &= digit
+            if carry:
+                digits.append(carry)
 
         best_cost: int | None = None
-        best_index: int | None = None
-        # Ascending off-support weight with stable ties: once a candidate's
-        # off-support weight alone reaches the best cost seen, no later
-        # candidate in this order can strictly beat it.
-        for k in np.argsort(off_weights, kind="stable"):
-            off_weight = int(off_weights[k])
-            if best_cost is not None and off_weight > best_cost:
-                break
-            index = first + int(k)
-            if best_cost is not None and off_weight == best_cost and index > best_index:
-                continue
-            cost = off_weight + chain_tree_cost(support_x[k].tolist(), support_z[k].tolist())
-            if (
-                best_cost is None
-                or cost < best_cost
-                or (cost == best_cost and index < best_index)
-            ):
-                best_cost = cost
-                best_index = index
-        return best_index
+        best_row = -1
+        left = candidates
+        weight = 0
+        while left and (best_cost is None or weight <= best_cost):
+            weight_class = left
+            for place, digit in enumerate(digits):
+                weight_class &= digit if (weight >> place) & 1 else ~digit
+            if weight_class:
+                left ^= weight_class
+                free = weight_class & identity_on_support
+                if free:
+                    # costs `weight`: beats the rest of this class and every
+                    # later class, so only the row order can still matter
+                    row = (free & -free).bit_length() - 1
+                    if best_cost is None or weight < best_cost or row < best_row:
+                        best_cost, best_row = weight, row
+                    break
+                # every candidate of this class costs at least weight + 1
+                while weight_class and (best_cost is None or best_cost > weight):
+                    low = weight_class & -weight_class
+                    weight_class ^= low
+                    row = low.bit_length() - 1
+                    if best_cost is not None and best_cost == weight + 1 and row > best_row:
+                        break
+                    counters["candidates_scored"] += 1
+                    cost = weight + chain_tree_cost(
+                        [(x_columns[qubit] >> row) & 1 for qubit in support],
+                        [(z_columns[qubit] >> row) & 1 for qubit in support],
+                    )
+                    if best_cost is None or (cost, row) < (best_cost, best_row):
+                        best_cost, best_row = cost, row
+            weight += 1
+        return best_row
 
-
-def _support_from_words(x_ints: list[int], z_ints: list[int]) -> list[int]:
-    """Ascending qubit indices carrying a non-identity factor.
-
-    Walks the set bits of the packed words as plain Python integers — for the
-    sparse rows extraction sees, this beats unpacking the whole register into
-    a boolean vector and scanning it.
-    """
-    support: list[int] = []
-    for word_index, (x_word, z_word) in enumerate(zip(x_ints, z_ints)):
-        word = x_word | z_word
-        base = word_index << 6
-        while word:
-            low = word & -word
-            support.append(base + low.bit_length() - 1)
-            word ^= low
-    return support

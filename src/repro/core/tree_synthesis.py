@@ -28,32 +28,35 @@ _ROOT_PRIORITY = ("Z", "I", "Y", "X")
 
 #: a callable returning the (already conjugated) Pauli ``depth`` positions
 #: after the current one, or None when the program ends before that.  Any
-#: object exposing ``letter(qubit) -> "I"|"X"|"Y"|"Z"`` works — the packed
-#: extractor hands out word-level row guides instead of full PauliStrings.
+#: object exposing ``letter(qubit) -> "I"|"X"|"Y"|"Z"`` works — the
+#: extractor hands out column-table row guides instead of full PauliStrings.
 LookaheadProvider = Callable[[int], "PauliString | None"]
 
 
-class PackedRowGuide:
-    """A read-only letter view over one packed table row.
+class ColumnRowGuide:
+    """A read-only letter view over one row of a column-major Pauli table.
 
-    Snapshots the row's words as plain Python integers, so the
-    ``guide.letter(qubit)`` calls of :func:`synthesize_tree` are pure-Python
-    bit tests instead of numpy scalar extractions.  Only the guide protocol
+    Reads row ``row`` straight out of the per-qubit bit columns of a
+    :class:`~repro.paulis.columns.PauliColumns` (``x_columns[q]`` bit ``row``
+    is the row's x bit on qubit ``q``), so the ``guide.letter(qubit)`` calls
+    of :func:`synthesize_tree` are two integer bit tests.  The view is live:
+    it is valid until the table is next conjugated.  Only the guide protocol
     of the lookahead is implemented — this is not a :class:`PauliString`.
     """
 
-    __slots__ = ("_x_words", "_z_words")
+    __slots__ = ("_x_columns", "_z_columns", "_row")
 
     _LETTERS = ("I", "X", "Z", "Y")  # indexed by x_bit | (z_bit << 1)
 
-    def __init__(self, x_row, z_row):
-        self._x_words = x_row.tolist()
-        self._z_words = z_row.tolist()
+    def __init__(self, x_columns: Sequence[int], z_columns: Sequence[int], row: int):
+        self._x_columns = x_columns
+        self._z_columns = z_columns
+        self._row = row
 
     def letter(self, qubit: int) -> str:
-        word, bit = qubit >> 6, qubit & 63
-        x_bit = (self._x_words[word] >> bit) & 1
-        z_bit = (self._z_words[word] >> bit) & 1
+        row = self._row
+        x_bit = (self._x_columns[qubit] >> row) & 1
+        z_bit = (self._z_columns[qubit] >> row) & 1
         return self._LETTERS[x_bit | (z_bit << 1)]
 
 

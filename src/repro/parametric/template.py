@@ -394,10 +394,10 @@ def compile_template(
     per-binding rewrite the skeleton cannot carry, and is rejected), and
     ``pipeline`` must stay ``None`` — only the preset levels have the
     angle-independence guarantee templates rely on.  ``backend`` selects the
-    array backend the trace's packed engine runs on (explicit argument >
-    ``target.array_backend`` > ``REPRO_ARRAY_BACKEND`` > numpy); the bound
-    results are bit-identical regardless, since binding replays a host-side
-    skeleton.
+    array backend of the packed engine in full-compile fallbacks (explicit
+    argument > ``target.array_backend`` > ``REPRO_ARRAY_BACKEND`` > numpy);
+    the extraction trace itself runs on host columns, and the bound results
+    are bit-identical regardless, since binding replays a host-side skeleton.
     """
     if not isinstance(program, ParametricProgram):
         raise CompilerError(
@@ -436,7 +436,7 @@ def compile_template(
     rotation_count = 0
     if level >= 2:
         extractor = CliffordExtractor(**_EXTRACTION_FLAGS[level], fuse_peephole=False)
-        trace = extractor.extract(sentinel_sum, backend=backend_spec)
+        trace = extractor.extract(sentinel_sum)
         raw_gates = list(trace.optimized_circuit)
         tail = trace.extracted_clifford
         conjugation = trace.conjugation

@@ -284,8 +284,8 @@ class PackedPauliTable:
         """Row ``index`` as a :class:`PauliString` sharing this table's words.
 
         No copy is made on host backends: the view is valid only until the
-        table mutates (``apply_*`` / ``move_row``), and the caller must treat
-        it as read-only.  Use :meth:`row` for an independent copy.
+        table mutates (``apply_*``), and the caller must treat it as
+        read-only.  Use :meth:`row` for an independent copy.
         """
         from repro.paulis.pauli import PauliString
 
@@ -353,7 +353,7 @@ class PackedPauliTable:
                 )
 
     # ------------------------------------------------------------------ #
-    # In-place suffix application (the table-native extraction hot path)
+    # In-place suffix application
     # ------------------------------------------------------------------ #
     def apply_gates(self, gates: Sequence["Gate"], start: int = 0, stop: int | None = None) -> None:
         """Stream ``gates`` in time order over rows ``[start, stop)`` in place.
@@ -380,22 +380,6 @@ class PackedPauliTable:
         )
         be.imod(phases, 4)
 
-    def move_row(self, src: int, dest: int) -> None:
-        """Move row ``src`` to position ``dest``, shifting the rows between.
-
-        The packed analogue of ``rows.insert(dest, rows.pop(src))`` for
-        ``dest <= src`` — what the in-block greedy reordering of Algorithm 2
-        performs on the remaining program.
-        """
-        if dest > src:
-            raise PauliError(f"move_row only shifts rows earlier: src={src} dest={dest}")
-        if dest == src:
-            return
-        be = self.backend
-        window = slice(dest, src + 1)
-        for array in (self.x_words, self.z_words, self.phases):
-            array[window] = be.roll_down(array[window])
-
     # ------------------------------------------------------------------ #
     # Vectorized row metrics
     # ------------------------------------------------------------------ #
@@ -407,9 +391,7 @@ class PackedPauliTable:
     def argsort_weights(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Indices (relative to ``start``) ordering rows ``[start, stop)`` by weight.
 
-        The sort is stable, so equal-weight rows keep their program order —
-        the same deterministic-tie-break discipline the extraction cost
-        model's branch-and-bound applies to its (masked) weight sort.
+        The sort is stable, so equal-weight rows keep their program order.
         """
         return self.backend.argsort_stable(self.weights(start, stop))
 

@@ -36,13 +36,19 @@ a wire stack.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # the real import is deferred: circuit.py imports us back
     from repro.circuits.circuit import QuantumCircuit
 
-from repro.circuits.gate import CX_EQUIVALENT_WEIGHT, Gate
+from repro.circuits.gate import (
+    CX_EQUIVALENT_WEIGHT,
+    SINGLE_QUBIT_GATES,
+    TWO_QUBIT_GATES,
+    Gate,
+)
 from repro.exceptions import CircuitError
 from repro.transpile.peephole import (
     _INVERSE_PAIRS,
@@ -67,6 +73,53 @@ _PARTNER_NAME.update(dict(_INVERSE_PAIRS))
 
 #: rebuild bookkeeping once this many cancelled gates linger in the buffers
 _COMPACT_MIN_DEAD = 256
+
+
+def overlap_pattern(qubits: tuple[int, ...], other: tuple[int, ...]) -> tuple[int, ...]:
+    """Where each qubit of a gate sits in another gate's qubits (``-1``: absent)."""
+    first = qubits[0]
+    head = other.index(first) if first in other else -1
+    if len(qubits) == 1:
+        return (head,)
+    second = qubits[1]
+    return (head, other.index(second) if second in other else -1)
+
+
+def _commutation_table() -> dict[tuple[str, str, tuple[int, ...]], bool]:
+    """``gates_commute`` verdicts keyed by ``(name, other_name, overlap pattern)``.
+
+    A verdict depends only on the two names and on which qubits the gates
+    share, so one representative pair per pattern decides every pair.  Built
+    once from the ground-truth ``gates_commute``; the streaming optimizer
+    never calls it per gate.
+    """
+    names = sorted(SINGLE_QUBIT_GATES | TWO_QUBIT_GATES)
+    table = {}
+    for name in names:
+        for other_name in names:
+            size = 1 if name in SINGLE_QUBIT_GATES else 2
+            other_size = 1 if other_name in SINGLE_QUBIT_GATES else 2
+            for pattern in itertools.product(range(-1, other_size), repeat=size):
+                taken = [position for position in pattern if position >= 0]
+                if len(taken) != len(set(taken)):
+                    continue
+                qubits = tuple(range(size))
+                other = [size + slot for slot in range(other_size)]
+                for qubit, position in zip(qubits, pattern):
+                    if position >= 0:
+                        other[position] = qubit
+                table[name, other_name, pattern] = gates_commute(
+                    _representative(name, qubits), _representative(other_name, tuple(other))
+                )
+    return table
+
+
+def _representative(name: str, qubits: tuple[int, ...]) -> Gate:
+    return Gate(name, qubits, (0.5,) if name in _ROTATIONS else ())
+
+
+#: every commutation verdict the backward scans can ask for
+_COMMUTES = _commutation_table()
 
 
 class _Node:
@@ -106,10 +159,6 @@ class GateStreamOptimizer:
         self._seq = 0
         self._appended = 0
         self._appended_cx = 0
-        #: commutation verdicts are angle-independent, so they are memoized
-        #: per (name, qubits) pair; the synthesis hot loops emit the same few
-        #: gate shapes over and over
-        self._commute_cache: dict[tuple, bool] = {}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -188,7 +237,6 @@ class GateStreamOptimizer:
 
     def _scan_one(self, gate, qubits, partner, flipped) -> "_Node | None":
         stack = self._wires[qubits[0]]
-        cache = self._commute_cache
         name = gate.name
         for index in range(len(stack) - 1, -1, -1):
             node = stack[index]
@@ -199,12 +247,7 @@ class GateStreamOptimizer:
                 other.qubits == qubits or other.qubits == flipped
             ):
                 return node
-            key = (name, qubits, other.name, other.qubits)
-            verdict = cache.get(key)
-            if verdict is None:
-                verdict = gates_commute(gate, other)
-                cache[key] = verdict
-            if not verdict:
+            if not _COMMUTES[name, other.name, overlap_pattern(qubits, other.qubits)]:
                 return None
         return None
 
@@ -214,7 +257,6 @@ class GateStreamOptimizer:
         stack_b = wires[qubits[1]]
         index_a = len(stack_a) - 1
         index_b = len(stack_b) - 1
-        cache = self._commute_cache
         name = gate.name
         while True:
             while index_a >= 0 and not stack_a[index_a].alive:
@@ -240,12 +282,7 @@ class GateStreamOptimizer:
                 other.qubits == qubits or other.qubits == flipped
             ):
                 return node
-            key = (name, qubits, other.name, other.qubits)
-            verdict = cache.get(key)
-            if verdict is None:
-                verdict = gates_commute(gate, other)
-                cache[key] = verdict
-            if not verdict:
+            if not _COMMUTES[name, other.name, overlap_pattern(qubits, other.qubits)]:
                 return None
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,7 @@ from repro.paulis.pauli import PauliString
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
 
-from tests.conftest import random_pauli_terms
+from tests.conftest import random_clifford_circuit, random_pauli_terms
 
 FLAG_COMBOS = [
     {},
@@ -169,3 +169,144 @@ class TestExtractionResultParity:
         terms = random_pauli_terms(rng, 3, 5)
         with pytest.raises(Exception):
             CliffordExtractor().extract(terms, block_bounds=[0, 2])
+
+
+def zz_term(num_qubits: int, a: int, b: int, angle: float) -> PauliTerm:
+    z = np.zeros(num_qubits, dtype=bool)
+    z[[a, b]] = True
+    return PauliTerm(PauliString(np.zeros(num_qubits, dtype=bool), z), angle)
+
+
+class TestTieHeavySelection:
+    """Single large commuting blocks where many candidates tie on cost.
+
+    The selection visits candidates by weight class and row, not in the
+    legacy index order, so ties are where the two could part ways.
+    """
+
+    @pytest.mark.parametrize("reorder", [True, False])
+    def test_zz_rings(self, reorder):
+        for num_qubits in (4, 9, 16):
+            ring = [
+                zz_term(num_qubits, q, (q + 1) % num_qubits, 0.1 * (q + 1))
+                for q in range(num_qubits)
+            ]
+            assert_bit_identical(ring + ring, reorder_within_blocks=reorder)
+
+    @pytest.mark.parametrize("reorder", [True, False])
+    def test_complete_graph_maxcut(self, reorder):
+        for num_qubits in (5, 8):
+            terms = [
+                zz_term(num_qubits, a, b, 0.3)
+                for a in range(num_qubits)
+                for b in range(a + 1, num_qubits)
+            ]
+            assert_bit_identical(terms, reorder_within_blocks=reorder)
+            assert_bit_identical(terms, reorder_within_blocks=reorder, recursive_tree=False)
+
+    @pytest.mark.parametrize("reorder", [True, False])
+    def test_shuffled_labs(self, rng, reorder):
+        from repro.workloads.registry import get_benchmark
+
+        terms = get_benchmark("LABS-(n10)").terms()
+        for _ in range(2):
+            order = rng.permutation(len(terms))
+            assert_bit_identical([terms[i] for i in order], reorder_within_blocks=reorder)
+
+    @pytest.mark.parametrize("reorder", [True, False])
+    def test_clifford_scrambled_commuting_blocks(self, rng, reorder):
+        """Z strings pushed through a random Clifford: one block, mixed letters,
+        candidate costs spread over many weight classes."""
+        from repro.clifford.engine import conjugate_paulis_by_circuit
+
+        for num_qubits in (6, 9):
+            z_strings = [
+                PauliString(np.zeros(num_qubits, dtype=bool), rng.random(num_qubits) < 0.4)
+                for _ in range(40)
+            ]
+            circuit = random_clifford_circuit(rng, num_qubits, 3 * num_qubits)
+            paulis = conjugate_paulis_by_circuit(z_strings, circuit)
+            terms = [PauliTerm(p, float(rng.normal())) for p in paulis]
+            assert_bit_identical(terms, reorder_within_blocks=reorder)
+
+    def test_ring_beyond_64_qubits(self):
+        num_qubits = 70
+        ring = [zz_term(num_qubits, q, (q + 1) % num_qubits, 0.2) for q in range(num_qubits)]
+        chords = [zz_term(num_qubits, q, (q + 35) % num_qubits, 0.4) for q in range(0, 70, 7)]
+        assert_bit_identical(ring + chords)
+
+
+class TestSelectionArgmin:
+    """``_find_next_row`` against an exhaustive argmin over (cost, row)."""
+
+    @staticmethod
+    def brute_force(table, candidates, support):
+        best = None
+        for row in candidates:
+            pauli = table.row(row)
+            off_weight = sum(
+                1 for q in range(table.num_qubits) if q not in support and pauli.letter(q) != "I"
+            )
+            on_support = [pauli.letter(q) for q in support]
+            cost = off_weight + chain_tree_cost(
+                [int(letter in "XY") for letter in on_support],
+                [int(letter in "ZY") for letter in on_support],
+            )
+            best = min(best, (cost, row)) if best is not None else (cost, row)
+        return best[1]
+
+    @pytest.mark.parametrize("num_qubits, density", [(4, 0.3), (10, 0.3), (10, 0.7), (70, 0.05)])
+    def test_random_tables(self, rng, num_qubits, density):
+        from repro.paulis.columns import PauliColumns
+        from repro.paulis.packed import PackedPauliTable
+
+        extractor = CliffordExtractor()
+        for _ in range(40):
+            rows = int(rng.integers(2, 40))
+            x = rng.random((rows, num_qubits)) < density
+            z = rng.random((rows, num_qubits)) < density
+            table = PackedPauliTable.from_bool_arrays(x, z, np.count_nonzero(x & z, axis=1))
+            columns = PauliColumns.from_table(table)
+            support = sorted(
+                int(q)
+                for q in rng.choice(num_qubits, int(rng.integers(1, min(7, num_qubits))), replace=False)
+            )
+            candidates = [r for r in range(rows) if rng.random() < 0.7] or [0]
+            mask = sum(1 << r for r in candidates)
+            counters = dict.fromkeys(["candidates_scored"], 0)
+            chosen = extractor._find_next_row(columns, mask, support, counters)
+            assert chosen == self.brute_force(table, candidates, support)
+            assert counters["candidates_scored"] <= len(candidates)
+
+
+class TestStageCounters:
+    def test_counters_describe_the_emitted_gates(self, rng):
+        terms = random_pauli_terms(rng, 6, 30)
+        result = CliffordExtractor().extract(terms)
+        counters = result.metadata["stage_counters"]
+        assert set(counters) == {
+            "rotations", "basis_gates", "tree_cx", "candidates_scored", "rows_moved"
+        }
+        assert all(isinstance(value, int) for value in counters.values())
+        assert counters["rotations"] == result.rotation_count
+        assert counters["basis_gates"] + counters["tree_cx"] == len(result.extracted_clifford)
+        assert counters["rows_moved"] <= counters["rotations"]
+
+    def test_no_selection_without_reordering(self, rng):
+        terms = random_pauli_terms(rng, 5, 20)
+        counters = CliffordExtractor(reorder_within_blocks=False).extract(terms).metadata[
+            "stage_counters"
+        ]
+        assert counters["candidates_scored"] == counters["rows_moved"] == 0
+
+    @pytest.mark.parametrize(
+        "name, legacy_scored",
+        # chain_tree_cost calls of the row-major branch-and-bound this replaced
+        [("LABS-(n15)", 1492), ("MaxCut-(n20, r12)", 646), ("LABS-(n20)", 2974)],
+    )
+    def test_scores_no_more_candidates_than_before(self, name, legacy_scored):
+        import repro
+        from repro.workloads.registry import get_benchmark
+
+        result = repro.compile(get_benchmark(name).terms(), level=3)
+        assert result.extraction.metadata["stage_counters"]["candidates_scored"] <= legacy_scored

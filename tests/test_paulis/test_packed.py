@@ -317,18 +317,6 @@ class TestSuffixApplication:
             assert np.array_equal(table.z_words, streamed.z_words)
             assert np.array_equal(table.phases, streamed.phases)
 
-    def test_move_row_matches_insert_pop(self, rng):
-        table = self._random_table(rng, num_qubits=12, rows=7)
-        rows = table.to_paulis()
-        table.move_row(5, 2)
-        rows.insert(2, rows.pop(5))
-        assert table.to_paulis() == rows
-
-    def test_move_row_rejects_forward_moves(self, rng):
-        table = self._random_table(rng, num_qubits=4, rows=3)
-        with pytest.raises(PauliError):
-            table.move_row(0, 2)
-
     def test_row_view_shares_words(self, rng):
         table = self._random_table(rng, num_qubits=8, rows=4)
         view = table.row_view(1)
