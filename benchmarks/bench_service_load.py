@@ -60,7 +60,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import repro  # noqa: E402
-from repro.arrays import default_backend  # noqa: E402
 from repro.observability import DEFAULT_SAMPLE_RATE, TRACER  # noqa: E402
 from repro.parametric import ParametricProgram  # noqa: E402
 from repro.paulis.pauli import PauliString  # noqa: E402
@@ -537,7 +536,6 @@ def main(argv: "list[str] | None" = None) -> int:
         # an (empty) workloads map keeps the report consumable by
         # scripts/check_bench_regression.py next to the throughput reports
         "workloads": {},
-        "summary": {"array_backend": default_backend().name},
         "service_load": block,
     }
     with open(args.output, "w") as handle:

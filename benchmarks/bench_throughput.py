@@ -49,9 +49,7 @@ block).  ``bind_speedup`` and ``bind_requests_per_sec`` are strict-gated.
 The ``service_load`` block delegates to :mod:`bench_service_load` — the
 open-loop Poisson load harness — at a small fixed offered rate:
 ``saturation_rps`` / ``fleet_saturation_rps`` floors and the ``p99_ms``
-ceiling are strict-gated too.  ``--backend`` routes the whole run (and the
-service workers the fleet probe spawns) through a named array backend and
-records it in ``summary.array_backend``.
+ceiling are strict-gated too.
 
 Results are written as machine-readable JSON (``BENCH_throughput.json`` by
 default); ``scripts/check_bench_regression.py`` diffs two such files and is
@@ -73,8 +71,6 @@ import time
 import numpy as np
 
 import repro
-from repro.arrays import ENV_VAR as BACKEND_ENV_VAR
-from repro.arrays import available_backends, default_backend, resolve_backend
 from repro.clifford.conjugation import conjugate_pauli_by_circuit
 from repro.clifford.engine import PackedConjugator
 from repro.compiler import plan_batch
@@ -378,21 +374,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="skip the open-loop service load block",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=available_backends(),
-        help="array backend every measurement (and spawned service worker) "
-        f"routes through; sets {BACKEND_ENV_VAR} for the whole run and is "
-        "recorded in summary.array_backend (default: the ambient backend)",
-    )
     args = parser.parse_args(argv)
-
-    if args.backend is not None:
-        resolve_backend(args.backend)  # fail fast on an unavailable backend
-        # the env var (not a local override) so worker subprocesses spawned
-        # by the service-load fleet inherit the same backend
-        os.environ[BACKEND_ENV_VAR] = args.backend
 
     names = args.workloads if args.workloads else _tier_workloads(args.tier)
     workloads: dict[str, dict] = {}
@@ -426,7 +408,6 @@ def main(argv: list[str] | None = None) -> int:
             "total_terms": sum(entry["num_terms"] for entry in workloads.values()),
             "min_speedup": min(speedups),
             "geomean_speedup": math.exp(sum(math.log(s) for s in speedups) / len(speedups)),
-            "array_backend": default_backend().name,
         },
     }
     if not args.skip_batch:

@@ -17,12 +17,6 @@ The public API centers on the composable pass-pipeline compiler:
   symplectic store (:class:`PackedPauliTable`, 64 qubits per ``uint64``
   word) that the vectorized Clifford-conjugation engine operates on.
 * :class:`QuantumCircuit`, :class:`Statevector` — the circuit substrate.
-* :mod:`repro.arrays` — the pluggable array-backend layer the packed engine
-  runs on: numpy (default), an import-guarded CuPy backend, and a
-  pure-Python reference backend for ground-truth checks.  Select per compile
-  with ``compile(..., backend=...)``, per device with
-  ``Target(array_backend=...)``, or process-wide with the
-  ``REPRO_ARRAY_BACKEND`` environment variable.
 * :mod:`repro.parametric` — template compilation for VQE/QAOA traffic:
   :func:`repro.compile_template` runs the pipeline once per ansatz
   structure, :meth:`CompiledTemplate.bind` substitutes angles in
@@ -51,15 +45,6 @@ Quick start::
     baseline = repro.compile(terms, pipeline="qiskit-like")
 """
 
-from repro.arrays import (
-    ArrayBackend,
-    CupyBackend,
-    NumpyBackend,
-    ReferenceBackend,
-    available_backends,
-    register_backend,
-    resolve_backend,
-)
 from repro.circuits import Gate, QuantumCircuit, Statevector
 from repro.clifford import (
     CliffordTableau,
@@ -97,13 +82,6 @@ from repro.parametric import (
 __version__ = "1.3.0"
 
 __all__ = [
-    "ArrayBackend",
-    "CupyBackend",
-    "NumpyBackend",
-    "ReferenceBackend",
-    "available_backends",
-    "register_backend",
-    "resolve_backend",
     "Gate",
     "QuantumCircuit",
     "Statevector",

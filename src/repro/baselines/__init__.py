@@ -3,7 +3,7 @@
 The original evaluation compares QuCLEAR against Qiskit, T|ket>, Paulihedral,
 Rustiq and Tetris binaries.  Those tools are not available offline, so each
 baseline here re-implements the published core idea of the corresponding
-method (see DESIGN.md for the substitution rationale):
+method:
 
 * :func:`compile_naive` — direct V-shaped synthesis, no optimization (the
   "native" gate counts of Table II).

@@ -24,11 +24,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.arrays import ArrayBackend, resolve_backend
 from repro.exceptions import CliffordError
 from repro.paulis.packed import (
     PackedPauliTable,
     conjugate_row_through_generators,
+    popcount_rows,
     words_for_qubits,
 )
 from repro.paulis.pauli import PauliString
@@ -93,7 +93,7 @@ class PackedConjugator:
     variant performs that product for every input row simultaneously.
     """
 
-    __slots__ = ("num_qubits", "backend", "_gen_x", "_gen_z", "_gen_phase")
+    __slots__ = ("num_qubits", "_gen_x", "_gen_z", "_gen_phase")
 
     def __init__(
         self,
@@ -101,10 +101,8 @@ class PackedConjugator:
         gen_x: np.ndarray,
         gen_z: np.ndarray,
         gen_phase: np.ndarray,
-        backend: "str | ArrayBackend | None" = None,
     ):
         self.num_qubits = int(num_qubits)
-        self.backend = resolve_backend(backend)
         rows = 2 * self.num_qubits
         words = words_for_qubits(self.num_qubits)
         if gen_x.shape != (rows, words) or gen_z.shape != (rows, words):
@@ -112,18 +110,13 @@ class PackedConjugator:
                 f"conjugator needs {rows}x{words} generator words, "
                 f"got x{gen_x.shape} z{gen_z.shape}"
             )
-        be = self.backend
-        self._gen_x = be.asarray_words(gen_x)
-        self._gen_z = be.asarray_words(gen_z)
-        # Phases are consumed scalar-wise (one generator at a time) and by
-        # the host single-row kernel, so they stay host-side.
+        self._gen_x = np.ascontiguousarray(gen_x, dtype=np.uint64)
+        self._gen_z = np.ascontiguousarray(gen_z, dtype=np.uint64)
         self._gen_phase = np.asarray(gen_phase, dtype=np.int64) % 4
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_tableau(
-        cls, tableau: "CliffordTableau", backend: "str | ArrayBackend | None" = None
-    ) -> "PackedConjugator":
+    def from_tableau(cls, tableau: "CliffordTableau") -> "PackedConjugator":
         """Snapshot a tableau (later gates appended to it have no effect)."""
         rows = tableau.packed_rows()
         return cls(
@@ -131,17 +124,14 @@ class PackedConjugator:
             rows.x_words.copy(),
             rows.z_words.copy(),
             rows.phases.copy(),
-            backend=backend,
         )
 
     @classmethod
-    def from_circuit(
-        cls, circuit: "QuantumCircuit", backend: "str | ArrayBackend | None" = None
-    ) -> "PackedConjugator":
+    def from_circuit(cls, circuit: "QuantumCircuit") -> "PackedConjugator":
         """Freeze the conjugation map of a whole Clifford circuit."""
         from repro.clifford.tableau import CliffordTableau
 
-        return cls.from_tableau(CliffordTableau.from_circuit(circuit), backend=backend)
+        return cls.from_tableau(CliffordTableau.from_circuit(circuit))
 
     # ------------------------------------------------------------------ #
     def conjugate_table(self, table: PackedPauliTable) -> PackedPauliTable:
@@ -150,38 +140,32 @@ class PackedConjugator:
         One sweep over the ``2n`` generators; each selected generator is
         XOR-folded into all selecting rows simultaneously, with the exact
         phase bookkeeping of the ordered product (X image before Z image per
-        qubit, matching :meth:`CliffordTableau.conjugate`).  Tables on a
-        different backend are transferred to the conjugator's backend first,
-        and the result stays there.
+        qubit, matching :meth:`CliffordTableau.conjugate`).
         """
         if table.num_qubits != self.num_qubits:
             raise CliffordError(
                 f"table holds {table.num_qubits}-qubit Paulis, "
                 f"conjugator acts on {self.num_qubits}"
             )
-        be = self.backend
-        table = table.to_backend(be)
-        result_x = be.zeros_like(table.x_words)
-        result_z = be.zeros_like(table.z_words)
-        result_phase = be.copy(table.phases)
+        result_x = np.zeros_like(table.x_words)
+        result_z = np.zeros_like(table.z_words)
+        result_phase = table.phases.copy()
         for qubit in range(self.num_qubits):
             word = qubit >> 6
             shift = qubit & 63
             for offset, sel_words in ((0, table.x_words), (1, table.z_words)):
-                selected = be.to_bool(be.band(be.rshift(sel_words[:, word], shift), 1))
-                if not be.any(selected):
+                selected = ((sel_words[:, word] >> shift) & 1).astype(bool)
+                if not selected.any():
                     continue
                 row = 2 * qubit + offset
                 gen_x = self._gen_x[row]
                 # (-1) for every Z of the accumulator crossing an X of the
                 # incoming generator image (ordered-product phase rule).
-                crossings = be.popcount_rows(be.band(be.compress_rows(result_z, selected), gen_x))
-                be.masked_iadd(
-                    result_phase, selected, be.affine(crossings, 2, int(self._gen_phase[row]))
-                )
-                be.masked_ixor_rows(result_x, selected, gen_x)
-                be.masked_ixor_rows(result_z, selected, self._gen_z[row])
-        return PackedPauliTable(self.num_qubits, result_x, result_z, result_phase, backend=be)
+                crossings = popcount_rows(result_z[selected] & gen_x)
+                result_phase[selected] += 2 * crossings + int(self._gen_phase[row])
+                result_x[selected] ^= gen_x
+                result_z[selected] ^= self._gen_z[row]
+        return PackedPauliTable(self.num_qubits, result_x, result_z, result_phase)
 
     def conjugate(self, pauli: PauliString) -> PauliString:
         """Single-Pauli convenience wrapper (no boolean-mask overhead)."""
@@ -190,10 +174,9 @@ class PackedConjugator:
                 f"Pauli acts on {pauli.num_qubits} qubits, "
                 f"conjugator on {self.num_qubits}"
             )
-        be = self.backend
         result_x, result_z, phase = conjugate_row_through_generators(
-            be.to_numpy(self._gen_x),
-            be.to_numpy(self._gen_z),
+            self._gen_x,
+            self._gen_z,
             self._gen_phase,
             self.num_qubits,
             pauli.x_words,
@@ -209,19 +192,16 @@ class PackedConjugator:
         return self.conjugate_table(PackedPauliTable.from_paulis(paulis)).to_paulis()
 
     def content_key(self) -> tuple:
-        """Hashable identity of the frozen map (backend-independent)."""
-        be = self.backend
+        """Hashable identity of the frozen map."""
         return (
             self.num_qubits,
-            be.tobytes(self._gen_x),
-            be.tobytes(self._gen_z),
+            self._gen_x.tobytes(),
+            self._gen_z.tobytes(),
             self._gen_phase.tobytes(),
         )
 
     def __repr__(self) -> str:
-        return (
-            f"PackedConjugator(num_qubits={self.num_qubits}, backend={self.backend.name!r})"
-        )
+        return f"PackedConjugator(num_qubits={self.num_qubits})"
 
 
 class ConjugationCache:

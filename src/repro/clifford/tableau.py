@@ -19,27 +19,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arrays import NUMPY
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import Gate
 from repro.exceptions import CliffordError
-from repro.paulis.packed import PackedPauliTable, conjugate_row_through_generators
+from repro.paulis.packed import (
+    PackedPauliTable,
+    apply_gate_to_words,
+    conjugate_row_through_generators,
+)
 from repro.paulis.pauli import PauliString
 
 
 class CliffordTableau:
-    """The conjugation map ``P -> U P U†`` of a Clifford unitary ``U``.
-
-    Tableaus sit on the host side of the synthesis boundary: their rows are
-    always on the numpy backend, whatever backend the program table uses.
-    """
+    """The conjugation map ``P -> U P U†`` of a Clifford unitary ``U``."""
 
     def __init__(self, num_qubits: int):
         self.num_qubits = int(num_qubits)
         if self.num_qubits < 1:
             raise CliffordError("a tableau needs at least one qubit")
         rows = 2 * self.num_qubits
-        self._rows = PackedPauliTable.zeros(rows, self.num_qubits, backend=NUMPY)
+        self._rows = PackedPauliTable.zeros(rows, self.num_qubits)
         one = np.uint64(1)
         for qubit in range(self.num_qubits):
             word = qubit >> 6
@@ -71,8 +70,6 @@ class CliffordTableau:
         afterwards.  This is how the table-native extractor returns its
         conjugation map: the generator rows ride along the packed program
         table through the whole pass and are split off here at the end.
-        This is the device-to-host transfer point: rows arriving on a
-        non-numpy backend are copied to the host exactly once.
         """
         if rows.num_rows != 2 * rows.num_qubits:
             raise CliffordError(
@@ -81,7 +78,7 @@ class CliffordTableau:
             )
         tableau = cls.__new__(cls)
         tableau.num_qubits = rows.num_qubits
-        tableau._rows = rows.to_host()
+        tableau._rows = rows
         return tableau
 
     def copy(self) -> "CliffordTableau":
@@ -107,7 +104,7 @@ class CliffordTableau:
         for gate in circuit:
             if not gate.is_clifford:
                 raise CliffordError(f"gate {gate.name!r} is not Clifford")
-            NUMPY.apply_gate_to_words(rows.x_words, rows.z_words, rows.phases, gate)
+            apply_gate_to_words(rows.x_words, rows.z_words, rows.phases, gate)
         np.mod(rows.phases, 4, out=rows.phases)
 
     # ------------------------------------------------------------------ #

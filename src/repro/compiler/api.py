@@ -9,7 +9,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.arrays import ArrayBackend
 from repro.clifford.engine import ConjugationCache
 from repro.compiler.pipeline import Pipeline, ensure_device_routing
 from repro.compiler.pool import CompilePool, CompilePoolBrokenError
@@ -80,7 +79,6 @@ def compile(
     target: Target | CouplingMap | str | None = None,
     level: int = MAX_OPTIMIZATION_LEVEL,
     pipeline: Pipeline | str | None = None,
-    backend: "str | ArrayBackend | None" = None,
 ) -> CompilationResult:
     """Compile a Pauli-rotation program.
 
@@ -102,20 +100,13 @@ def compile(
         Explicit pipeline to run instead of a preset: a
         :class:`~repro.compiler.pipeline.Pipeline` instance or the name of a
         registered compiler (``"quclear"``, ``"qiskit-like"``, ...).
-    backend:
-        Array backend for the packed conjugation engine — a
-        :mod:`repro.arrays` registry name (``"numpy"``, ``"cupy"``,
-        ``"reference"``) or an :class:`~repro.arrays.ArrayBackend` instance.
-        Precedence: this argument > ``target.array_backend`` >
-        ``REPRO_ARRAY_BACKEND`` > numpy.  The resolved name lands in
-        ``result.metadata["array_backend"]``.
     """
     if not isinstance(terms, SparsePauliSum):
         terms = list(terms)
     validate_program(terms, source="repro.compile")
     resolved = _resolve_pipeline(pipeline, level)
     device = as_target(target)
-    return ensure_device_routing(resolved, device).run(terms, target=device, backend=backend)
+    return ensure_device_routing(resolved, device).run(terms, target=device)
 
 
 # ---------------------------------------------------------------------- #
@@ -126,10 +117,9 @@ def _run_one(
     device: Target | None,
     program: Sequence[PauliTerm] | SparsePauliSum,
     cache: ConjugationCache | None,
-    backend: "str | ArrayBackend | None" = None,
 ) -> CompilationResult:
     properties = {"conjugation_cache": cache} if cache is not None else None
-    return pipeline.run(program, target=device, properties=properties, backend=backend)
+    return pipeline.run(program, target=device, properties=properties)
 
 
 def _default_worker_count(num_programs: int) -> int:
@@ -244,7 +234,6 @@ def compile_many(
     level: int = MAX_OPTIMIZATION_LEVEL,
     pipeline: Pipeline | str | None = None,
     conjugation_cache: ConjugationCache | None = None,
-    backend: "str | ArrayBackend | None" = None,
     pool: CompilePool | None = None,
 ) -> list[CompilationResult]:
     """Compile a batch of independent Pauli-rotation programs.
@@ -273,11 +262,6 @@ def compile_many(
         conjugation map only once; pass one to share it across several
         ``compile_many`` calls.  A batch without one gets a fresh cache.
         Supplying one keeps the batch in-process unless ``pool`` is given.
-    backend:
-        Array backend for the packed engine, applied to every program in the
-        batch (same precedence as :func:`repro.compile`).  Backend names and
-        the built-in backend instances are picklable, so the setting reaches
-        pool workers.
     pool:
         A long-lived :class:`~repro.compiler.pool.CompilePool` whose warm
         workers take any batch of at least :data:`SERIAL_BATCH_TERMS` terms.
@@ -314,12 +298,12 @@ def compile_many(
         try:
             if pool is not None and pool.usable:
                 compiled = pool.map_compile(
-                    routed, device, regular, backend=backend, chunksize=plan.chunksize
+                    routed, device, regular, chunksize=plan.chunksize
                 )
             else:
                 with CompilePool(plan.max_workers) as transient:
                     compiled = transient.map_compile(
-                        routed, device, regular, backend=backend, chunksize=plan.chunksize
+                        routed, device, regular, chunksize=plan.chunksize
                     )
         except CompilePoolBrokenError:
             # the workers died mid-batch (OOM kill, segfault): finish the
@@ -327,9 +311,7 @@ def compile_many(
             pass
     if compiled is None:
         cache = conjugation_cache if conjugation_cache is not None else ConjugationCache()
-        compiled = [
-            _run_one(routed, device, program, cache, backend=backend) for program in regular
-        ]
+        compiled = [_run_one(routed, device, program, cache) for program in regular]
     for index, result in zip(regular_indices, compiled):
         results[index] = result
     return results

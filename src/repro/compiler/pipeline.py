@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from typing import Iterator, Sequence
 
-from repro.arrays import ArrayBackend, resolve_backend
 from repro.clifford.engine import ConjugationCache
 from repro.compiler.context import PassContext, Program, PropertySet
 from repro.compiler.passes import Pass
@@ -60,16 +59,8 @@ class Pipeline:
         terms: Sequence[PauliTerm] | SparsePauliSum,
         target: "Target | None" = None,
         properties: dict | None = None,
-        backend: "str | ArrayBackend | None" = None,
     ) -> CompilationResult:
-        """Run every pass in order over ``terms`` and collect the result.
-
-        ``backend`` selects the array backend the packed engine runs on;
-        precedence is explicit argument > ``target.array_backend`` >
-        ``REPRO_ARRAY_BACKEND`` > numpy.  The resolved backend is published
-        to passes as ``context.properties["array_backend"]`` and recorded in
-        ``metadata["array_backend"]``.
-        """
+        """Run every pass in order over ``terms`` and collect the result."""
         if not self.passes:
             raise CompilerError(f"pipeline {self.name!r} has no passes")
         source_sum = terms if isinstance(terms, SparsePauliSum) else None
@@ -90,12 +81,7 @@ class Pipeline:
                     f"program needs {num_qubits} qubits, "
                     f"target {device.name!r} has {device.num_qubits}"
                 )
-        backend_spec = backend
-        if backend_spec is None and device is not None:
-            backend_spec = device.array_backend
-        array_backend = resolve_backend(backend_spec)
         context = PassContext(target=device, properties=PropertySet(properties or {}))
-        context.properties["array_backend"] = array_backend
         # Every run carries a conjugation cache so the absorption machinery
         # (eager AbsorptionPrep or the result's lazy absorbers) freezes each
         # Clifford tail's packed conjugator at most once; repro.compile_many
@@ -119,7 +105,6 @@ class Pipeline:
         metadata = dict(program.metadata)
         metadata["pass_timings"] = dict(context.pass_timings)
         metadata["passes"] = self.pass_names()
-        metadata["array_backend"] = array_backend.name
         return CompilationResult(
             circuit=program.circuit,
             extracted_clifford=program.extracted_clifford,
@@ -136,9 +121,8 @@ class Pipeline:
         self,
         terms: Sequence[PauliTerm] | SparsePauliSum,
         target: "Target | None" = None,
-        backend: "str | ArrayBackend | None" = None,
     ) -> CompilationResult:
-        return self.run(terms, target=target, backend=backend)
+        return self.run(terms, target=target)
 
 
 def with_routing(pipeline: Pipeline) -> Pipeline:

@@ -55,18 +55,15 @@ def _pool_initializer() -> None:
 
 
 def _pool_worker(payload):
-    """Compile one (pipeline, device, program, backend) payload in a worker."""
+    """Compile one (pipeline, device, program) payload in a worker."""
     global _WORKER_CACHE
     if _WORKER_CACHE is None:  # initializer skipped (never on CPython, but cheap)
         from repro.clifford.engine import ConjugationCache
 
         _WORKER_CACHE = ConjugationCache()
-    pipeline, device, program, backend = payload
+    pipeline, device, program = payload
     result = pipeline.run(
-        program,
-        target=device,
-        properties={"conjugation_cache": _WORKER_CACHE},
-        backend=backend,
+        program, target=device, properties={"conjugation_cache": _WORKER_CACHE}
     )
     # never pickle the worker's whole conjugation cache back with every
     # result: the payload would grow as O(results x cache size), and the
@@ -162,7 +159,6 @@ class CompilePool:
         pipeline,
         device,
         programs,
-        backend=None,
         chunksize: int = 1,
     ) -> list:
         """Compile ``programs`` through the warm workers, in input order.
@@ -177,7 +173,7 @@ class CompilePool:
 
         faults.fire("pool.dispatch")
         executor = self._ensure_executor()
-        payloads = [(pipeline, device, program, backend) for program in programs]
+        payloads = [(pipeline, device, program) for program in programs]
         try:
             results = list(
                 executor.map(_pool_worker, payloads, chunksize=max(1, int(chunksize)))

@@ -9,9 +9,8 @@ are available as named factories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.arrays import ArrayBackend
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import SINGLE_QUBIT_GATES, TWO_QUBIT_GATES
 from repro.exceptions import CompilerError
@@ -24,21 +23,12 @@ DEFAULT_BASIS_GATES = frozenset(SINGLE_QUBIT_GATES | TWO_QUBIT_GATES)
 
 @dataclass(frozen=True)
 class Target:
-    """What the compiler knows about the device it is compiling for.
-
-    ``array_backend`` selects the :class:`~repro.arrays.ArrayBackend` the
-    packed conjugation engine runs on for programs compiled against this
-    target (a registry name or an instance; ``None`` defers to the
-    ``REPRO_ARRAY_BACKEND`` env override, then the numpy default).  An
-    explicit ``backend=`` argument to a compile entry point wins over the
-    target's setting.
-    """
+    """What the compiler knows about the device it is compiling for."""
 
     num_qubits: int
     coupling: CouplingMap | None = None
     basis_gates: frozenset[str] = field(default=DEFAULT_BASIS_GATES)
     name: str = "generic"
-    array_backend: "str | ArrayBackend | None" = None
 
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
@@ -48,17 +38,6 @@ class Target:
                 f"target has {self.num_qubits} qubits but its coupling map has "
                 f"{self.coupling.num_qubits}"
             )
-        if self.array_backend is not None and not isinstance(
-            self.array_backend, (str, ArrayBackend)
-        ):
-            raise CompilerError(
-                f"array_backend must be a backend name or ArrayBackend instance, "
-                f"got {type(self.array_backend).__name__}"
-            )
-
-    def with_array_backend(self, backend: "str | ArrayBackend | None") -> "Target":
-        """A copy of this target pinned to ``backend`` (presets stay presets)."""
-        return replace(self, array_backend=backend)
 
     # ------------------------------------------------------------------ #
     @property
@@ -88,15 +67,7 @@ class Target:
 
     def __repr__(self) -> str:
         connectivity = "all-to-all" if self.coupling is None else self.coupling.name
-        backend = ""
-        if self.array_backend is not None:
-            spec = self.array_backend
-            backend_name = spec if isinstance(spec, str) else spec.name
-            backend = f", array_backend={backend_name!r}"
-        return (
-            f"Target({self.name!r}, qubits={self.num_qubits}, "
-            f"coupling={connectivity}{backend})"
-        )
+        return f"Target({self.name!r}, qubits={self.num_qubits}, coupling={connectivity})"
 
     # ------------------------------------------------------------------ #
     # Factories

@@ -26,8 +26,8 @@ def commuting_block_bounds(table: PackedPauliTable) -> list[int]:
 
     Returns the block start offsets plus the final row count, so block ``k``
     is the row range ``[bounds[k], bounds[k + 1])``.  This is the table-native
-    form the extractor consumes — no term objects are materialized.  Tables
-    on any array backend are transposed to host bit columns once.
+    form the extractor consumes — no term objects are materialized.  The
+    table is transposed to bit columns once.
     """
     x_bits, z_bits = table_bits(table)
     x_columns, z_columns = bit_planes(x_bits.T), bit_planes(z_bits.T)

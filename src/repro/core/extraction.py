@@ -15,8 +15,7 @@ tableau generator rows riding in the top bits.  Every emitted gate is a few
 big-integer operations that conjugate all rows at once (a CX is two XORs),
 in-block reordering permutes a list of row indices instead of moving bits,
 and lookahead / next-Pauli selection read the same columns.  The input is
-transposed to host columns once, so the pass does not depend on the array
-backend.  The original per-term loop is preserved in
+transposed to columns once.  The original per-term loop is preserved in
 :mod:`repro.core.extraction_legacy` as the ground truth the equivalence
 tests diff bit-for-bit.
 
@@ -35,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.arrays import NUMPY
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import Gate
 from repro.clifford.engine import stream_gates_over_suffix
@@ -45,7 +43,7 @@ from repro.core.commuting import commuting_block_bounds
 from repro.core.tree_synthesis import ColumnRowGuide, chain_tree_cost, synthesize_tree
 from repro.exceptions import SynthesisError
 from repro.paulis.columns import PauliColumns
-from repro.paulis.packed import PackedPauliTable
+from repro.paulis.packed import PackedPauliTable, apply_gate_to_words
 from repro.paulis.pauli import PauliString
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
@@ -97,7 +95,7 @@ def _conjugate_through_gates(pauli: PauliString, gates: Sequence[Gate]) -> Pauli
     z_words = pauli.z_words.reshape(1, -1).copy()
     phase = np.array([pauli.phase], dtype=np.int64)
     for gate in gates:
-        NUMPY.apply_gate_to_words(x_words, z_words, phase, gate)
+        apply_gate_to_words(x_words, z_words, phase, gate)
     return PauliString.from_words(
         pauli.num_qubits, x_words[0], z_words[0], int(phase[0]) % 4
     )
@@ -198,9 +196,8 @@ class CliffordExtractor:
         program's Paulis (row ``k`` = ``terms[k].pauli``, e.g. the table the
         grouping pass scanned) so they are not re-packed here; it is read,
         never mutated.  :class:`SparsePauliSum` input always uses the sum's
-        own store.  Whatever array backend the input lives on, it is
-        transposed to host bit columns once and the rest of the pass is
-        host-side.
+        own store.  The input is transposed to bit columns once and the
+        rest of the pass runs on them.
         """
         if isinstance(terms, SparsePauliSum):
             source_sum: SparsePauliSum | None = terms
@@ -240,7 +237,6 @@ class CliffordExtractor:
         # One column table for the whole pass: the program rows followed by
         # the 2n tableau generator rows, so every gate updates the remaining
         # program AND the conjugation tableau in the same column operation.
-        # The transpose to host columns is the pass's only array-backend work.
         columns = PauliColumns.from_table(base, generator_rows=True)
         x_columns, z_columns = columns.x, columns.z
 

@@ -48,15 +48,6 @@ class InvalidProgramError(CompilerError):
     """
 
 
-class ArrayBackendError(ReproError):
-    """Raised for unknown, unavailable, or misused array backends.
-
-    Covers a ``resolve_backend`` name with no registered factory, a backend
-    whose import dependency (e.g. CuPy) is absent from the environment, and
-    a ``REPRO_ARRAY_BACKEND`` value that names either of those.
-    """
-
-
 class WireFormatError(ReproError):
     """Raised for malformed or version-incompatible wire-format payloads."""
 

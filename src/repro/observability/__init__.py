@@ -22,6 +22,7 @@ from repro.observability.tracer import (
     SpanHandle,
     TraceContext,
     Tracer,
+    log_slow_request,
     merge_trace_spans,
     merge_trace_summaries,
     mint_span_id,
@@ -39,6 +40,7 @@ __all__ = [
     "SpanHandle",
     "TraceContext",
     "Tracer",
+    "log_slow_request",
     "merge_trace_spans",
     "merge_trace_summaries",
     "mint_span_id",

@@ -26,8 +26,10 @@ the ring buffer is the single source of truth for ``GET /trace/<id>`` and
 
 from __future__ import annotations
 
+import json
 import random
 import re
+import sys
 import threading
 import time
 import uuid
@@ -380,6 +382,48 @@ def merge_trace_summaries(summary_lists: "list[list[dict]]",
         combined.append(entry)
     combined.sort(key=lambda t: t["start_time"], reverse=True)
     return combined[: max(0, int(limit))]
+
+
+def log_slow_request(
+    telemetry,
+    counter: str,
+    source: "str | None",
+    tracer: Tracer,
+    method: str,
+    path: str,
+    status: int,
+    duration_ms: float,
+    threshold_ms: float,
+    trace_ctx: "TraceContext | None",
+) -> None:
+    """Count one over-threshold request and log it as a JSON line on stderr.
+
+    ``counter`` names the telemetry counter to bump and ``source``, when
+    given, tags the line with the layer that served it; a sampled request's
+    line also carries the durations of the spans its trace recorded in this
+    process.
+    """
+    telemetry.inc(counter)
+    record: dict = {"event": "slow_request"}
+    if source is not None:
+        record["source"] = source
+    record.update(
+        method=method,
+        path=path,
+        status=status,
+        duration_ms=round(duration_ms, 3),
+        threshold_ms=threshold_ms,
+        trace_id=trace_ctx.trace_id if trace_ctx is not None else None,
+    )
+    if trace_ctx is not None:
+        record["spans"] = [
+            {
+                "name": span["name"],
+                "duration_ms": round(span["duration_seconds"] * 1000.0, 3),
+            }
+            for span in tracer.trace(trace_ctx.trace_id)
+        ]
+    print(json.dumps(record, separators=(",", ":")), file=sys.stderr, flush=True)
 
 
 #: the process-global tracer every serving layer records into

@@ -192,10 +192,6 @@ class CompiledTemplate:
         self._metadata_base = metadata_base
         self._extraction_metadata = extraction_metadata
         self._always_fallback = bool(always_fallback)
-        #: array-backend spec for the full-compile fallback path; the fast
-        #: bind itself is host-side and backend-free (not serialized — a
-        #: restored template re-resolves at the serving process's defaults)
-        self._backend_spec = None
         #: pauli of each input term, materialized once and shared by every
         #: bind result's ``extraction.terms``
         self._row_paulis = (
@@ -330,12 +326,7 @@ class CompiledTemplate:
         )
 
     def _full_compile(self, array: np.ndarray) -> CompilationResult:
-        return _compile_concrete(
-            self.program.to_sum(array),
-            target=self.target,
-            level=self.level,
-            backend=self._backend_spec,
-        )
+        return _compile_concrete(self.program.to_sum(array), target=self.target, level=self.level)
 
     # ------------------------------------------------------------------ #
     # Wire-format reconstruction (see repro.service.serialize)
@@ -385,7 +376,6 @@ def compile_template(
     target: "Target | str | None" = None,
     level: int = MAX_OPTIMIZATION_LEVEL,
     pipeline=None,
-    backend=None,
 ) -> CompiledTemplate:
     """Run the preset pipeline once over a parametric program.
 
@@ -393,11 +383,7 @@ def compile_template(
     ``None`` or a fully-connected device (constrained-coupling routing is a
     per-binding rewrite the skeleton cannot carry, and is rejected), and
     ``pipeline`` must stay ``None`` — only the preset levels have the
-    angle-independence guarantee templates rely on.  ``backend`` selects the
-    array backend of the packed engine in full-compile fallbacks (explicit
-    argument > ``target.array_backend`` > ``REPRO_ARRAY_BACKEND`` > numpy);
-    the extraction trace itself runs on host columns, and the bound results
-    are bit-identical regardless, since binding replays a host-side skeleton.
+    angle-independence guarantee templates rely on.
     """
     if not isinstance(program, ParametricProgram):
         raise CompilerError(
@@ -422,10 +408,6 @@ def compile_template(
             f"{device.name!r} inserts SWAPs whose peephole interactions are "
             "re-derived per binding — compile without a target"
         )
-
-    backend_spec = backend
-    if backend_spec is None and device is not None:
-        backend_spec = device.array_backend
 
     num_terms = program.num_terms
     sentinel = np.arange(1, num_terms + 1, dtype=np.float64)
@@ -474,7 +456,6 @@ def compile_template(
         metadata_base={},
         extraction_metadata={},
     )
-    template._backend_spec = backend_spec
 
     _calibrate(template, device, level)
     return template
@@ -505,12 +486,7 @@ def _calibrate(template: CompiledTemplate, device: Target | None, level: int) ->
         template._always_fallback = True
         calibration = _generic_parameters(program.num_params, 0)
 
-    reference = _compile_concrete(
-        program.to_sum(calibration),
-        target=device,
-        level=level,
-        backend=template._backend_spec,
-    )
+    reference = _compile_concrete(program.to_sum(calibration), target=device, level=level)
     template.name = reference.name
     template._metadata_base = {
         key: value

@@ -14,7 +14,7 @@ a few thousand rows, where the per-call overhead of an array library
 dominates and a column XOR over every row costs well under a microsecond.
 
 The gate rules are the ones of
-:meth:`~repro.arrays.ArrayBackend.apply_gate_to_words` (explicit-phase
+:func:`~repro.paulis.packed.apply_gate_to_words` (explicit-phase
 convention, phase added modulo 4); the tests diff the two on random tables.
 """
 
@@ -33,13 +33,9 @@ if TYPE_CHECKING:
 
 
 def table_bits(table: PackedPauliTable) -> tuple[np.ndarray, np.ndarray]:
-    """Host boolean ``(rows, num_qubits)`` x and z matrices of a packed table."""
-    be = table.backend
+    """Boolean ``(rows, num_qubits)`` x and z matrices of a packed table."""
     n = table.num_qubits
-    return (
-        unpack_bits(be.to_numpy(table.x_words), n),
-        unpack_bits(be.to_numpy(table.z_words), n),
-    )
+    return unpack_bits(table.x_words, n), unpack_bits(table.z_words, n)
 
 
 def bit_planes(bits: np.ndarray) -> list[int]:
@@ -81,7 +77,7 @@ class PauliColumns:
     def from_table(
         cls, table: PackedPauliTable, generator_rows: bool = False
     ) -> "PauliColumns":
-        """Columns of ``table`` (any array backend), transposed on the host.
+        """Columns of ``table``, transposed from its packed words.
 
         With ``generator_rows`` the ``2n`` tableau generator rows are appended
         above the table's rows: row ``R + 2q`` is ``X_q`` and row
@@ -92,7 +88,7 @@ class PauliColumns:
         x_bits, z_bits = table_bits(table)
         x = bit_planes(x_bits.T)
         z = bit_planes(z_bits.T)
-        phases = table.backend.to_numpy(table.phases) % 4
+        phases = table.phases % 4
         p0, p1 = bit_planes(np.stack([phases & 1, phases >> 1]))
         total = rows
         if generator_rows:
@@ -108,7 +104,7 @@ class PauliColumns:
         return ((self.p0 >> row) & 1) | (((self.p1 >> row) & 1) << 1)
 
     def to_table(self, start: int = 0, stop: int | None = None) -> PackedPauliTable:
-        """Rows ``[start, stop)`` as a host :class:`PackedPauliTable`."""
+        """Rows ``[start, stop)`` as a :class:`PackedPauliTable`."""
         stop = self.num_rows if stop is None else stop
         count = stop - start
         x_bits = _unpack_planes(self.x, start, count).T

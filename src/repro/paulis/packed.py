@@ -15,12 +15,12 @@ operations per gate — one array expression covering *all* rows at once —
 instead of the legacy per-string, per-qubit Python loop.  The speedup is
 measured (not asserted) by ``benchmarks/bench_throughput.py``.
 
-The word arrays live on a pluggable :class:`~repro.arrays.ArrayBackend`
-(numpy by default, CuPy for device residency, a pure-Python reference for
-equivalence testing); every mutating method routes through
-``self.backend``.  Packing/unpacking between booleans and words is always
-host-side numpy — tables transfer with :meth:`PackedPauliTable.to_backend` /
-:meth:`PackedPauliTable.to_host`.
+The per-gate kernels (:func:`apply_gate_to_words`) and the masked
+basis-layer kernel (:func:`apply_basis_layer_to_words`) are plain numpy
+functions over raw word matrices, called directly by
+:class:`PackedPauliTable`, :class:`~repro.clifford.tableau.CliffordTableau`
+and the single-Pauli helper of :mod:`repro.core.extraction`.  Their ground
+truth is :mod:`repro.clifford.conjugation`.
 
 The packed layout assumes a little-endian host (x86-64, aarch64); the
 ``uint8 -> uint64`` reinterpretation in :func:`pack_bits` would permute bits
@@ -33,8 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.arrays import ArrayBackend, NUMPY, resolve_backend
-from repro.exceptions import PauliError
+from repro.exceptions import CliffordError, PauliError
 
 if TYPE_CHECKING:
     from repro.circuits.gate import Gate
@@ -42,6 +41,8 @@ if TYPE_CHECKING:
 
 #: qubits stored per machine word
 WORD_BITS = 64
+
+_ONE = np.uint64(1)
 
 
 def words_for_qubits(num_qubits: int) -> int:
@@ -74,6 +75,157 @@ def popcount_rows(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1).astype(np.int64)
 
 
+# ---------------------------------------------------------------------- #
+# Per-gate kernels: one vectorized expression per gate over every row.
+# Phases accumulate un-reduced (``int64`` has headroom for any realistic
+# circuit); callers fold them modulo 4 after a batch of gates.
+# ---------------------------------------------------------------------- #
+def _col(words: np.ndarray, word: int, shift: np.uint64) -> np.ndarray:
+    return ((words[:, word] >> shift) & _ONE).astype(np.int64)
+
+
+def _bit_position(qubit: int) -> tuple[int, np.uint64, np.uint64]:
+    shift = np.uint64(qubit & (WORD_BITS - 1))
+    return qubit >> 6, shift, _ONE << shift
+
+
+def _h(xw, zw, phases, qubit):
+    word, shift, mask = _bit_position(qubit)
+    phases += 2 * (((xw[:, word] & zw[:, word]) >> shift) & _ONE).astype(np.int64)
+    diff = (xw[:, word] ^ zw[:, word]) & mask
+    xw[:, word] ^= diff
+    zw[:, word] ^= diff
+
+
+def _s(xw, zw, phases, qubit):
+    word, shift, mask = _bit_position(qubit)
+    phases += _col(xw, word, shift)
+    zw[:, word] ^= xw[:, word] & mask
+
+
+def _sdg(xw, zw, phases, qubit):
+    word, shift, mask = _bit_position(qubit)
+    phases += 3 * _col(xw, word, shift)
+    zw[:, word] ^= xw[:, word] & mask
+
+
+def _sx(xw, zw, phases, qubit):
+    word, shift, mask = _bit_position(qubit)
+    phases += 3 * _col(zw, word, shift)
+    xw[:, word] ^= zw[:, word] & mask
+
+
+def _sxdg(xw, zw, phases, qubit):
+    word, shift, mask = _bit_position(qubit)
+    phases += _col(zw, word, shift)
+    xw[:, word] ^= zw[:, word] & mask
+
+
+def _x(xw, zw, phases, qubit):
+    word, shift, _ = _bit_position(qubit)
+    phases += 2 * _col(zw, word, shift)
+
+
+def _y(xw, zw, phases, qubit):
+    word, shift, _ = _bit_position(qubit)
+    phases += 2 * (((xw[:, word] ^ zw[:, word]) >> shift) & _ONE).astype(np.int64)
+
+
+def _z(xw, zw, phases, qubit):
+    word, shift, _ = _bit_position(qubit)
+    phases += 2 * _col(xw, word, shift)
+
+
+def _cx(xw, zw, phases, control, target):
+    # In the explicit-phase convention CNOT conjugation is phase-free.
+    cword, cshift, _ = _bit_position(control)
+    tword, tshift, _ = _bit_position(target)
+    xw[:, tword] ^= ((xw[:, cword] >> cshift) & _ONE) << tshift
+    zw[:, cword] ^= ((zw[:, tword] >> tshift) & _ONE) << cshift
+
+
+def _cz(xw, zw, phases, control, target):
+    cword, cshift, _ = _bit_position(control)
+    tword, tshift, _ = _bit_position(target)
+    x_control = (xw[:, cword] >> cshift) & _ONE
+    x_target = (xw[:, tword] >> tshift) & _ONE
+    phases += 2 * (x_control & x_target).astype(np.int64)
+    zw[:, cword] ^= x_target << cshift
+    zw[:, tword] ^= x_control << tshift
+
+
+def _swap(xw, zw, phases, qubit_a, qubit_b):
+    aword, ashift, _ = _bit_position(qubit_a)
+    bword, bshift, _ = _bit_position(qubit_b)
+    for words in (xw, zw):
+        diff = ((words[:, aword] >> ashift) ^ (words[:, bword] >> bshift)) & _ONE
+        words[:, aword] ^= diff << ashift
+        words[:, bword] ^= diff << bshift
+
+
+def _identity(xw, zw, phases, qubit):
+    return None
+
+
+_SINGLE_QUBIT_HANDLERS = {
+    "i": _identity,
+    "h": _h,
+    "s": _s,
+    "sdg": _sdg,
+    "sx": _sx,
+    "sxdg": _sxdg,
+    "x": _x,
+    "y": _y,
+    "z": _z,
+}
+
+_TWO_QUBIT_HANDLERS = {
+    "cx": _cx,
+    "cz": _cz,
+    "swap": _swap,
+}
+
+
+def apply_gate_to_words(
+    x_words: np.ndarray, z_words: np.ndarray, phases: np.ndarray, gate: "Gate"
+) -> None:
+    """Apply one Clifford gate in place to every packed row.
+
+    The rules mirror :mod:`repro.clifford.conjugation`, which the
+    equivalence tests hold as ground truth.  Phases are left un-reduced.
+    """
+    name = gate.name
+    handler = _SINGLE_QUBIT_HANDLERS.get(name)
+    if handler is not None:
+        handler(x_words, z_words, phases, gate.qubits[0])
+        return
+    handler = _TWO_QUBIT_HANDLERS.get(name)
+    if handler is not None:
+        handler(x_words, z_words, phases, gate.qubits[0], gate.qubits[1])
+        return
+    raise CliffordError(f"gate {gate.name!r} is not a supported Clifford gate")
+
+
+def apply_basis_layer_to_words(
+    x_words: np.ndarray, z_words: np.ndarray, phases: np.ndarray, y_mask, h_mask
+) -> None:
+    """Apply a whole masked ``sdg``/``h`` basis-change layer to every row.
+
+    ``y_mask`` selects the qubits receiving ``sdg`` and ``h_mask`` those
+    receiving ``h``, both as packed ``uint64`` qubit masks; gates on
+    distinct qubits commute, so the two masked sweeps are bit-identical to
+    streaming the per-qubit gates one at a time.  Phases are left un-reduced.
+    """
+    if np.any(y_mask):
+        phases += 3 * popcount_rows(x_words & y_mask)
+        z_words ^= x_words & y_mask
+    if np.any(h_mask):
+        phases += 2 * popcount_rows(x_words & z_words & h_mask)
+        diff = (x_words ^ z_words) & h_mask
+        x_words ^= diff
+        z_words ^= diff
+
+
 def conjugate_row_through_generators(
     gen_x: np.ndarray,
     gen_z: np.ndarray,
@@ -88,7 +240,7 @@ def conjugate_row_through_generators(
     ``gen_x`` / ``gen_z`` / ``gen_phases`` hold the ``2n`` packed generator
     images (row ``2q`` = image of ``X_q``, row ``2q + 1`` = image of ``Z_q``);
     the Pauli is given by its packed words plus its phase.  This is the
-    single-row host-side conjugation kernel shared by
+    single-row conjugation kernel shared by
     :meth:`repro.clifford.tableau.CliffordTableau.conjugate` and
     :meth:`repro.clifford.engine.PackedConjugator.conjugate` — the X image is
     folded in before the Z image per qubit, with a factor ``(-1)`` whenever a
@@ -118,22 +270,13 @@ class PackedPauliTable:
     The canonical store behind :class:`~repro.paulis.pauli.PauliString` /
     :class:`~repro.paulis.sum.SparsePauliSum` batches and the operand of the
     vectorized conjugation engine (:mod:`repro.clifford.engine`).  The arrays
-    are owned by the table, live on ``self.backend``, and are mutated in
-    place by the ``apply_*`` methods.
+    are owned by the table and mutated in place by the ``apply_*`` methods.
     """
 
-    __slots__ = ("num_qubits", "x_words", "z_words", "phases", "backend")
+    __slots__ = ("num_qubits", "x_words", "z_words", "phases")
 
-    def __init__(
-        self,
-        num_qubits: int,
-        x_words,
-        z_words,
-        phases,
-        backend: "str | ArrayBackend | None" = None,
-    ):
+    def __init__(self, num_qubits: int, x_words, z_words, phases):
         self.num_qubits = int(num_qubits)
-        self.backend = resolve_backend(backend)
         expected_words = words_for_qubits(self.num_qubits)
         if (
             x_words.ndim != 2
@@ -145,54 +288,37 @@ class PackedPauliTable:
                 f"inconsistent packed shapes: x{x_words.shape} z{z_words.shape} "
                 f"phases{phases.shape} for {self.num_qubits} qubits"
             )
-        be = self.backend
-        self.x_words = be.asarray_words(x_words)
-        self.z_words = be.asarray_words(z_words)
-        self.phases = be.mod(be.asarray_phases(phases), 4)
+        self.x_words = np.ascontiguousarray(x_words, dtype=np.uint64)
+        self.z_words = np.ascontiguousarray(z_words, dtype=np.uint64)
+        self.phases = np.asarray(phases, dtype=np.int64) % 4
 
     # ------------------------------------------------------------------ #
     # Constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def zeros(
-        cls, num_rows: int, num_qubits: int, backend: "str | ArrayBackend | None" = None
-    ) -> "PackedPauliTable":
+    def zeros(cls, num_rows: int, num_qubits: int) -> "PackedPauliTable":
         """A table of ``num_rows`` identity Paulis."""
         words = words_for_qubits(num_qubits)
-        be = resolve_backend(backend)
         return cls(
             num_qubits,
-            be.zeros_words(num_rows, words),
-            be.zeros_words(num_rows, words),
-            be.zeros_phases(num_rows),
-            backend=be,
+            np.zeros((num_rows, words), dtype=np.uint64),
+            np.zeros((num_rows, words), dtype=np.uint64),
+            np.zeros(num_rows, dtype=np.int64),
         )
 
     @classmethod
     def from_bool_arrays(
-        cls,
-        x: np.ndarray,
-        z: np.ndarray,
-        phases: Sequence[int] | np.ndarray,
-        backend: "str | ArrayBackend | None" = None,
+        cls, x: np.ndarray, z: np.ndarray, phases: Sequence[int] | np.ndarray
     ) -> "PackedPauliTable":
-        """Pack ``(rows, n)`` boolean component matrices (host-side packing)."""
+        """Pack ``(rows, n)`` boolean component matrices."""
         x = np.atleast_2d(np.asarray(x, dtype=bool))
         z = np.atleast_2d(np.asarray(z, dtype=bool))
         if x.shape != z.shape:
             raise PauliError("x and z must have identical shapes")
-        return cls(
-            x.shape[1],
-            pack_bits(x),
-            pack_bits(z),
-            np.asarray(phases, dtype=np.int64),
-            backend=backend,
-        )
+        return cls(x.shape[1], pack_bits(x), pack_bits(z), np.asarray(phases, dtype=np.int64))
 
     @classmethod
-    def from_paulis(
-        cls, paulis: Iterable["PauliString"], backend: "str | ArrayBackend | None" = None
-    ) -> "PackedPauliTable":
+    def from_paulis(cls, paulis: Iterable["PauliString"]) -> "PackedPauliTable":
         """Pack an iterable of :class:`PauliString` (all on the same register)."""
         pauli_list = list(paulis)
         if not pauli_list:
@@ -210,53 +336,19 @@ class PackedPauliTable:
             x_words[index] = pauli.x_words
             z_words[index] = pauli.z_words
             phases[index] = pauli.phase
-        return cls(num_qubits, x_words, z_words, phases, backend=backend)
+        return cls(num_qubits, x_words, z_words, phases)
 
     @classmethod
-    def from_labels(
-        cls, labels: Sequence[str], backend: "str | ArrayBackend | None" = None
-    ) -> "PackedPauliTable":
+    def from_labels(cls, labels: Sequence[str]) -> "PackedPauliTable":
         """Pack textual labels (convenience for tests and benchmarks)."""
         from repro.paulis.pauli import PauliString
 
-        return cls.from_paulis(
-            (PauliString.from_label(label) for label in labels), backend=backend
-        )
+        return cls.from_paulis(PauliString.from_label(label) for label in labels)
 
     def copy(self) -> "PackedPauliTable":
-        be = self.backend
         return PackedPauliTable(
-            self.num_qubits,
-            be.copy(self.x_words),
-            be.copy(self.z_words),
-            be.copy(self.phases),
-            backend=be,
+            self.num_qubits, self.x_words.copy(), self.z_words.copy(), self.phases.copy()
         )
-
-    # ------------------------------------------------------------------ #
-    # Backend transfer
-    # ------------------------------------------------------------------ #
-    def to_backend(self, backend: "str | ArrayBackend") -> "PackedPauliTable":
-        """This table's rows on ``backend`` (``self`` if already there)."""
-        target = resolve_backend(backend)
-        if target is self.backend:
-            return self
-        be = self.backend
-        return PackedPauliTable(
-            self.num_qubits,
-            be.to_numpy(self.x_words),
-            be.to_numpy(self.z_words),
-            be.to_numpy(self.phases),
-            backend=target,
-        )
-
-    def to_host(self) -> "PackedPauliTable":
-        """This table on the host numpy backend (``self`` if already there).
-
-        The synthesis boundary: gate emission, tableaus, and wire
-        serialization always operate on host tables.
-        """
-        return self.to_backend(NUMPY)
 
     # ------------------------------------------------------------------ #
     # Row access / unpacking
@@ -272,28 +364,26 @@ class PackedPauliTable:
         """Materialize row ``index`` as an independent :class:`PauliString`."""
         from repro.paulis.pauli import PauliString
 
-        be = self.backend
         return PauliString.from_words(
             self.num_qubits,
-            be.to_numpy(self.x_words[index]).copy(),
-            be.to_numpy(self.z_words[index]).copy(),
+            self.x_words[index].copy(),
+            self.z_words[index].copy(),
             int(self.phases[index]),
         )
 
     def row_view(self, index: int) -> "PauliString":
         """Row ``index`` as a :class:`PauliString` sharing this table's words.
 
-        No copy is made on host backends: the view is valid only until the
-        table mutates (``apply_*``), and the caller must treat it as
-        read-only.  Use :meth:`row` for an independent copy.
+        No copy is made: the view is valid only until the table mutates
+        (``apply_*``), and the caller must treat it as read-only.  Use
+        :meth:`row` for an independent copy.
         """
         from repro.paulis.pauli import PauliString
 
-        be = self.backend
         return PauliString.from_words(
             self.num_qubits,
-            be.to_numpy(self.x_words[index]),
-            be.to_numpy(self.z_words[index]),
+            self.x_words[index],
+            self.z_words[index],
             int(self.phases[index]) % 4,
         )
 
@@ -301,24 +391,21 @@ class PackedPauliTable:
         return [self.row(index) for index in range(self.num_rows)]
 
     def to_bool_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unpack into host ``(x, z, phases)`` boolean/int arrays."""
-        be = self.backend
+        """Unpack into ``(x, z, phases)`` boolean/int arrays."""
         return (
-            unpack_bits(be.to_numpy(self.x_words), self.num_qubits),
-            unpack_bits(be.to_numpy(self.z_words), self.num_qubits),
-            be.to_numpy(self.phases).copy(),
+            unpack_bits(self.x_words, self.num_qubits),
+            unpack_bits(self.z_words, self.num_qubits),
+            self.phases.copy(),
         )
 
     def select(self, indices: np.ndarray | Sequence[int]) -> "PackedPauliTable":
         """A new table holding the requested rows (in the given order)."""
         indices = np.asarray(indices)
-        be = self.backend
         return PackedPauliTable(
             self.num_qubits,
-            be.select_rows(self.x_words, indices),
-            be.select_rows(self.z_words, indices),
-            be.select_rows(self.phases, indices),
-            backend=be,
+            self.x_words[indices],
+            self.z_words[indices],
+            self.phases[indices],
         )
 
     # ------------------------------------------------------------------ #
@@ -327,9 +414,8 @@ class PackedPauliTable:
     def apply_gate(self, gate: "Gate") -> None:
         """Apply ``row -> g row g†`` in place to every row."""
         self._check_gate_fits(gate)
-        be = self.backend
-        be.apply_gate_to_words(self.x_words, self.z_words, self.phases, gate)
-        be.imod(self.phases, 4)
+        apply_gate_to_words(self.x_words, self.z_words, self.phases, gate)
+        self.phases %= 4
 
     def apply_circuit(self, circuit) -> None:
         """Conjugate every row through ``circuit`` in time order."""
@@ -338,11 +424,10 @@ class PackedPauliTable:
                 f"circuit acts on {circuit.num_qubits} qubits, "
                 f"table holds {self.num_qubits}-qubit Paulis"
             )
-        be = self.backend
         xw, zw, phases = self.x_words, self.z_words, self.phases
         for gate in circuit:
-            be.apply_gate_to_words(xw, zw, phases, gate)
-        be.imod(phases, 4)
+            apply_gate_to_words(xw, zw, phases, gate)
+        phases %= 4
 
     def _check_gate_fits(self, gate: "Gate") -> None:
         for qubit in gate.qubits:
@@ -361,66 +446,53 @@ class PackedPauliTable:
         One whole-column bitwise expression per gate covering every selected
         row at once; phases are folded modulo 4 after the batch.
         """
-        be = self.backend
         xw = self.x_words[start:stop]
         zw = self.z_words[start:stop]
         phases = self.phases[start:stop]
         for gate in gates:
-            be.apply_gate_to_words(xw, zw, phases, gate)
-        be.imod(phases, 4)
+            apply_gate_to_words(xw, zw, phases, gate)
+        phases %= 4
 
     def apply_basis_layer(
         self, y_mask, h_mask, start: int = 0, stop: int | None = None
     ) -> None:
         """Apply a masked ``sdg``/``h`` basis-change layer to rows ``[start, stop)``."""
-        be = self.backend
         phases = self.phases[start:stop]
-        be.apply_basis_layer_to_words(
+        apply_basis_layer_to_words(
             self.x_words[start:stop], self.z_words[start:stop], phases, y_mask, h_mask
         )
-        be.imod(phases, 4)
+        phases %= 4
 
     # ------------------------------------------------------------------ #
     # Vectorized row metrics
     # ------------------------------------------------------------------ #
-    def weights(self, start: int = 0, stop: int | None = None):
+    def weights(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Per-row count of non-identity single-qubit factors in ``[start, stop)``."""
-        be = self.backend
-        return be.popcount_rows(be.bor(self.x_words[start:stop], self.z_words[start:stop]))
+        return popcount_rows(self.x_words[start:stop] | self.z_words[start:stop])
 
     def argsort_weights(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Indices (relative to ``start``) ordering rows ``[start, stop)`` by weight.
 
         The sort is stable, so equal-weight rows keep their program order.
         """
-        return self.backend.argsort_stable(self.weights(start, stop))
+        return np.argsort(self.weights(start, stop), kind="stable")
 
-    def num_y(self):
+    def num_y(self) -> np.ndarray:
         """Per-row count of ``Y`` factors (``x & z`` bits)."""
-        be = self.backend
-        return be.popcount_rows(be.band(self.x_words, self.z_words))
+        return popcount_rows(self.x_words & self.z_words)
 
     def hermitian_mask(self) -> np.ndarray:
         """Boolean mask of rows equal to a real-signed ``I/X/Y/Z`` string."""
-        be = self.backend
-        phases = be.to_numpy(self.phases)
-        num_y = be.to_numpy(self.num_y())
-        return ((phases - num_y) % 2) == 0
+        return ((self.phases - self.num_y()) % 2) == 0
 
     def signs(self) -> np.ndarray:
         """Per-row label-form sign exponents: ``i**sign_exponent``, modulo 4."""
-        be = self.backend
-        return (be.to_numpy(self.phases) - be.to_numpy(self.num_y())) % 4
+        return (self.phases - self.num_y()) % 4
 
     def bare(self) -> "PackedPauliTable":
         """A copy with every row's phase reset so its label sign is ``+1``."""
-        be = self.backend
         return PackedPauliTable(
-            self.num_qubits,
-            be.copy(self.x_words),
-            be.copy(self.z_words),
-            self.num_y(),
-            backend=be,
+            self.num_qubits, self.x_words.copy(), self.z_words.copy(), self.num_y()
         )
 
     def anticommutation_with_row(
@@ -429,22 +501,17 @@ class PackedPauliTable:
         """Boolean mask: which rows in ``[start, stop)`` anticommute with the
         Pauli given by packed words ``(x_row, z_row)``."""
         stop = self.num_rows if stop is None else stop
-        be = self.backend
-        overlap = be.popcount_rows(
-            be.bxor(
-                be.band(self.x_words[start:stop], z_row),
-                be.band(self.z_words[start:stop], x_row),
-            )
+        overlap = popcount_rows(
+            (self.x_words[start:stop] & z_row) ^ (self.z_words[start:stop] & x_row)
         )
-        return (be.to_numpy(overlap) & 1).astype(bool)
+        return (overlap & 1).astype(bool)
 
     def row_key(self, index: int) -> tuple[bytes, bytes]:
         """Hashable symplectic key (phase excluded) for row ``index``."""
-        be = self.backend
-        return (be.tobytes(self.x_words[index]), be.tobytes(self.z_words[index]))
+        return (self.x_words[index].tobytes(), self.z_words[index].tobytes())
 
     def __repr__(self) -> str:
         return (
             f"PackedPauliTable(rows={self.num_rows}, num_qubits={self.num_qubits}, "
-            f"words={self.x_words.shape[1]}, backend={self.backend.name!r})"
+            f"words={self.x_words.shape[1]})"
         )

@@ -19,6 +19,7 @@ import argparse
 import asyncio
 import contextlib
 import os
+import signal
 import sys
 
 from repro.observability import DEFAULT_CAPACITY, DEFAULT_SAMPLE_RATE, TRACER
@@ -160,7 +161,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def _serve(server) -> None:
+    from repro.service.fleet import FleetFront
+
     await server.start()
+    if isinstance(server, FleetFront):
+        # SIGTERM cancels the serve task so the ``finally`` below runs and the
+        # front terminates its workers instead of orphaning them.  A single
+        # server keeps the default (exit at once): the front's restart and
+        # respawn paths count on a terminated worker dropping its sockets.
+        with contextlib.suppress(NotImplementedError):  # no signal support
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, asyncio.current_task().cancel
+            )
     print(f"repro.service listening on {server.address}", flush=True)
     try:
         await server.serve_forever()

@@ -133,13 +133,9 @@ def cache_key(
         coefficients = np.array([term.coefficient for term in program], dtype=float)
     digest = hashlib.sha256()
     digest.update(f"repro-artifact/v1:{table.num_qubits}:{table.num_rows}".encode())
-    # hash host bytes so the key is independent of the array backend the
-    # table happens to live on — a numpy and a cupy view of one program must
-    # resolve to the same artifact
-    be = table.backend
-    digest.update(np.ascontiguousarray(be.to_numpy(table.x_words), dtype="<u8").tobytes())
-    digest.update(np.ascontiguousarray(be.to_numpy(table.z_words), dtype="<u8").tobytes())
-    digest.update(np.ascontiguousarray(be.to_numpy(table.phases) % 4, dtype="<i8").tobytes())
+    digest.update(np.ascontiguousarray(table.x_words, dtype="<u8").tobytes())
+    digest.update(np.ascontiguousarray(table.z_words, dtype="<u8").tobytes())
+    digest.update(np.ascontiguousarray(table.phases % 4, dtype="<i8").tobytes())
     digest.update(np.ascontiguousarray(coefficients, dtype="<f8").tobytes())
     digest.update(target_fingerprint(target).encode())
     digest.update(b"|")
@@ -171,10 +167,9 @@ def template_cache_key(
         f"repro-template/v1:{table.num_qubits}:{table.num_rows}:"
         f"{program.num_params}".encode()
     )
-    be = table.backend
-    digest.update(np.ascontiguousarray(be.to_numpy(table.x_words), dtype="<u8").tobytes())
-    digest.update(np.ascontiguousarray(be.to_numpy(table.z_words), dtype="<u8").tobytes())
-    digest.update(np.ascontiguousarray(be.to_numpy(table.phases) % 4, dtype="<i8").tobytes())
+    digest.update(np.ascontiguousarray(table.x_words, dtype="<u8").tobytes())
+    digest.update(np.ascontiguousarray(table.z_words, dtype="<u8").tobytes())
+    digest.update(np.ascontiguousarray(table.phases % 4, dtype="<i8").tobytes())
     digest.update(np.ascontiguousarray(program.slots, dtype="<i8").tobytes())
     digest.update(np.ascontiguousarray(program.scales, dtype="<f8").tobytes())
     digest.update(target_fingerprint(target).encode())

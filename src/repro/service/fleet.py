@@ -59,6 +59,7 @@ from repro.observability import (
     DEFAULT_SAMPLE_RATE,
     TRACER,
     TraceContext,
+    log_slow_request,
     merge_trace_spans,
     merge_trace_summaries,
     mint_span_id,
@@ -556,8 +557,10 @@ class FleetFront:
                 )
                 duration_ms = (time.perf_counter() - started_perf) * 1000.0
                 if self.slow_request_ms > 0 and duration_ms >= self.slow_request_ms:
-                    self._log_slow_request(
-                        method, path.split("?", 1)[0], status, duration_ms, trace_ctx
+                    log_slow_request(
+                        self.telemetry, "fleet.slow_requests", "fleet-front", self.tracer,
+                        method, path.split("?", 1)[0], status, duration_ms,
+                        self.slow_request_ms, trace_ctx,
                     )
                 if not keep_alive:
                     break
@@ -1044,36 +1047,6 @@ class FleetFront:
             [self.tracer.traces(limit), *worker_summaries], limit=limit
         )
         return self._encode(200, {"traces": merged})
-
-    def _log_slow_request(
-        self,
-        method: str,
-        path: str,
-        status: int,
-        duration_ms: float,
-        trace_ctx: "TraceContext | None",
-    ) -> None:
-        """One structured JSON line to stderr per over-threshold request."""
-        self.telemetry.inc("fleet.slow_requests")
-        record: dict = {
-            "event": "slow_request",
-            "source": "fleet-front",
-            "method": method,
-            "path": path,
-            "status": status,
-            "duration_ms": round(duration_ms, 3),
-            "threshold_ms": self.slow_request_ms,
-            "trace_id": trace_ctx.trace_id if trace_ctx is not None else None,
-        }
-        if trace_ctx is not None:
-            record["spans"] = [
-                {
-                    "name": span["name"],
-                    "duration_ms": round(span["duration_seconds"] * 1000.0, 3),
-                }
-                for span in self.tracer.trace(trace_ctx.trace_id)
-            ]
-        print(json.dumps(record, separators=(",", ":")), file=sys.stderr, flush=True)
 
     async def _fleet_restart(self) -> "tuple[int, bytes]":
         """Rolling draining restart of every worker, one at a time."""

@@ -112,14 +112,11 @@ def decode_array(payload: dict, dtype: str) -> np.ndarray:
 
 
 def _packed_table_fields(table: PackedPauliTable) -> dict:
-    # the wire format is host bytes regardless of which array backend the
-    # table lives on (encode_array only understands numpy arrays)
-    be = table.backend
     return {
         "num_qubits": table.num_qubits,
-        "x_words": encode_array(be.to_numpy(table.x_words), "<u8"),
-        "z_words": encode_array(be.to_numpy(table.z_words), "<u8"),
-        "phases": encode_array(be.to_numpy(table.phases), "<i8"),
+        "x_words": encode_array(table.x_words, "<u8"),
+        "z_words": encode_array(table.z_words, "<u8"),
+        "phases": encode_array(table.phases, "<i8"),
     }
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import sys
 import threading
 import time
 from collections import OrderedDict
@@ -55,6 +54,7 @@ from repro.observability import (
     DEFAULT_SAMPLE_RATE,
     TRACER,
     TraceContext,
+    log_slow_request,
     render_prometheus,
 )
 from repro.service import faults
@@ -469,37 +469,11 @@ class ServiceServer:
         await self._respond(writer, status, payload, keep_alive, response_headers)
         duration_ms = (time.perf_counter() - started_perf) * 1000.0
         if self.slow_request_ms > 0 and duration_ms >= self.slow_request_ms:
-            self._log_slow_request(method, bare_path, status, duration_ms, trace_ctx)
+            log_slow_request(
+                self.telemetry, "service.slow_requests", None, self.tracer,
+                method, bare_path, status, duration_ms, self.slow_request_ms, trace_ctx,
+            )
         return keep_alive
-
-    def _log_slow_request(
-        self,
-        method: str,
-        path: str,
-        status: int,
-        duration_ms: float,
-        trace_ctx: "TraceContext | None",
-    ) -> None:
-        """One structured JSON line to stderr per over-threshold request."""
-        self.telemetry.inc("service.slow_requests")
-        record: dict = {
-            "event": "slow_request",
-            "method": method,
-            "path": path,
-            "status": status,
-            "duration_ms": round(duration_ms, 3),
-            "threshold_ms": self.slow_request_ms,
-            "trace_id": trace_ctx.trace_id if trace_ctx is not None else None,
-        }
-        if trace_ctx is not None:
-            record["spans"] = [
-                {
-                    "name": span["name"],
-                    "duration_ms": round(span["duration_seconds"] * 1000.0, 3),
-                }
-                for span in self.tracer.trace(trace_ctx.trace_id)
-            ]
-        print(json.dumps(record, separators=(",", ":")), file=sys.stderr, flush=True)
 
     async def _respond(
         self,

@@ -14,8 +14,7 @@ Jordan–Wigner structure of molecular Hamiltonians:
 * two-electron strings of weight four mixing ``X``/``Y`` on four orbitals with
   a ``Z`` chain in between,
 
-drawn until the published term count for each molecule is reached.  The
-substitution is recorded in ``DESIGN.md``.
+drawn until the published term count for each molecule is reached.
 """
 
 from __future__ import annotations

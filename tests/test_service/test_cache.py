@@ -442,3 +442,63 @@ class TestIndexDrift:
         cache.put(key, repro.compile(terms, level=3))
         cache._object_path(key).unlink()
         assert cache.stats()["index_drift"] == 1
+
+
+class TestUpgradeCompat:
+    """Cache directories written by earlier releases keep serving hits.
+
+    ``data/legacy_artifact.json.gz`` is an artifact file exactly as the
+    release before the array-backend removal wrote it for ``LEGACY_TERMS``;
+    its metadata still carries the backend-name field that compiles no
+    longer record.  The pinned key is the one that release computed for the
+    same program, so a key-derivation change cannot slip through unnoticed.
+    """
+
+    LEGACY_TERMS = [
+        ("XYZI", 0.25),
+        ("ZZII", -0.5),
+        ("IXXY", 1.125),
+    ]
+    LEGACY_KEY = "9a4af4c46dbb048d56743bfedaf7ed03b0a2683851f9bbd922a375006fb864a9"
+
+    @classmethod
+    def legacy_terms(cls):
+        return [repro.PauliTerm.from_label(label, angle) for label, angle in cls.LEGACY_TERMS]
+
+    @staticmethod
+    def legacy_bytes() -> bytes:
+        import gzip
+
+        path = Path(__file__).parent / "data" / "legacy_artifact.json.gz"
+        return gzip.decompress(path.read_bytes())
+
+    def test_cache_key_is_pinned(self):
+        terms = self.legacy_terms()
+        assert cache_key(terms) == self.LEGACY_KEY
+        assert cache_key(SparsePauliSum(terms)) == self.LEGACY_KEY
+
+    def test_legacy_artifact_decodes(self):
+        from repro.service.serialize import result_from_wire
+
+        legacy = result_from_wire(json.loads(self.legacy_bytes()))
+        fresh = repro.compile(self.legacy_terms())
+        assert legacy.circuit == fresh.circuit
+        assert legacy.extracted_clifford == fresh.extracted_clifford
+        assert (
+            legacy.extraction.conjugation.content_key()
+            == fresh.extraction.conjugation.content_key()
+        )
+        # exactly one metadata field more than a fresh compile: the
+        # backend name the removed layer used to stamp
+        assert len(set(legacy.metadata) - set(fresh.metadata)) == 1
+        assert set(fresh.metadata) <= set(legacy.metadata)
+
+    def test_legacy_artifact_is_a_cache_hit(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "upgraded")
+        key = cache.key_for(self.legacy_terms())
+        cache._object_path(key).write_bytes(self.legacy_bytes())
+        result = cache.get(key)
+        assert result is not None
+        assert cache.stats()["disk_hits"] == 1
+        assert cache.quarantine_entries() == 0
+        assert result.circuit == repro.compile(self.legacy_terms()).circuit

@@ -3,6 +3,14 @@
 import collections
 import http.client
 import json
+import os
+import re
+import shutil
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,3 +185,57 @@ class TestFleetLifecycle:
         stats = fleet.stats()
         assert all(entry["alive"] for entry in stats["workers"].values())
         assert fleet.telemetry.counter("fleet.worker_deaths") >= 1
+
+
+def _child_pids(pid: int) -> "list[int]":
+    listed = subprocess.run(["pgrep", "-P", str(pid)], capture_output=True, text=True)
+    return [int(token) for token in listed.stdout.split()]
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    with_state = stat.read_text() if stat.exists() else ""
+    # an unreaped zombie has exited: it can no longer serve or hold a port
+    return ") Z " not in with_state
+
+
+@pytest.mark.skipif(
+    os.name != "posix" or shutil.which("pgrep") is None,
+    reason="SIGTERM delivery and pgrep are POSIX-only",
+)
+def test_sigterm_on_the_front_terminates_its_workers(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    front = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.service", "--workers", "1", "--port", "0",
+            "--cache-dir", str(tmp_path / "cache"), "--sweep-interval", "0",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    workers: "list[int]" = []
+    try:
+        line = front.stdout.readline()
+        assert re.search(r"listening on http://", line), line
+        workers = _child_pids(front.pid)
+        assert len(workers) == 1, workers
+        front.send_signal(signal.SIGTERM)
+        assert front.wait(timeout=15) == 0, front.stdout.read()
+        deadline = time.monotonic() + 15
+        while _alive(workers[0]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(workers[0]), f"worker {workers[0]} outlived its front"
+    finally:
+        if front.poll() is None:
+            front.kill()
+            front.wait()
+        for pid in workers:  # never leak a worker past a failed assertion
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

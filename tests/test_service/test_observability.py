@@ -334,14 +334,26 @@ class TestServerTracing:
 
 
 class TestSlowRequestLog:
-    def test_slow_request_emits_structured_line(self, tmp_path, capfd):
-        server = ServiceServer(
-            cache=ArtifactCache(str(tmp_path / "cache")),
-            window_seconds=0.001,
-            trace_sample=0.0,
-            slow_request_ms=0.0001,  # everything is "slow"
-        )
-        with run_server_in_thread(server):
+    @pytest.mark.parametrize("layer", ["server", "fleet"])
+    def test_slow_request_emits_structured_line(self, tmp_path, capfd, layer):
+        if layer == "server":
+            server = ServiceServer(
+                cache=ArtifactCache(str(tmp_path / "cache")),
+                window_seconds=0.001,
+                trace_sample=0.0,
+                slow_request_ms=0.0001,  # everything is "slow"
+            )
+            counter, source = "service.slow_requests", None
+        else:
+            server = FleetFront(
+                workers=1,
+                cache_dir=str(tmp_path / "cache"),
+                worker_args=["--window-ms", "1", "--sweep-interval", "0"],
+                trace_sample=0.0,
+                slow_request_ms=0.0001,
+            )
+            counter, source = "fleet.slow_requests", "fleet-front"
+        with run_server_in_thread(server, startup_timeout=90.0):
             with Client(port=server.port, trace=True) as client:
                 client.healthz()
                 trace_id = client.last_trace_id
@@ -351,11 +363,14 @@ class TestSlowRequestLog:
             if line.startswith("{") and '"slow_request"' in line
         ]
         record = next(r for r in lines if r["trace_id"] == trace_id)
+        assert record.get("source") == source
         assert record["path"] == "/healthz"
         assert record["status"] == 200
         assert record["duration_ms"] >= 0
-        assert any(span["name"] == "server.handle" for span in record["spans"])
-        assert server.telemetry.counter("service.slow_requests") >= 1
+        assert isinstance(record["spans"], list)
+        if layer == "server":
+            assert any(span["name"] == "server.handle" for span in record["spans"])
+        assert server.telemetry.counter(counter) >= 1
 
 
 # ---------------------------------------------------------------------- #
