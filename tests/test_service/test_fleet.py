@@ -236,6 +236,7 @@ def test_sigterm_on_the_front_terminates_its_workers(tmp_path):
         if front.poll() is None:
             front.kill()
             front.wait()
+        front.stdout.close()
         for pid in workers:  # never leak a worker past a failed assertion
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
