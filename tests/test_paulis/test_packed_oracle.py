@@ -16,16 +16,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.circuits.gate import Gate
 from repro.clifford.conjugation import conjugate_pauli_by_gate
 from repro.clifford.engine import PackedConjugator
-from repro.paulis.packed import PackedPauliTable, pack_bits
+from repro.exceptions import CliffordError
+from repro.paulis.packed import PackedPauliTable, apply_gate_to_words, pack_bits
 
-from tests.conftest import random_clifford_circuit, random_pauli
+from tests.conftest import random_clifford_circuit, random_pauli, random_pauli_terms
 
 REGISTERS = [3, 64, 70, 129]
 GATES_1Q = ["i", "h", "s", "sdg", "sx", "sxdg", "x", "y", "z"]
 GATES_2Q = ["cx", "cz", "swap"]
+INVERSES = {"s": "sdg", "sdg": "s", "sx": "sxdg", "sxdg": "sx"}
 
 
 # ---------------------------------------------------------------------- #
@@ -147,6 +150,35 @@ def test_apply_gate_matches_oracle(rng, num_qubits):
 
 
 @pytest.mark.parametrize("num_qubits", REGISTERS)
+@pytest.mark.parametrize("name", GATES_1Q + GATES_2Q)
+def test_gate_kernel_matches_oracle(rng, name, num_qubits):
+    """One raw word kernel on row-slice views, at the low, word-edge and top qubits."""
+    table = random_table(rng, num_qubits)
+    rows = oracle_rows(table)
+    top = num_qubits - 1
+    edges = sorted({q for q in (0, 63, 64, top) if q <= top})
+    if name in GATES_2Q:
+        placements = [(a, b) for a in edges for b in edges if a != b]
+    else:
+        placements = [(q,) for q in edges]
+    x_words, z_words, phases = table.x_words, table.z_words, table.phases
+    for qubits in placements:
+        gate = Gate(name, qubits)
+        apply_gate_to_words(x_words[2:], z_words[2:], phases[2:], gate)
+        for row in rows[2:]:
+            oracle_apply_gate(row, gate)
+        assert_matches_oracle(table, rows, gate)
+
+
+def test_gate_kernel_rejects_non_clifford(rng):
+    table = random_table(rng, 3, num_rows=2)
+    before = oracle_rows(table)
+    with pytest.raises(CliffordError, match="'rz'"):
+        apply_gate_to_words(table.x_words, table.z_words, table.phases, Gate("rz", (1,), (0.5,)))
+    assert oracle_rows(table) == before
+
+
+@pytest.mark.parametrize("num_qubits", REGISTERS)
 def test_apply_basis_layer_matches_oracle(rng, num_qubits):
     table = random_table(rng, num_qubits)
     rows = oracle_rows(table)
@@ -212,3 +244,22 @@ def test_row_metrics_match_oracle(rng, num_qubits):
     for i, (xi, zi, _) in enumerate(rows):
         for j, (xj, zj, _) in enumerate(rows):
             assert (keys[i] == keys[j]) == ((xi, zi) == (xj, zj))
+
+
+@pytest.mark.parametrize("num_qubits", [3, 66])
+@pytest.mark.parametrize("level", [2, 3])
+def test_extracted_conjugation_matches_oracle(rng, level, num_qubits):
+    """A compile's frozen map is ``P -> U_CL† P U_CL`` for its extracted tail."""
+    result = repro.compile(random_pauli_terms(rng, num_qubits, 16), level=level)
+    tableau = result.extraction.conjugation
+    assert isinstance(tableau.packed_rows().x_words, np.ndarray)
+    assert tableau.packed_rows().x_words.dtype == np.uint64
+    table = random_table(rng, num_qubits)
+    rows = oracle_rows(table)
+    for gate in reversed(list(result.extracted_clifford)):
+        inverse = Gate(INVERSES.get(gate.name, gate.name), gate.qubits)
+        for row in rows:
+            oracle_apply_gate(row, inverse)
+    assert_matches_oracle(tableau.conjugate_table(table), rows, "tableau")
+    conjugator = PackedConjugator.from_tableau(tableau)
+    assert_matches_oracle(conjugator.conjugate_table(table), rows, "conjugator")
