@@ -44,7 +44,10 @@ the same workload: one-time template compilation, per-binding replay
 latency, the ``bind_speedup`` ratio against a from-scratch level-3 compile
 of the identical bound program, and single-client ``POST /bind`` HTTP
 throughput (``bind_requests_per_sec``, also copied into the ``service``
-block).  ``bind_speedup`` and ``bind_requests_per_sec`` are strict-gated.
+block).  ``bind_seconds`` (a ceiling, at the reference host speed of
+``perfbench/calibrate.py``) and ``bind_requests_per_sec`` are strict-gated;
+``bind_speedup`` is reported only, because it falls whenever the cold
+compile gets faster.
 
 The ``service_load`` block delegates to :mod:`bench_service_load` — the
 open-loop Poisson load harness — at a small fixed offered rate:
@@ -84,6 +87,11 @@ from repro.workloads.registry import (
     benchmark_names,
     get_benchmark,
 )
+
+# the end-to-end benchmark's host-speed kernel, so the bind ceiling is gated
+# at the same reference speed as perfbench's figures
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+from calibrate import at_reference, kernel  # noqa: E402
 
 SCHEMA = "repro-bench-throughput/v1"
 
@@ -243,15 +251,34 @@ def bench_service(http_requests: int = 50) -> dict:
     }
 
 
+def _bind_seconds_at_reference(bind, rounds: int = 50, binds_per_round: int = 10):
+    """Best bind time at the reference host speed, and the raw best.
+
+    The calibration kernel of ``perfbench/calibrate.py`` is timed before
+    each round of binds, and the best bind is converted with the best
+    kernel time.  Both minima see the host at its quietest moment of the
+    same half second, so a slower host moves them together; a median kernel
+    would mix a typical host with a best-case bind.
+    """
+    kernels, binds = [], []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        kernel()
+        kernels.append(time.perf_counter() - start)
+        binds.append(_best_of(bind, binds_per_round))
+    raw = min(binds)
+    return at_reference(raw, min(kernels)), raw
+
+
 def bench_parametric(http_requests: int = 200) -> dict:
     """One-time template compilation vs. per-binding replay on H2O.
 
     Measures the tentpole claim of :mod:`repro.parametric`: tracing the
     preset pipeline once (``template_compile_seconds``) turns every
-    subsequent angle binding into a microsecond replay (``bind_seconds``),
-    ``bind_speedup`` being the ratio against a from-scratch level-3 compile
-    of the identical bound program — same machine, so machine-independent
-    like ``speedup``.  ``bind_requests_per_sec`` is single-client HTTP
+    subsequent angle binding into a microsecond replay (``bind_seconds`` at
+    the reference host speed, ``bind_seconds_raw`` as measured),
+    ``bind_speedup`` being the raw ratio against a from-scratch level-3
+    compile of the identical bound program.  ``bind_requests_per_sec`` is single-client HTTP
     throughput of ``POST /bind`` against the server's cached template (the
     request is served inline on the event loop, never the batching window).
     """
@@ -272,7 +299,9 @@ def bench_parametric(http_requests: int = 200) -> dict:
     cold_seconds = _best_of(
         lambda: repro.compile(program.to_sum(params), level=3), 3
     )
-    bind_seconds = _best_of(lambda: template.bind(params), 200)
+    bind_seconds, bind_seconds_raw = _bind_seconds_at_reference(
+        lambda: template.bind(params)
+    )
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-parametric-") as cache_dir:
         server = ServiceServer(cache=ArtifactCache(cache_dir), window_seconds=0.001)
@@ -303,7 +332,10 @@ def bench_parametric(http_requests: int = 200) -> dict:
         "template_compile_seconds": template_seconds,
         "cold_compile_seconds": cold_seconds,
         "bind_seconds": bind_seconds,
-        "bind_speedup": cold_seconds / bind_seconds if bind_seconds > 0 else 0.0,
+        "bind_seconds_raw": bind_seconds_raw,
+        "bind_speedup": (
+            cold_seconds / bind_seconds_raw if bind_seconds_raw > 0 else 0.0
+        ),
         "fallback_binds": template.fallback_binds,
         "http_bind_requests": http_requests,
         "bind_requests_per_sec": (
@@ -442,7 +474,8 @@ def main(argv: list[str] | None = None) -> int:
             ]
         print(
             f"    template {report['parametric']['template_compile_seconds'] * 1e3:.1f}ms | "
-            f"bind {report['parametric']['bind_seconds'] * 1e6:.0f}us "
+            f"bind {report['parametric']['bind_seconds_raw'] * 1e6:.0f}us "
+            f"({report['parametric']['bind_seconds'] * 1e6:.0f}us at reference) "
             f"({report['parametric']['bind_speedup']:.0f}x vs cold) | "
             f"{report['parametric']['bind_requests_per_sec']:.0f} bind req/s",
             flush=True,

@@ -28,7 +28,6 @@ from repro.exceptions import CompilerError
 from repro.paulis.packed import PackedPauliTable
 from repro.paulis.term import PauliTerm
 from repro.synthesis.trotter import synthesize_trotter_circuit
-from repro.transpile.peephole import peephole_optimize
 from repro.transpile.routing import route_circuit
 from repro.transpile.wire_optimizer import streaming_peephole_optimize
 
@@ -182,31 +181,18 @@ class NaiveSynthesis(Pass):
 class Peephole(Pass):
     """Local rewriting: inverse-pair cancellation and rotation merging.
 
-    ``engine="streaming"`` (the default) runs the wire-indexed
+    Runs the wire-indexed
     :class:`~repro.transpile.wire_optimizer.GateStreamOptimizer` — one
     amortized-linear pass, no iteration cap — and skips entirely when the
     upstream synthesis already streamed its emission through the optimizer
-    (``program.metadata["peephole_fixpoint"]``).  ``engine="legacy"`` runs
-    the iterated ground-truth sweeps of
-    :func:`~repro.transpile.peephole.peephole_optimize`.
+    (``program.metadata["peephole_fixpoint"]``).  The iterated ground-truth
+    sweeps (:func:`~repro.transpile.peephole.peephole_optimize`) are an
+    oracle for tests, not a pipeline stage.
     """
-
-    _ENGINES = ("streaming", "legacy")
-
-    def __init__(self, max_iterations: int = 20, engine: str = "streaming"):
-        if engine not in self._ENGINES:
-            raise CompilerError(
-                f"peephole engine must be one of {self._ENGINES}, got {engine!r}"
-            )
-        self.max_iterations = max_iterations
-        self.engine = engine
 
     def run(self, program: Program, context: PassContext) -> None:
         circuit = self._require_circuit(program)
         program.metadata.setdefault("pre_optimization_cx", circuit.cx_count())
-        if self.engine == "legacy":
-            program.circuit = peephole_optimize(circuit, max_iterations=self.max_iterations)
-            return
         if program.metadata.get("peephole_fixpoint"):
             # emission-fused: the circuit was built through the streaming
             # optimizer, re-running it would be a no-op by construction

@@ -204,6 +204,18 @@ class CompilePool:
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
 
+    def terminate(self) -> None:
+        """Kill the worker processes now: no join, no lock.
+
+        For a SIGTERM handler on its way out of the process, where
+        :meth:`shutdown` could wait on busy workers or on the lock the
+        interrupted thread holds.  The pool may be revived afterwards.
+        """
+        # ProcessPoolExecutor keeps its live workers in ``_processes``
+        processes = getattr(self._executor, "_processes", None) or {}
+        for process in list(processes.values()):
+            process.terminate()
+
     def __enter__(self) -> "CompilePool":
         return self
 

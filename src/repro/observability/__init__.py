@@ -5,6 +5,11 @@ cannot tell: every serving layer records named spans into the process-global
 :data:`TRACER` ring buffer, stitched across the fleet by ``GET /trace/<id>``,
 and :func:`render_prometheus` exposes the existing ``/metrics`` payloads in
 the standard text format scrapers understand.
+
+The two meet in one place: ``TRACER.span(ctx, name, telemetry=...,
+histogram=...)`` (a :class:`SpanHandle`) times a region once, observes the
+``/metrics`` histogram and, when ``ctx`` is sampled, records the span with
+the same duration.
 """
 
 from repro.observability.prometheus import (

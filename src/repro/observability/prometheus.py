@@ -95,24 +95,13 @@ def render_prometheus(sources: "list[tuple[dict, dict]]") -> str:
                 name += "_total"
             family(name, "counter").samples.append((labels, float(value)))
         for raw, stats in (telemetry.get("latency") or {}).items():
-            buckets = stats.get("buckets") if isinstance(stats, dict) else None
-            name = _metric_name(raw)
-            if isinstance(buckets, dict) and buckets.get("counts"):
-                family(name, "histogram").samples.append((
-                    labels,
-                    [float(b) for b in buckets.get("bounds") or []],
-                    [int(c) for c in buckets["counts"]],
-                    float(stats.get("sum_seconds", 0.0)),
-                    int(stats.get("count", 0)),
-                ))
-            elif isinstance(stats, dict):
-                # pre-PR-10 payload without raw buckets: summary gauges only
-                family(name + "_sum", "gauge").samples.append(
-                    (labels, float(stats.get("sum_seconds", 0.0)))
-                )
-                family(name + "_count", "gauge").samples.append(
-                    (labels, float(stats.get("count", 0)))
-                )
+            family(_metric_name(raw), "histogram").samples.append((
+                labels,
+                [float(b) for b in stats["buckets"]["bounds"]],
+                [int(c) for c in stats["buckets"]["counts"]],
+                float(stats["sum_seconds"]),
+                int(stats["count"]),
+            ))
         for block in _GAUGE_BLOCKS:
             stats = payload.get(block)
             if not isinstance(stats, dict):

@@ -16,8 +16,14 @@ opens named spans against a :class:`TraceContext` that rides the HTTP headers:
 Sampling is decided once, at the head: an explicit trace id (or ``X-Repro-Trace:
 1``) is always sampled; untraced requests are sampled at the server's
 ``--trace-sample`` probability.  An unsampled request carries *no* context
-(``None``) and every tracing call site degrades to a no-op — tracing at the
-default sample rate is safe at open-loop load-harness rates.
+(``None``) and its regions record no span — tracing at the default sample
+rate is safe at open-loop load-harness rates.
+
+:class:`SpanHandle` (opened by :meth:`Tracer.span`) is the stack's only
+timed region: one clock read feeds both the region's ``Telemetry``
+histogram, observed for every request, and its span, recorded for each
+sampled context.  :meth:`Tracer.record` is left for spans whose timing is
+derived from another measurement (queue wait, per-pass compile timings).
 
 Spans are recorded on completion only (there is no "active span" registry), so
 the ring buffer is the single source of truth for ``GET /trace/<id>`` and
@@ -62,7 +68,7 @@ class TraceContext:
     """A sampled trace: the id plus the span the next child hangs under.
 
     ``None`` (not a TraceContext) is the unsampled state everywhere — call
-    sites never need to branch, :meth:`Tracer.span` returns a no-op handle.
+    sites never need to branch, :meth:`Tracer.span` then only times.
     """
 
     trace_id: str
@@ -101,83 +107,93 @@ class Span:
         return payload
 
 
-class _NullSpanHandle:
-    """No-op stand-in returned for unsampled requests."""
-
-    __slots__ = ()
-    context: "TraceContext | None" = None
-
-    def tag(self, key: str, value) -> "_NullSpanHandle":
-        return self
-
-    def set_error(self, message: str) -> "_NullSpanHandle":
-        return self
-
-    def __enter__(self) -> "_NullSpanHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_HANDLE = _NullSpanHandle()
-
-
 class SpanHandle:
-    """Context manager that records one :class:`Span` on exit.
+    """The one timed region: a histogram observation and, when sampled, spans.
 
-    An exception escaping the block tags the span with ``error`` (and is
-    re-raised); :attr:`context` is the child context for anything this span
-    calls into.
+    Reads the clock once on entry and once on exit.  On exit the duration is
+    observed into ``telemetry``'s ``histogram`` (when one is named) and one
+    :class:`Span` is recorded for each sampled context, error-tagged when an
+    exception escapes the block (it is re-raised).  ``contexts`` is one
+    context or a sequence of them — a region shared by several traced jobs
+    (one compile serving deduplicated requests) records one span per job.
+    Unsampled (``None``) contexts mint no span id and record nothing.
+
+    :attr:`context` is the child context of the first sampled span, for
+    anything the region calls into; :meth:`child` picks one by position.
+    After exit, :attr:`start_time` (epoch seconds, sampled regions only) and
+    :attr:`duration_seconds` hold what was measured.
     """
 
     __slots__ = (
-        "_tracer", "trace_id", "span_id", "parent_id", "name",
-        "_tags", "_error", "_start_wall", "_start_perf",
+        "_tracer", "name", "_telemetry", "_histogram", "_spans",
+        "_start", "start_time", "duration_seconds",
     )
 
-    def __init__(self, tracer: "Tracer", context: TraceContext, name: str,
-                 tags: "dict | None" = None):
+    def __init__(self, tracer: "Tracer", contexts, name: "str | None",
+                 tags: "dict | None" = None, telemetry=None,
+                 histogram: "str | None" = None):
+        if contexts is None or isinstance(contexts, TraceContext):
+            contexts = (contexts,)
         self._tracer = tracer
-        self.trace_id = context.trace_id
-        self.parent_id = context.span_id
-        self.span_id = mint_span_id()
         self.name = name
-        self._tags = dict(tags) if tags else {}
-        self._error: "str | None" = None
-        self._start_wall = time.time()
-        self._start_perf = time.perf_counter()
+        self._telemetry = telemetry
+        self._histogram = histogram
+        # per context: [own child context, parent span id, tags, error]
+        self._spans = [
+            None if context is None
+            else [context.child(mint_span_id()), context.span_id,
+                  dict(tags) if tags else {}, None]
+            for context in contexts
+        ]
+        self.start_time = 0.0
+        self.duration_seconds = 0.0
 
     @property
-    def context(self) -> TraceContext:
-        return TraceContext(self.trace_id, self.span_id)
+    def context(self) -> "TraceContext | None":
+        return next((span[0] for span in self._spans if span is not None), None)
 
-    def tag(self, key: str, value) -> "SpanHandle":
-        self._tags[key] = value
+    def child(self, index: int) -> "TraceContext | None":
+        """The child context of the span for the ``index``-th context given."""
+        span = self._spans[index]
+        return None if span is None else span[0]
+
+    def _targets(self, index: "int | None") -> list:
+        spans = self._spans if index is None else [self._spans[index]]
+        return [span for span in spans if span is not None]
+
+    def tag(self, key: str, value, index: "int | None" = None) -> "SpanHandle":
+        """Tag every span, or only the one for the ``index``-th context."""
+        for span in self._targets(index):
+            span[2][key] = value
         return self
 
-    def set_error(self, message: str) -> "SpanHandle":
-        self._error = str(message)
+    def set_error(self, message: str, index: "int | None" = None) -> "SpanHandle":
+        for span in self._targets(index):
+            span[3] = str(message)
         return self
 
     def __enter__(self) -> "SpanHandle":
-        self._start_wall = time.time()
-        self._start_perf = time.perf_counter()
+        if any(span is not None for span in self._spans):
+            self.start_time = time.time()
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, _tb) -> None:
-        if exc is not None and self._error is None:
-            self._error = f"{exc_type.__name__}: {exc}"
-        self._tracer.record(
-            self.trace_id,
-            self.name,
-            self._start_wall,
-            time.perf_counter() - self._start_perf,
-            parent_id=self.parent_id,
-            span_id=self.span_id,
-            tags=self._tags,
-            error=self._error,
-        )
+        self.duration_seconds = time.perf_counter() - self._start
+        if self._histogram is not None:
+            self._telemetry.observe(self._histogram, self.duration_seconds)
+        escaped = None if exc is None else f"{exc_type.__name__}: {exc}"
+        for child, parent_id, tags, error in self._targets(None):
+            self._tracer.record(
+                child.trace_id,
+                self.name,
+                self.start_time,
+                self.duration_seconds,
+                parent_id=parent_id,
+                span_id=child.span_id,
+                tags=tags,
+                error=error or escaped,
+            )
         return None  # never suppress
 
 
@@ -236,21 +252,31 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # recording
     # ------------------------------------------------------------------ #
-    def span(self, context: "TraceContext | None", name: str,
-             tags: "dict | None" = None) -> "SpanHandle | _NullSpanHandle":
-        """``with TRACER.span(ctx, "server.handle") as span: ...``"""
-        if context is None:
-            return _NULL_HANDLE
-        return SpanHandle(self, context, name, tags)
+    def span(self, context=None, name: "str | None" = None,
+             tags: "dict | None" = None, *, telemetry=None,
+             histogram: "str | None" = None) -> SpanHandle:
+        """One timed region (see :class:`SpanHandle`)::
+
+            with TRACER.span(ctx, "server.handle", telemetry=telemetry,
+                             histogram="service.request_seconds") as span:
+                ...
+
+        ``context`` is a :class:`TraceContext`, ``None`` (unsampled) or a
+        sequence of either; ``telemetry`` + ``histogram`` name the
+        :class:`~repro.service.telemetry.Telemetry` histogram the duration
+        is observed into.  Either half may be absent.
+        """
+        return SpanHandle(self, context, name, tags, telemetry, histogram)
 
     def record(self, trace_id: str, name: str, start_time: float,
                duration_seconds: float, *, parent_id: "str | None" = None,
                span_id: "str | None" = None, tags: "dict | None" = None,
                error: "str | None" = None) -> str:
-        """Record a completed span directly (timings measured by the caller).
+        """Record a completed span whose timing is already known.
 
-        Returns the span id so callers can hang children under it — e.g. the
-        per-pass compile spans under ``scheduler.batch``.
+        For spans derived from other measurements — the queue wait from the
+        submission stamp, the per-pass compile spans from the pass timings;
+        a region timed here goes through :meth:`span`.  Returns the span id.
         """
         span = Span(
             trace_id=trace_id,

@@ -371,22 +371,6 @@ class PackedPauliTable:
             int(self.phases[index]),
         )
 
-    def row_view(self, index: int) -> "PauliString":
-        """Row ``index`` as a :class:`PauliString` sharing this table's words.
-
-        No copy is made: the view is valid only until the table mutates
-        (``apply_*``), and the caller must treat it as read-only.  Use
-        :meth:`row` for an independent copy.
-        """
-        from repro.paulis.pauli import PauliString
-
-        return PauliString.from_words(
-            self.num_qubits,
-            self.x_words[index],
-            self.z_words[index],
-            int(self.phases[index]) % 4,
-        )
-
     def to_paulis(self) -> list["PauliString"]:
         return [self.row(index) for index in range(self.num_rows)]
 
@@ -494,17 +478,6 @@ class PackedPauliTable:
         return PackedPauliTable(
             self.num_qubits, self.x_words.copy(), self.z_words.copy(), self.num_y()
         )
-
-    def anticommutation_with_row(
-        self, x_row, z_row, start: int = 0, stop: int | None = None
-    ) -> np.ndarray:
-        """Boolean mask: which rows in ``[start, stop)`` anticommute with the
-        Pauli given by packed words ``(x_row, z_row)``."""
-        stop = self.num_rows if stop is None else stop
-        overlap = popcount_rows(
-            (self.x_words[start:stop] & z_row) ^ (self.z_words[start:stop] & x_row)
-        )
-        return (overlap & 1).astype(bool)
 
     def row_key(self, index: int) -> tuple[bytes, bytes]:
         """Hashable symplectic key (phase excluded) for row ``index``."""

@@ -166,13 +166,13 @@ async def _serve(server) -> None:
     await server.start()
     if isinstance(server, FleetFront):
         # SIGTERM cancels the serve task so the ``finally`` below runs and the
-        # front terminates its workers instead of orphaning them.  A single
-        # server keeps the default (exit at once): the front's restart and
-        # respawn paths count on a terminated worker dropping its sockets.
+        # front terminates its workers instead of orphaning them.
         with contextlib.suppress(NotImplementedError):  # no signal support
             asyncio.get_running_loop().add_signal_handler(
                 signal.SIGTERM, asyncio.current_task().cancel
             )
+    elif server.scheduler.pool is not None:
+        _exit_on_sigterm(server.scheduler.pool)
     print(f"repro.service listening on {server.address}", flush=True)
     try:
         await server.serve_forever()
@@ -180,6 +180,25 @@ async def _serve(server) -> None:
         pass
     finally:
         await server.aclose()
+
+
+def _exit_on_sigterm(pool) -> None:
+    """SIGTERM on a single server: kill its compile-pool workers, then exit.
+
+    The exit itself stays abrupt (the default action): the fleet front's
+    restart and respawn paths count on a terminated worker dropping its
+    sockets at once.  Pool workers forked later inherit the handler, so it
+    only touches the pool in the process that installed it.
+    """
+    owner = os.getpid()
+
+    def handler(signum, _frame):
+        if os.getpid() == owner:
+            pool.terminate()
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)
+
+    signal.signal(signal.SIGTERM, handler)
 
 
 def _fleet_worker_args(args: argparse.Namespace) -> "list[str]":

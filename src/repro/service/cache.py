@@ -9,16 +9,20 @@ level / registered-pipeline spec.  Values are wire-serialized
 :class:`~repro.compiler.result.CompilationResult` payloads
 (:mod:`repro.service.serialize`), one JSON file per key.
 
-Layering (fastest first):
+Compiled results (``objects/``) and the parametric templates ``/bind``
+replays (``templates/``) are two instances of one private store class that
+differ only in codec and byte budget; quarantine, the advisory index and the
+TTL sweep sit above them in :class:`ArtifactCache`.  Layering (fastest
+first):
 
-1. an in-memory LRU of deserialized results — a warm hit costs a dict
+1. an in-memory LRU of deserialized values — a warm hit costs a dict
    lookup, which is what lets a repeat request come back orders of magnitude
    faster than the cold compile;
 2. the disk store — survives process restarts and is shared by concurrent
-   processes: every object and index write goes through a temp file plus
+   processes: every file and index write goes through a temp file plus
    :func:`os.replace` (atomic on POSIX and Windows), so readers never see a
-   torn file, and the LRU size cap evicts by file mtime (touched on every
-   disk hit);
+   torn file, and the size cap evicts by file mtime (touched on every disk
+   hit); an undecodable file is quarantined and read as a miss;
 3. in front of the existing in-memory
    :class:`~repro.clifford.engine.ConjugationCache`: the cache owns one and
    the service threads it through every ``compile_many`` call, so even cache
@@ -178,6 +182,187 @@ def template_cache_key(
     return digest.hexdigest()
 
 
+def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file plus :func:`os.replace`."""
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def _scan_dir(directory: Path) -> list[tuple[float, int, Path]]:
+    """(mtime, size, path) of every committed ``.json`` file in ``directory``."""
+    entries = []
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    for name in names:
+        if name.startswith(".tmp-") or not name.endswith(".json"):
+            continue
+        path = directory / name
+        try:
+            stat = path.stat()
+        except OSError:
+            continue  # concurrently evicted by another process
+        entries.append((stat.st_mtime, stat.st_size, path))
+    return entries
+
+
+class _Store:
+    """One directory of wire-encoded artifacts: disk budget, memory LRU, counters.
+
+    :class:`ArtifactCache` runs two of these — ``objects/`` for compiled
+    results and ``templates/`` for compiled templates — that differ only in
+    their codec and budget.  ``lock`` is the owning cache's lock and
+    ``quarantine`` its best-effort quarantine of an undecodable file.
+    """
+
+    def __init__(self, directory: Path, kind: str, encode, decode,
+                 max_bytes: int, memory_entries: int, lock, quarantine):
+        self.directory = directory
+        self.kind = kind
+        self.encode = encode
+        self.decode = decode
+        self.max_bytes = int(max_bytes)
+        self.memory_entries = int(memory_entries)
+        self.lock = lock
+        self.quarantine = quarantine
+        self.memory: OrderedDict[str, object] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.memory_hits = 0
+        self.disk_hits = 0
+        self.evictions = 0
+        self.read_errors = 0
+        directory.mkdir(parents=True, exist_ok=True)
+
+    def path(self, key: str) -> Path:
+        if not key or any(c not in "0123456789abcdef" for c in key):
+            raise CacheError(f"malformed {self.kind} key {key!r}")
+        return self.directory / f"{key}.json"
+
+    def get(self, key: str):
+        """Memory, then disk: a disk hit is decoded, mtime-touched, promoted."""
+        with self.lock:
+            cached = self.memory.get(key)
+            if cached is not None:
+                self.memory.move_to_end(key)
+                self.hits += 1
+                self.memory_hits += 1
+                return cached
+        path = self.path(key)
+        try:
+            faults.fire("cache.read")
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
+            with self.lock:
+                self.misses += 1
+            return None
+        except (OSError, FaultInjectedError):
+            # a torn write is impossible (os.replace), but a failing disk or
+            # concurrent eviction mid-read degrades to a miss
+            with self.lock:
+                self.misses += 1
+                self.read_errors += 1
+            return None
+        raw = faults.corrupt_bytes("cache.read", raw)
+        try:
+            value = self.decode(json.loads(raw))
+        except (ValueError, ReproError):
+            # corrupt or incompatible file (undecodable bytes, a wire-format
+            # mismatch, or a structurally valid payload whose contents fail
+            # reconstruction): quarantine it and recompute
+            self.quarantine(path)
+            with self.lock:
+                self.misses += 1
+            return None
+        try:
+            os.utime(path)  # keep live entries fresh for LRU eviction and TTL
+        except OSError:
+            pass
+        with self.lock:
+            self.hits += 1
+            self.disk_hits += 1
+            self.remember(key, value)
+        return value
+
+    def put(self, key: str, value) -> list[tuple[float, int, Path]]:
+        """Atomic write, memory insert, LRU eviction; returns the surviving files."""
+        faults.fire("cache.write")
+        encoded = json.dumps(self.encode(value), separators=(",", ":"))
+        _atomic_write(self.path(key), encoded)
+        with self.lock:
+            self.remember(key, value)
+        return self.evict()
+
+    def remember(self, key: str, value) -> None:
+        """Insert into the memory LRU (caller holds the lock)."""
+        if self.memory_entries <= 0:
+            return
+        self.memory[key] = value
+        self.memory.move_to_end(key)
+        while len(self.memory) > self.memory_entries:
+            self.memory.popitem(last=False)
+
+    def scan(self) -> list[tuple[float, int, Path]]:
+        return _scan_dir(self.directory)
+
+    def evict(self) -> list[tuple[float, int, Path]]:
+        """Evict oldest-mtime files until under budget; returns the survivors."""
+        entries = self.scan()
+        total = sum(size for _, size, _ in entries)
+        if total <= self.max_bytes:
+            return entries
+        survivors = list(entries)
+        for entry in sorted(entries):
+            _, size, path = entry
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            survivors.remove(entry)
+            with self.lock:
+                self.memory.pop(path.stem, None)
+                self.evictions += 1
+            total -= size
+            if total <= self.max_bytes:
+                break
+        return survivors
+
+    def expire(self, deadline: float) -> int:
+        """Remove every file whose mtime is older than ``deadline``; returns the count."""
+        expired = 0
+        for mtime, _, path in self.scan():
+            if mtime >= deadline:
+                continue
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            expired += 1
+            with self.lock:
+                self.memory.pop(path.stem, None)
+        return expired
+
+
+def _on_store(store: str, name: str) -> property:
+    """A public :class:`ArtifactCache` attribute that lives on one of its stores."""
+
+    def fset(self, value) -> None:
+        setattr(getattr(self, store), name, value)
+
+    return property(lambda self: getattr(getattr(self, store), name), fset)
+
+
 class ArtifactCache:
     """Persistent content-addressed cache of :class:`CompilationResult`.
 
@@ -209,43 +394,39 @@ class ArtifactCache:
         ttl_seconds: float | None = None,
     ):
         self.cache_dir = Path(cache_dir)
-        self.objects_dir = self.cache_dir / "objects"
-        #: compiled templates live beside the result objects under their own
-        #: (larger-grained) budget: one template serves every binding of an
-        #: ansatz, so they never compete with single results for space — but
-        #: the store is bounded and TTL-swept like everything else
-        self.templates_dir = self.cache_dir / "templates"
-        #: corrupt / incompatible artifacts are moved here (bounded count)
-        #: instead of silently unlinked, so operators can diagnose disk rot
-        self.quarantine_dir = self.cache_dir / "quarantine"
-        self.max_quarantine = DEFAULT_MAX_QUARANTINE
-        self.index_path = self.cache_dir / "index.json"
-        self.max_bytes = int(max_bytes)
-        self.max_template_bytes = int(max_template_bytes)
         self.ttl_seconds = None if ttl_seconds is None else float(ttl_seconds)
         if self.ttl_seconds is not None and self.ttl_seconds <= 0:
             raise CacheError(
                 f"ttl_seconds must be positive or None, got {self.ttl_seconds}"
             )
         self.memory_entries = int(memory_entries)
-        self.objects_dir.mkdir(parents=True, exist_ok=True)
-        self.templates_dir.mkdir(parents=True, exist_ok=True)
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._memory: OrderedDict[str, CompilationResult] = OrderedDict()
-        self._template_memory: OrderedDict[str, object] = OrderedDict()
+        self._objects = _Store(
+            self.cache_dir / "objects", "artifact", result_to_wire,
+            result_from_wire, max_bytes, memory_entries, self._lock,
+            self._quarantine,
+        )
+        #: compiled templates live beside the result objects under their own
+        #: (larger-grained) budget: one template serves every binding of an
+        #: ansatz, so they never compete with single results for space — but
+        #: the store is bounded and TTL-swept like everything else
+        self._templates = _Store(
+            self.cache_dir / "templates", "template", template_to_wire,
+            template_from_wire, max_template_bytes, memory_entries, self._lock,
+            self._quarantine,
+        )
+        self.objects_dir = self._objects.directory
+        self.templates_dir = self._templates.directory
+        #: corrupt / incompatible artifacts are moved here (bounded count)
+        #: instead of silently unlinked, so operators can diagnose disk rot
+        self.quarantine_dir = self.cache_dir / "quarantine"
+        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
+        self.max_quarantine = DEFAULT_MAX_QUARANTINE
+        self.index_path = self.cache_dir / "index.json"
         #: the in-memory conjugation cache this store layers in front of;
         #: the service threads it through every compile_many call
         self.conjugation_cache = ConjugationCache()
-        self.hits = 0
-        self.misses = 0
-        self.memory_hits = 0
-        self.disk_hits = 0
-        self.evictions = 0
         self.deletes = 0
-        self.template_hits = 0
-        self.template_misses = 0
-        self.template_evictions = 0
         #: lifecycle counters: completed :meth:`sweep` passes and the total
         #: artifacts + templates they expired under ``ttl_seconds``
         self.sweeps = 0
@@ -258,83 +439,40 @@ class ArtifactCache:
         #: get_template() — each is quarantined, counted, and degraded to a
         #: miss; surfaced on ``/metrics`` so operators can see disk rot
         self.corrupt_artifacts = 0
-        #: injected or real read failures degraded to a miss
-        self.read_errors = 0
         self.reconcile_index()
+
+    max_bytes = _on_store("_objects", "max_bytes")
+    hits = _on_store("_objects", "hits")
+    misses = _on_store("_objects", "misses")
+    memory_hits = _on_store("_objects", "memory_hits")
+    disk_hits = _on_store("_objects", "disk_hits")
+    evictions = _on_store("_objects", "evictions")
+    max_template_bytes = _on_store("_templates", "max_bytes")
+    template_hits = _on_store("_templates", "hits")
+    template_misses = _on_store("_templates", "misses")
+    template_evictions = _on_store("_templates", "evictions")
+
+    @property
+    def read_errors(self) -> int:
+        """Injected or real read failures of either store, degraded to a miss."""
+        return self._objects.read_errors + self._templates.read_errors
 
     # ------------------------------------------------------------------ #
     key_for = staticmethod(cache_key)
     template_key_for = staticmethod(template_cache_key)
 
-    def _object_path(self, key: str) -> Path:
-        if not key or any(c not in "0123456789abcdef" for c in key):
-            raise CacheError(f"malformed artifact key {key!r}")
-        return self.objects_dir / f"{key}.json"
-
-    # ------------------------------------------------------------------ #
     def get(self, key: str) -> CompilationResult | None:
         """The cached result for ``key``, or ``None`` on a miss.
 
         Memory first; a disk hit is deserialized, promoted into the memory
         layer, and its file mtime refreshed so LRU eviction sees the use.
         """
-        with self._lock:
-            cached = self._memory.get(key)
-            if cached is not None:
-                self._memory.move_to_end(key)
-                self.hits += 1
-                self.memory_hits += 1
-                return cached
-        path = self._object_path(key)
-        try:
-            faults.fire("cache.read")
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return None
-        except (OSError, FaultInjectedError):
-            # a torn write is impossible (os.replace), but a failing disk or
-            # concurrent eviction mid-read degrades to a miss
-            with self._lock:
-                self.misses += 1
-                self.read_errors += 1
-            return None
-        raw = faults.corrupt_bytes("cache.read", raw)
-        try:
-            payload = json.loads(raw)
-            result = result_from_wire(payload)
-        except (ValueError, ReproError):
-            # corrupt or incompatible artifact (undecodable bytes, a
-            # wire-format mismatch, or a structurally valid payload whose
-            # contents fail reconstruction): quarantine it and recompile
-            self._quarantine(path)
-            with self._lock:
-                self.misses += 1
-            return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        with self._lock:
-            self.hits += 1
-            self.disk_hits += 1
-            self._remember(key, result)
-        return result
+        return self._objects.get(key)
 
     def put(self, key: str, result: CompilationResult) -> None:
         """Store ``result`` under ``key`` (atomic write + LRU eviction)."""
-        faults.fire("cache.write")
-        payload = result_to_wire(result)
-        encoded = json.dumps(payload, separators=(",", ":"))
-        path = self._object_path(key)
-        self._atomic_write(path, encoded)
-        with self._lock:
-            self._remember(key, result)
         # one directory scan feeds both eviction and the index snapshot
-        entries = self._evict_over_budget(self._scan_objects())
-        self._write_index(entries)
+        self._write_index(self._objects.put(key, result))
 
     def delete(self, key: str) -> bool:
         """Explicitly remove the artifact under ``key`` from every layer.
@@ -342,14 +480,12 @@ class ArtifactCache:
         Returns whether anything was removed (memory or disk); the index
         snapshot is refreshed so the advisory view drops the entry too.
         """
-        path = self._object_path(key)
+        path = self._objects.path(key)
         with self._lock:
-            in_memory = self._memory.pop(key, None) is not None
+            in_memory = self._objects.memory.pop(key, None) is not None
         try:
             path.unlink()
             on_disk = True
-        except FileNotFoundError:
-            on_disk = False
         except OSError:
             on_disk = False
         removed = in_memory or on_disk
@@ -363,11 +499,6 @@ class ArtifactCache:
     # ------------------------------------------------------------------ #
     # Compiled templates (repro.parametric)
     # ------------------------------------------------------------------ #
-    def _template_path(self, key: str) -> Path:
-        if not key or any(c not in "0123456789abcdef" for c in key):
-            raise CacheError(f"malformed template key {key!r}")
-        return self.templates_dir / f"{key}.json"
-
     def get_template(self, key: str):
         """The cached :class:`CompiledTemplate` for ``key``, or ``None``.
 
@@ -376,79 +507,11 @@ class ArtifactCache:
         to dict-lookup cost.  The in-memory object is shared across requests
         (templates are value-immutable; only their bind counters move).
         """
-        with self._lock:
-            cached = self._template_memory.get(key)
-            if cached is not None:
-                self._template_memory.move_to_end(key)
-                self.template_hits += 1
-                return cached
-        path = self._template_path(key)
-        try:
-            faults.fire("cache.read")
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            with self._lock:
-                self.template_misses += 1
-            return None
-        except (OSError, FaultInjectedError):
-            with self._lock:
-                self.template_misses += 1
-                self.read_errors += 1
-            return None
-        raw = faults.corrupt_bytes("cache.read", raw)
-        try:
-            payload = json.loads(raw)
-            template = template_from_wire(payload)
-        except (ValueError, ReproError):
-            # corrupt or incompatible template: quarantine it and re-trace
-            self._quarantine(path)
-            with self._lock:
-                self.template_misses += 1
-            return None
-        try:
-            os.utime(path)  # keep live templates fresh for LRU/TTL
-        except OSError:
-            pass
-        with self._lock:
-            self.template_hits += 1
-            self._remember_template(key, template)
-        return template
+        return self._templates.get(key)
 
     def put_template(self, key: str, template) -> None:
         """Store a compiled template under ``key`` (atomic write + LRU)."""
-        faults.fire("cache.write")
-        encoded = json.dumps(template_to_wire(template), separators=(",", ":"))
-        self._atomic_write(self._template_path(key), encoded)
-        with self._lock:
-            self._remember_template(key, template)
-        self._evict_templates_over_budget()
-
-    def _evict_templates_over_budget(self) -> None:
-        """Evict oldest-mtime templates until the template store fits."""
-        entries = self._scan_templates()
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_template_bytes:
-            return
-        for mtime, size, path in sorted(entries):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            with self._lock:
-                self._template_memory.pop(path.stem, None)
-                self.template_evictions += 1
-            total -= size
-            if total <= self.max_template_bytes:
-                break
-
-    def _remember_template(self, key: str, template) -> None:
-        if self.memory_entries <= 0:
-            return
-        self._template_memory[key] = template
-        self._template_memory.move_to_end(key)
-        while len(self._template_memory) > self.memory_entries:
-            self._template_memory.popitem(last=False)
+        self._templates.put(key, template)
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt artifact into ``quarantine/`` instead of deleting.
@@ -467,7 +530,7 @@ class ArtifactCache:
             except OSError:
                 pass
             return
-        held = self._scan_dir(self.quarantine_dir)
+        held = _scan_dir(self.quarantine_dir)
         if len(held) > self.max_quarantine:
             for _, _, old in sorted(held)[: len(held) - self.max_quarantine]:
                 try:
@@ -477,90 +540,19 @@ class ArtifactCache:
 
     def quarantine_entries(self) -> int:
         """Number of files currently held in ``quarantine/``."""
-        return len(self._scan_dir(self.quarantine_dir))
+        return len(_scan_dir(self.quarantine_dir))
 
     def forget_memory(self) -> None:
         """Drop the in-memory layers (disk untouched) — restart simulation."""
         with self._lock:
-            self._memory.clear()
-            self._template_memory.clear()
+            self._objects.memory.clear()
+            self._templates.memory.clear()
 
     # ------------------------------------------------------------------ #
-    def _remember(self, key: str, result: CompilationResult) -> None:
-        if self.memory_entries <= 0:
-            return
-        self._memory[key] = result
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
-
-    def _atomic_write(self, path: Path, text: str) -> None:
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def _scan_objects(self) -> list[tuple[float, int, Path]]:
-        """(mtime, size, path) of every committed artifact file."""
-        return self._scan_dir(self.objects_dir)
-
-    def _scan_templates(self) -> list[tuple[float, int, Path]]:
-        """(mtime, size, path) of every committed template file."""
-        return self._scan_dir(self.templates_dir)
-
-    @staticmethod
-    def _scan_dir(directory: Path) -> list[tuple[float, int, Path]]:
-        entries = []
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            return []
-        for name in names:
-            if name.startswith(".tmp-") or not name.endswith(".json"):
-                continue
-            path = directory / name
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # concurrently evicted by another process
-            entries.append((stat.st_mtime, stat.st_size, path))
-        return entries
-
-    def _evict_over_budget(
-        self, entries: list[tuple[float, int, Path]]
-    ) -> list[tuple[float, int, Path]]:
-        """Evict oldest-mtime artifacts until under budget; returns survivors."""
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            return entries
-        survivors = list(entries)
-        for entry in sorted(entries):
-            _, size, path = entry
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            survivors.remove(entry)
-            key = path.stem
-            with self._lock:
-                self._memory.pop(key, None)
-                self.evictions += 1
-            total -= size
-            if total <= self.max_bytes:
-                break
-        return survivors
-
     def _write_index(self, entries: "list[tuple[float, int, Path]] | None" = None) -> None:
         """Refresh the advisory ``index.json`` snapshot from the object dir."""
         if entries is None:
-            entries = self._scan_objects()
+            entries = self._objects.scan()
         index = {
             "schema": "repro-artifact-index/v1",
             "written": time.time(),
@@ -571,17 +563,7 @@ class ArtifactCache:
                 for mtime, size, path in sorted(entries)
             },
         }
-        fd, tmp_name = tempfile.mkstemp(dir=self.cache_dir, prefix=".tmp-index-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(index, handle, indent=2, sort_keys=True)
-            os.replace(tmp_name, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _atomic_write(self.index_path, json.dumps(index, indent=2, sort_keys=True))
 
     def sweep(self, now: float | None = None) -> dict:
         """One lifecycle pass: expire idle artifacts/templates, repair drift.
@@ -603,27 +585,8 @@ class ArtifactCache:
         expired_objects = 0
         expired_templates = 0
         if self.ttl_seconds is not None:
-            deadline = now - self.ttl_seconds
-            for mtime, _, path in self._scan_objects():
-                if mtime >= deadline:
-                    continue
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                expired_objects += 1
-                with self._lock:
-                    self._memory.pop(path.stem, None)
-            for mtime, _, path in self._scan_templates():
-                if mtime >= deadline:
-                    continue
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                expired_templates += 1
-                with self._lock:
-                    self._template_memory.pop(path.stem, None)
+            expired_objects = self._objects.expire(now - self.ttl_seconds)
+            expired_templates = self._templates.expire(now - self.ttl_seconds)
             if expired_objects:
                 self._write_index()
         drift = self.reconcile_index()
@@ -657,7 +620,7 @@ class ArtifactCache:
         listed = index.get("artifacts") if isinstance(index, dict) else None
         if not isinstance(listed, dict) or not listed:
             return 0
-        entries = self._scan_objects()
+        entries = self._objects.scan()
         present = {path.stem for _, _, path in entries}
         drifted = set(listed) - present
         if not drifted:
@@ -665,24 +628,24 @@ class ArtifactCache:
         with self._lock:
             self.index_drift += len(drifted)
             for key in drifted:
-                self._memory.pop(key, None)
+                self._objects.memory.pop(key, None)
         self._write_index(entries)
         return len(drifted)
 
     # ------------------------------------------------------------------ #
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            if key in self._memory:
+            if key in self._objects.memory:
                 return True
-        return self._object_path(key).exists()
+        return self._objects.path(key).exists()
 
     def __len__(self) -> int:
-        return len(self._scan_objects())
+        return len(self._objects.scan())
 
     def stats(self) -> dict:
         self.reconcile_index()
-        entries = self._scan_objects()
-        template_entries = self._scan_templates()
+        entries = self._objects.scan()
+        template_entries = self._templates.scan()
         with self._lock:
             return {
                 "hits": self.hits,
@@ -701,8 +664,8 @@ class ArtifactCache:
                 "sweeps": self.sweeps,
                 "expired": self.expired,
                 "ttl_seconds": self.ttl_seconds,
-                "memory_entries": len(self._memory),
-                "template_memory_entries": len(self._template_memory),
+                "memory_entries": len(self._objects.memory),
+                "template_memory_entries": len(self._templates.memory),
                 "template_disk_entries": len(template_entries),
                 "template_disk_bytes": sum(size for _, size, _ in template_entries),
                 "max_template_bytes": self.max_template_bytes,
@@ -711,17 +674,6 @@ class ArtifactCache:
                 "max_bytes": self.max_bytes,
                 "conjugation_cache": self.conjugation_cache.stats(),
             }
-
-    def _list_templates(self) -> list[str]:
-        try:
-            names = os.listdir(self.templates_dir)
-        except OSError:
-            return []
-        return [
-            name
-            for name in names
-            if name.endswith(".json") and not name.startswith(".tmp-")
-        ]
 
     def __repr__(self) -> str:
         return (

@@ -62,7 +62,6 @@ from repro.observability import (
     log_slow_request,
     merge_trace_spans,
     merge_trace_summaries,
-    mint_span_id,
     render_prometheus,
 )
 from repro.service import faults
@@ -711,68 +710,46 @@ class FleetFront:
                         )
                     fresh = attempt > 0 or not handle.idle
                     attempt_error: "str | None" = None
-                    attempt_id = mint_span_id() if trace is not None else None
-                    attempt_wall = time.time()
-                    attempt_perf = time.perf_counter()
-                    attempt_ctx = (
-                        TraceContext(trace.trace_id, attempt_id)
-                        if trace is not None
-                        else None
-                    )
-                    try:
-                        if handle.idle:
-                            reader, writer = handle.idle.pop()
-                        else:
-                            reader, writer = await asyncio.open_connection(
-                                handle.host, handle.port
-                            )
-                    except OSError as error:
-                        reader = writer = None
-                        attempt_error = f"{type(error).__name__}: {error}"
-                    if writer is not None:
+                    with self.tracer.span(
+                        trace, "fleet.attempt",
+                        tags={"attempt": attempt, "worker": handle.slot},
+                    ) as attempt_span:
                         try:
-                            status, payload = await self._exchange(
-                                reader, writer, method, path, body,
-                                deadline=deadline, request_id=request_id,
-                                trace_ctx=attempt_ctx,
-                            )
-                        except (OSError, asyncio.IncompleteReadError, _HttpError) as error:
-                            attempt_error = f"{type(error).__name__}: {error}"
-                            with contextlib.suppress(Exception):
-                                writer.close()
-                        else:
-                            handle.idle.append((reader, writer))
-                            verdict_recorded = True
-                            if handle.breaker.record_success() == "reset":
-                                self.telemetry.inc("fleet.breaker_resets")
-                                if span is not None:
-                                    span.tag("breaker", "reset")
-                            if trace is not None:
-                                self.tracer.record(
-                                    trace.trace_id,
-                                    "fleet.attempt",
-                                    attempt_wall,
-                                    time.perf_counter() - attempt_perf,
-                                    parent_id=trace.span_id,
-                                    span_id=attempt_id,
-                                    tags={
-                                        "attempt": attempt,
-                                        "worker": handle.slot,
-                                        "status": status,
-                                    },
+                            if handle.idle:
+                                reader, writer = handle.idle.pop()
+                            else:
+                                reader, writer = await asyncio.open_connection(
+                                    handle.host, handle.port
                                 )
-                                span.tag("attempts", attempt + 1)
-                            return status, payload
-                    if trace is not None:
-                        self.tracer.record(
-                            trace.trace_id,
-                            "fleet.attempt",
-                            attempt_wall,
-                            time.perf_counter() - attempt_perf,
-                            parent_id=trace.span_id,
-                            span_id=attempt_id,
-                            tags={"attempt": attempt, "worker": handle.slot},
-                            error=attempt_error or "forward attempt failed",
+                        except OSError as error:
+                            reader = writer = None
+                            attempt_error = f"{type(error).__name__}: {error}"
+                        if writer is not None:
+                            try:
+                                status, payload = await self._exchange(
+                                    reader, writer, method, path, body,
+                                    deadline=deadline, request_id=request_id,
+                                    trace_ctx=attempt_span.context,
+                                )
+                            except (
+                                OSError, asyncio.IncompleteReadError, _HttpError
+                            ) as error:
+                                attempt_error = f"{type(error).__name__}: {error}"
+                                with contextlib.suppress(Exception):
+                                    writer.close()
+                            else:
+                                handle.idle.append((reader, writer))
+                                verdict_recorded = True
+                                if handle.breaker.record_success() == "reset":
+                                    self.telemetry.inc("fleet.breaker_resets")
+                                    if span is not None:
+                                        span.tag("breaker", "reset")
+                                attempt_span.tag("status", status)
+                                if span is not None:
+                                    span.tag("attempts", attempt + 1)
+                                return status, payload
+                        attempt_span.set_error(
+                            attempt_error or "forward attempt failed"
                         )
                     if attempt > 0:
                         self.telemetry.inc("fleet.forward_retries")

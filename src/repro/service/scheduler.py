@@ -184,7 +184,7 @@ def _execute_group(
         try:
             validate_program(job.program, source="repro.service")
             if cache is not None:
-                with telemetry.timed("service.key_seconds"):
+                with TRACER.span(telemetry=telemetry, histogram="service.key_seconds"):
                     key = cache.key_for(
                         job.program, target=target, level=level, pipeline=pipeline
                     )
@@ -196,21 +196,13 @@ def _execute_group(
             completed[index].key = key
             if job.use_cache:
                 corrupt_before = cache.corrupt_artifacts
-                read_wall = time.time()
-                read_perf = time.perf_counter()
-                with telemetry.timed("service.cache_lookup_seconds"):
+                with TRACER.span(
+                    job.trace, "cache.read", telemetry=telemetry,
+                    histogram="service.cache_lookup_seconds",
+                ) as read:
                     cached = cache.get(key)
-                if job.trace is not None:
-                    TRACER.record(
-                        job.trace.trace_id,
-                        "cache.read",
-                        read_wall,
-                        time.perf_counter() - read_perf,
-                        parent_id=job.trace.span_id,
-                        tags={
-                            "hit": cached is not None,
-                            "quarantined": cache.corrupt_artifacts > corrupt_before,
-                        },
+                    read.tag("hit", cached is not None).tag(
+                        "quarantined", cache.corrupt_artifacts > corrupt_before
                     )
                 if cached is not None:
                     completed[index] = CompletedJob(key, cached, cache_hit=True)
@@ -266,168 +258,139 @@ def _execute_group(
     live_pool = pool if pool is not None and pool.usable else None
     pool_batches_before = live_pool.batches if live_pool is not None else 0
     pool_breaks_before = live_pool.breaks if live_pool is not None else 0
-    compile_wall = time.time()
-    compile_perf = time.perf_counter()
-    # The scheduler.compile fault fires here, outside the compile try below:
-    # that try's per-program fallback exists to isolate real program defects
-    # and would otherwise swallow the injected failure.
+    # One region over the compile phase: one ``service.compile_seconds``
+    # observation, and one ``scheduler.batch`` span per traced job — jobs
+    # deduplicated onto the same program each get their own span over the
+    # shared compile, tagged with how many peers coalesced onto it.
+    fanout = [(key, index) for key in ordered_keys for index in missing[key]]
+    batch = TRACER.span(
+        [jobs[index].trace for _, index in fanout],
+        "scheduler.batch",
+        tags={"batch_programs": len(ordered_keys), "pool": False},
+        telemetry=telemetry,
+        histogram="service.compile_seconds",
+    )
+    for position, (key, _) in enumerate(fanout):
+        batch.tag("dedup_jobs", len(missing[key]), index=position)
     try:
-        faults.fire("scheduler.compile")
+        with batch:
+            # The scheduler.compile fault fires inside the region but outside
+            # the compile try below: that try's per-program fallback exists
+            # to isolate real program defects and would otherwise swallow
+            # the injected failure.
+            faults.fire("scheduler.compile")
+            try:
+                results = repro.compile_many(
+                    programs,
+                    target=target,
+                    level=level,
+                    pipeline=pipeline,
+                    conjugation_cache=conjugation_cache,
+                    pool=live_pool,
+                )
+                if live_pool is not None:
+                    if live_pool.batches > pool_batches_before:
+                        telemetry.inc("service.pool_batches")
+                    if live_pool.breaks > pool_breaks_before:
+                        telemetry.inc("service.pool_fallbacks")
+            except ReproError:
+                # the planned batch failed as a whole — a config-level error
+                # (unknown pipeline/target) or a program defect the up-front
+                # checks don't see. Retry each program alone so only the
+                # culprits fail.
+                telemetry.inc("service.failed_batches")
+                results = []
+                for key in ordered_keys:
+                    try:
+                        results.append(
+                            repro.compile(
+                                jobs[missing[key][0]].program,
+                                target=target,
+                                level=level,
+                                pipeline=pipeline,
+                            )
+                        )
+                    except ReproError as error:
+                        results.append(error)
+            by_key = dict(zip(ordered_keys, results))
+            pool_used = (
+                live_pool is not None and live_pool.batches > pool_batches_before
+            )
+            batch.tag("pool", pool_used)
+            for position, (key, _) in enumerate(fanout):
+                if isinstance(by_key[key], ReproError):
+                    error = by_key[key]
+                    batch.set_error(f"{type(error).__name__}: {error}", index=position)
     except FaultInjectedError as error:
-        for key in ordered_keys:
-            for index in missing[key]:
-                completed[index] = CompletedJob(
-                    completed[index].key, None, error=error
-                )
-                _record_batch_span(
-                    jobs[index], missing, key, ordered_keys, live_pool,
-                    compile_wall, time.perf_counter() - compile_perf,
-                    error=f"{type(error).__name__}: {error}",
-                )
+        for _, index in fanout:
+            completed[index] = CompletedJob(completed[index].key, None, error=error)
         telemetry.inc("service.failed_batches")
         return
-    try:
-        with telemetry.timed("service.compile_seconds"):
-            results = repro.compile_many(
-                programs,
-                target=target,
-                level=level,
-                pipeline=pipeline,
-                conjugation_cache=conjugation_cache,
-                pool=live_pool,
-            )
-        if live_pool is not None:
-            if live_pool.batches > pool_batches_before:
-                telemetry.inc("service.pool_batches")
-            if live_pool.breaks > pool_breaks_before:
-                telemetry.inc("service.pool_fallbacks")
-    except ReproError:
-        # the planned batch failed as a whole — a config-level error
-        # (unknown pipeline/target) or a program defect the up-front checks
-        # don't see. Retry each program alone so only the culprits fail.
-        telemetry.inc("service.failed_batches")
-        results = []
-        for key in ordered_keys:
-            try:
-                results.append(
-                    repro.compile(
-                        jobs[missing[key][0]].program,
-                        target=target,
-                        level=level,
-                        pipeline=pipeline,
-                    )
-                )
-            except ReproError as error:
-                results.append(error)
+    for position, (key, _) in enumerate(fanout):
+        _record_batch_children(
+            batch, position, by_key[key], live_pool if pool_used else None
+        )
 
     compiled = 0
-    compile_duration = time.perf_counter() - compile_perf
-    pool_used = live_pool is not None and live_pool.batches > pool_batches_before
-    for key, result in zip(ordered_keys, results):
+    for key, result in by_key.items():
         job_indices = missing[key]
         stored_key = completed[job_indices[0]].key
         if isinstance(result, ReproError):
             for index in job_indices:
                 completed[index] = CompletedJob(stored_key, None, error=result)
-                _record_batch_span(
-                    jobs[index], missing, key, ordered_keys, live_pool,
-                    compile_wall, compile_duration,
-                    error=f"{type(result).__name__}: {result}",
-                    pool_used=pool_used,
-                )
             continue
         compiled += 1
-        for index in job_indices:
-            _record_batch_span(
-                jobs[index], missing, key, ordered_keys, live_pool,
-                compile_wall, compile_duration,
-                result=result, pool_used=pool_used,
-            )
         if cache is not None and stored_key is not None:
             # a failed store must not fail the request — the compile already
             # succeeded; the artifact is simply recomputed next time
-            store_error: "str | None" = None
-            store_wall = time.time()
-            store_perf = time.perf_counter()
-            try:
-                with telemetry.timed("service.cache_store_seconds"):
+            with TRACER.span(
+                [jobs[index].trace for index in job_indices],
+                "cache.write",
+                tags={"stored": True},
+                telemetry=telemetry,
+                histogram="service.cache_store_seconds",
+            ) as store:
+                try:
                     cache.put(stored_key, result)
-            except (ReproError, OSError) as error:
-                telemetry.inc("service.cache_store_errors")
-                store_error = f"{type(error).__name__}: {error}"
-            store_duration = time.perf_counter() - store_perf
-            for index in job_indices:
-                job = jobs[index]
-                if job.trace is not None:
-                    TRACER.record(
-                        job.trace.trace_id,
-                        "cache.write",
-                        store_wall,
-                        store_duration,
-                        parent_id=job.trace.span_id,
-                        tags={"stored": store_error is None},
-                        error=store_error,
-                    )
+                except (ReproError, OSError) as error:
+                    telemetry.inc("service.cache_store_errors")
+                    store.tag("stored", False)
+                    store.set_error(f"{type(error).__name__}: {error}")
         for index in job_indices:
             completed[index] = CompletedJob(stored_key, result, cache_hit=False)
     telemetry.inc("service.compiled_programs", compiled)
 
 
-def _record_batch_span(
-    job: CompileJob,
-    missing: "dict[str | None, list[int]]",
-    key: "str | None",
-    ordered_keys: list,
-    live_pool: CompilePool | None,
-    start_wall: float,
-    duration: float,
-    *,
-    result=None,
-    error: "str | None" = None,
-    pool_used: bool = False,
+def _record_batch_children(
+    batch, position: int, result, pool: CompilePool | None
 ) -> None:
-    """One ``scheduler.batch`` span (+ pool/per-pass children) per traced job.
+    """``pool.dispatch`` and per-pass spans under one job's ``scheduler.batch``.
 
-    Each trace is self-contained: jobs deduplicated onto the same compiled
-    program each get their own span over the shared compile phase, tagged
-    with the batch size and how many peers coalesced onto this program.
+    Both are derived from the batch region's own measurement (and the
+    result's pass timings), so they are recorded, not timed.
     """
-    if job.trace is None:
+    parent = batch.child(position)
+    if parent is None:
         return
-    batch_span_id = TRACER.record(
-        job.trace.trace_id,
-        "scheduler.batch",
-        start_wall,
-        duration,
-        parent_id=job.trace.span_id,
-        tags={
-            "batch_programs": len(ordered_keys),
-            "dedup_jobs": len(missing.get(key) or []),
-            "pool": pool_used,
-        },
-        error=error,
-    )
-    if pool_used and live_pool is not None:
+    if pool is not None:
         TRACER.record(
-            job.trace.trace_id,
+            parent.trace_id,
             "pool.dispatch",
-            start_wall,
-            duration,
-            parent_id=batch_span_id,
-            tags={"workers": live_pool.max_workers},
+            batch.start_time,
+            batch.duration_seconds,
+            parent_id=parent.span_id,
+            tags={"workers": pool.max_workers},
         )
-    pass_timings = getattr(result, "pass_timings", None)
-    if pass_timings:
-        cursor = start_wall
-        for pass_name, seconds in pass_timings.items():
-            TRACER.record(
-                job.trace.trace_id,
-                f"pass.{pass_name}",
-                cursor,
-                float(seconds),
-                parent_id=batch_span_id,
-            )
-            cursor += float(seconds)
+    cursor = batch.start_time
+    for pass_name, seconds in (getattr(result, "pass_timings", None) or {}).items():
+        TRACER.record(
+            parent.trace_id,
+            f"pass.{pass_name}",
+            cursor,
+            float(seconds),
+            parent_id=parent.span_id,
+        )
+        cursor += float(seconds)
 
 
 def execute_bind(
@@ -448,7 +411,7 @@ def execute_bind(
     telemetry = telemetry if telemetry is not None else Telemetry()
     telemetry.inc("service.bind_requests")
     fallbacks_before = template.fallback_binds
-    with telemetry.timed("service.bind_seconds"):
+    with TRACER.span(telemetry=telemetry, histogram="service.bind_seconds"):
         result = template.bind(params)
     if template.fallback_binds != fallbacks_before:
         telemetry.inc("service.degenerate_binds")

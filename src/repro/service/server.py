@@ -405,56 +405,55 @@ class ServiceServer:
         if trace_ctx is not None:
             self.telemetry.inc("service.traced_requests")
         bare_path = path.split("?", 1)[0]
-        started_perf = time.perf_counter()
         extra_headers: "dict[str, str] | None" = None
-        with self.telemetry.timed("service.request_seconds"):
-            with self.tracer.span(
-                trace_ctx, "server.handle", tags={"method": method, "path": bare_path}
-            ) as handle_span:
-                try:
-                    await faults.fire_async("server.handle")
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise DeadlineExceededError(
-                                "deadline budget exhausted before dispatch"
-                            )
-                        status, payload = await asyncio.wait_for(
-                            self._dispatch(
-                                method, path, body, deadline=deadline,
-                                trace=handle_span.context,
-                            ),
-                            timeout=remaining,
+        with self.tracer.span(
+            trace_ctx, "server.handle", tags={"method": method, "path": bare_path},
+            telemetry=self.telemetry, histogram="service.request_seconds",
+        ) as handle_span:
+            try:
+                await faults.fire_async("server.handle")
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise DeadlineExceededError(
+                            "deadline budget exhausted before dispatch"
                         )
-                    else:
-                        status, payload = await self._dispatch(
-                            method, path, body, trace=handle_span.context
-                        )
-                except _HttpError as error:
-                    status, payload = error.status, error.payload
-                    extra_headers = error.headers
-                except (asyncio.TimeoutError, DeadlineExceededError) as error:
-                    self.telemetry.inc("service.deadline_expired")
-                    message = str(error) or "request deadline exceeded"
-                    status, payload = 504, {
-                        "error": message,
-                        "type": "DeadlineExceededError",
-                    }
-                except OverloadedError as error:
-                    status, payload = 503, {"error": str(error), "type": "OverloadedError"}
-                    extra_headers = {"Retry-After": f"{error.retry_after:g}"}
-                except FaultInjectedError as error:
-                    status, payload = 500, {"error": str(error), "type": "FaultInjectedError"}
-                except ReproError as error:
-                    status, payload = 400, {"error": str(error), "type": type(error).__name__}
-                except Exception as error:  # noqa: BLE001 — the server must not die
-                    self.telemetry.inc("service.http_500")
-                    status, payload = 500, {"error": str(error), "type": type(error).__name__}
-                handle_span.tag("status", status)
-                if status >= 400 and isinstance(payload, dict):
-                    handle_span.set_error(
-                        f"{payload.get('type', 'error')}: {payload.get('error', '')}"
+                    status, payload = await asyncio.wait_for(
+                        self._dispatch(
+                            method, path, body, deadline=deadline,
+                            trace=handle_span.context,
+                        ),
+                        timeout=remaining,
                     )
+                else:
+                    status, payload = await self._dispatch(
+                        method, path, body, trace=handle_span.context
+                    )
+            except _HttpError as error:
+                status, payload = error.status, error.payload
+                extra_headers = error.headers
+            except (asyncio.TimeoutError, DeadlineExceededError) as error:
+                self.telemetry.inc("service.deadline_expired")
+                message = str(error) or "request deadline exceeded"
+                status, payload = 504, {
+                    "error": message,
+                    "type": "DeadlineExceededError",
+                }
+            except OverloadedError as error:
+                status, payload = 503, {"error": str(error), "type": "OverloadedError"}
+                extra_headers = {"Retry-After": f"{error.retry_after:g}"}
+            except FaultInjectedError as error:
+                status, payload = 500, {"error": str(error), "type": "FaultInjectedError"}
+            except ReproError as error:
+                status, payload = 400, {"error": str(error), "type": type(error).__name__}
+            except Exception as error:  # noqa: BLE001 — the server must not die
+                self.telemetry.inc("service.http_500")
+                status, payload = 500, {"error": str(error), "type": type(error).__name__}
+            handle_span.tag("status", status)
+            if status >= 400 and isinstance(payload, dict):
+                handle_span.set_error(
+                    f"{payload.get('type', 'error')}: {payload.get('error', '')}"
+                )
         if status != 200:
             self.telemetry.inc(f"service.http_{status}")
         elif request_id and isinstance(payload, dict):
@@ -467,7 +466,7 @@ class ServiceServer:
             response_headers = dict(extra_headers or {})
             response_headers["X-Repro-Trace-Id"] = trace_ctx.trace_id
         await self._respond(writer, status, payload, keep_alive, response_headers)
-        duration_ms = (time.perf_counter() - started_perf) * 1000.0
+        duration_ms = handle_span.duration_seconds * 1000.0
         if self.slow_request_ms > 0 and duration_ms >= self.slow_request_ms:
             log_slow_request(
                 self.telemetry, "service.slow_requests", None, self.tracer,
@@ -742,7 +741,9 @@ class ServiceServer:
         if template is None:
             # tracing runs the full pipeline once (tens of ms): off the loop
             loop = asyncio.get_running_loop()
-            with self.telemetry.timed("service.template_compile_seconds"):
+            with self.tracer.span(
+                telemetry=self.telemetry, histogram="service.template_compile_seconds"
+            ):
                 template = await loop.run_in_executor(
                     None, self._compile_template_sync, program, options
                 )

@@ -1,9 +1,13 @@
 """Counters and latency histograms for the compilation service.
 
 One :class:`Telemetry` instance rides along the whole service stack — the
-scheduler ticks per-stage timers, the cache ticks hit/miss counters, the
-server ticks request counters — and ``GET /metrics`` (plus the benchmark's
-``service`` block) reads :meth:`Telemetry.snapshot`.
+scheduler and server count events and observe stage latencies, the cache
+ticks hit/miss counters — and ``GET /metrics`` (plus the benchmark's
+``service`` block) reads :meth:`Telemetry.snapshot`.  Latencies are not
+timed here: a timed region is
+:meth:`repro.observability.Tracer.span` with ``telemetry=`` and
+``histogram=``, which observes the histogram and records the span (when
+sampled) from one clock read.
 
 Everything is stdlib + thread-safe: scheduler batches execute on worker
 threads while the asyncio loop serves ``/metrics`` concurrently.
@@ -88,6 +92,18 @@ class LatencyHistogram:
                 return self.max
         return self.max
 
+    def merge(self, stats: dict) -> None:
+        """Add another histogram's :meth:`snapshot` (same bounds) into this one."""
+        buckets = stats["buckets"]
+        if list(buckets["bounds"]) != list(self.buckets):
+            raise ValueError("cannot merge histograms with different bucket bounds")
+        self.counts = [a + b for a, b in zip(self.counts, buckets["counts"])]
+        if stats["count"]:
+            self.count += stats["count"]
+            self.total += stats["sum_seconds"]
+            self.min = min(self.min, stats["min_seconds"])
+            self.max = max(self.max, stats["max_seconds"])
+
     def snapshot(self) -> dict:
         mean = self.total / self.count if self.count else 0.0
         return {
@@ -105,27 +121,6 @@ class LatencyHistogram:
                 "counts": list(self.counts),
             },
         }
-
-
-def quantile_from_counts(
-    bounds: "list[float]",
-    counts: "list[int]",
-    fraction: float,
-    maximum: float,
-) -> float:
-    """:meth:`LatencyHistogram.quantile`, but over raw merged bucket counts."""
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    target = fraction * total
-    cumulative = 0
-    for index, bucket_count in enumerate(counts):
-        cumulative += bucket_count
-        if cumulative >= target:
-            if index < len(bounds):
-                return bounds[index]
-            return maximum
-    return maximum
 
 
 class Telemetry:
@@ -149,10 +144,6 @@ class Telemetry:
                 histogram = self._histograms[name] = LatencyHistogram()
             histogram.observe(seconds)
 
-    def timed(self, name: str) -> "_Timer":
-        """``with telemetry.timed("compile"): ...`` records one observation."""
-        return _Timer(self, name)
-
     def counter(self, name: str) -> int:
         with self._lock:
             return self._counters.get(name, 0)
@@ -173,16 +164,15 @@ class Telemetry:
 def merge_snapshots(snapshots: "list[dict]") -> dict:
     """Roll worker :meth:`Telemetry.snapshot` payloads up into one view.
 
-    Counters sum; histogram count/sum/min/max merge exactly (the mean is
-    recomputed).  When every payload carries raw ``buckets`` counts over the
-    same bounds the per-bucket counts are summed and p50/p99 are recomputed
-    from the merged histogram — the exact fleet-wide quantile at bucket
-    resolution.  Payloads without bucket data (or with mismatched bounds)
-    fall back to the conservative max of per-worker quantiles.  Uptime
-    reports the oldest worker's.
+    Counters sum.  Histograms merge exactly: per-bucket counts, count and
+    sum add, min/max combine, and p50/p99 are recomputed from the merged
+    buckets — the fleet-wide quantile at bucket resolution.  Every payload
+    comes from this module over :data:`DEFAULT_BUCKETS` (fleet workers run
+    the front's own interpreter and source tree), so bounds always match.
+    Uptime reports the oldest worker's.
     """
     counters: dict[str, int] = {}
-    latency: dict[str, dict] = {}
+    histograms: dict[str, LatencyHistogram] = {}
     uptime = 0.0
     for snapshot in snapshots:
         if not isinstance(snapshot, dict):
@@ -191,71 +181,17 @@ def merge_snapshots(snapshots: "list[dict]") -> dict:
         for name, value in (snapshot.get("counters") or {}).items():
             counters[name] = counters.get(name, 0) + int(value)
         for name, stats in (snapshot.get("latency") or {}).items():
-            merged = latency.get(name)
-            if merged is None:
-                latency[name] = dict(stats)
-                buckets = stats.get("buckets")
-                if isinstance(buckets, dict):
-                    latency[name]["buckets"] = {
-                        "bounds": list(buckets.get("bounds") or []),
-                        "counts": list(buckets.get("counts") or []),
-                    }
-                continue
-            count = merged["count"] + stats["count"]
-            total = merged["sum_seconds"] + stats["sum_seconds"]
-            max_seconds = max(merged["max_seconds"], stats["max_seconds"])
-            merged_buckets = merged.get("buckets")
-            stats_buckets = stats.get("buckets")
-            if (
-                isinstance(merged_buckets, dict)
-                and isinstance(stats_buckets, dict)
-                and merged_buckets.get("bounds") == stats_buckets.get("bounds")
-                and len(merged_buckets.get("counts") or [])
-                == len(stats_buckets.get("counts") or [])
-            ):
-                bounds = list(merged_buckets["bounds"])
-                bucket_counts = [
-                    a + b
-                    for a, b in zip(merged_buckets["counts"], stats_buckets["counts"])
-                ]
-                merged["buckets"] = {"bounds": bounds, "counts": bucket_counts}
-                p50 = quantile_from_counts(bounds, bucket_counts, 0.5, max_seconds)
-                p99 = quantile_from_counts(bounds, bucket_counts, 0.99, max_seconds)
-            else:
-                # heterogeneous payloads: keep the pre-PR-10 conservative max
-                merged.pop("buckets", None)
-                p50 = max(merged["p50_seconds"], stats["p50_seconds"])
-                p99 = max(merged["p99_seconds"], stats["p99_seconds"])
-            merged.update(
-                count=count,
-                sum_seconds=total,
-                mean_seconds=total / count if count else 0.0,
-                min_seconds=(
-                    min(merged["min_seconds"], stats["min_seconds"])
-                    if merged["count"] and stats["count"]
-                    else merged["min_seconds"] or stats["min_seconds"]
-                ),
-                max_seconds=max_seconds,
-                p50_seconds=p50,
-                p99_seconds=p99,
-            )
+            histogram = histograms.get(name)
+            if histogram is None:
+                histogram = histograms[name] = LatencyHistogram(
+                    stats["buckets"]["bounds"]
+                )
+            histogram.merge(stats)
     return {
         "uptime_seconds": uptime,
         "counters": dict(sorted(counters.items())),
-        "latency": dict(sorted(latency.items())),
+        "latency": {
+            name: histogram.snapshot()
+            for name, histogram in sorted(histograms.items())
+        },
     }
-
-
-class _Timer:
-    __slots__ = ("_telemetry", "_name", "_start")
-
-    def __init__(self, telemetry: Telemetry, name: str):
-        self._telemetry = telemetry
-        self._name = name
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._telemetry.observe(self._name, time.perf_counter() - self._start)

@@ -317,14 +317,6 @@ class TestSuffixApplication:
             assert np.array_equal(table.z_words, streamed.z_words)
             assert np.array_equal(table.phases, streamed.phases)
 
-    def test_row_view_shares_words(self, rng):
-        table = self._random_table(rng, num_qubits=8, rows=4)
-        view = table.row_view(1)
-        assert view == table.row(1)
-        table.apply_gates([Gate("x", (0,))])  # phases may change
-        # the view tracks the table's live words
-        assert np.shares_memory(view.x_words, table.x_words)
-
     def test_weights_range_and_argsort(self):
         table = PackedPauliTable.from_labels(["XXXX", "IIIZ", "XYII", "IIII", "ZIIZ"])
         assert list(table.weights()) == [4, 1, 2, 0, 2]

@@ -235,10 +235,6 @@ def test_row_metrics_match_oracle(rng, num_qubits):
     signs = [(phase - y) % 4 for (_, _, phase), y in zip(rows, num_y)]
     assert table.signs().tolist() == signs
     assert table.hermitian_mask().tolist() == [sign % 2 == 0 for sign in signs]
-    x0, z0, _ = rows[0]
-    expected = [((x & z0) ^ (z & x0)).bit_count() % 2 == 1 for x, z, _ in rows[2:]]
-    mask = table.anticommutation_with_row(table.x_words[0], table.z_words[0], start=2)
-    assert mask.tolist() == expected
     assert oracle_rows(table.bare()) == [[x, z, y % 4] for (x, z, _), y in zip(rows, num_y)]
     keys = [table.row_key(index) for index in range(len(rows))]
     for i, (xi, zi, _) in enumerate(rows):

@@ -1,6 +1,7 @@
 """The content-addressed artifact cache: keys, layering, persistence, LRU."""
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -397,7 +398,7 @@ class TestIndexDrift:
         key = cache.key_for(terms)
         cache.put(key, repro.compile(terms, level=3))
         # simulate an operator / volume prune that bypasses cache.delete()
-        cache._object_path(key).unlink()
+        cache._objects.path(key).unlink()
         assert cache.reconcile_index() == 1
         stats = cache.stats()
         assert stats["index_drift"] == 1
@@ -412,7 +413,7 @@ class TestIndexDrift:
         terms = random_pauli_terms(rng, 4, 6)
         key = cache.key_for(terms)
         cache.put(key, repro.compile(terms, level=3))
-        cache._object_path(key).unlink()
+        cache._objects.path(key).unlink()
         cache.reconcile_index()
         # the memory layer must not keep serving an artifact whose backing
         # file is gone (a later restart would silently flip it to a miss)
@@ -423,7 +424,7 @@ class TestIndexDrift:
         first = ArtifactCache(tmp_path / "shared")
         key = first.key_for(terms)
         first.put(key, repro.compile(terms, level=3))
-        first._object_path(key).unlink()
+        first._objects.path(key).unlink()
         second = ArtifactCache(tmp_path / "shared")
         assert second.index_drift == 1
         assert json.loads(second.index_path.read_text())["artifacts"] == {}
@@ -440,7 +441,7 @@ class TestIndexDrift:
         terms = random_pauli_terms(rng, 4, 6)
         key = cache.key_for(terms)
         cache.put(key, repro.compile(terms, level=3))
-        cache._object_path(key).unlink()
+        cache._objects.path(key).unlink()
         assert cache.stats()["index_drift"] == 1
 
 
@@ -496,9 +497,129 @@ class TestUpgradeCompat:
     def test_legacy_artifact_is_a_cache_hit(self, tmp_path):
         cache = ArtifactCache(tmp_path / "upgraded")
         key = cache.key_for(self.legacy_terms())
-        cache._object_path(key).write_bytes(self.legacy_bytes())
+        cache._objects.path(key).write_bytes(self.legacy_bytes())
         result = cache.get(key)
         assert result is not None
         assert cache.stats()["disk_hits"] == 1
         assert cache.quarantine_entries() == 0
         assert result.circuit == repro.compile(self.legacy_terms()).circuit
+
+
+class _StoreSide:
+    """The public face of one of the cache's two stores, for parametrized cases."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        artifact = kind == "artifact"
+        self.put = ArtifactCache.put if artifact else ArtifactCache.put_template
+        self.get = ArtifactCache.get if artifact else ArtifactCache.get_template
+        prefix = "" if artifact else "template_"
+        self.hits = f"{prefix}hits"
+        self.misses = f"{prefix}misses"
+        self.evictions = f"{prefix}evictions"
+        self.budget = "max_bytes" if artifact else "max_template_bytes"
+        self.expired = "expired_objects" if artifact else "expired_templates"
+
+    def entry(self, seed):
+        """A fresh (key, value) pair for this store."""
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        if self.kind == "artifact":
+            terms = random_pauli_terms(rng, 4, 5)
+            return cache_key(terms, level=1), repro.compile(terms, level=1)
+        from repro.parametric import compile_template
+        from repro.service.cache import template_cache_key
+
+        program = _parametric_program(rng)
+        return template_cache_key(program), compile_template(program, level=3)
+
+    def path(self, cache, key):
+        store = cache._objects if self.kind == "artifact" else cache._templates
+        return store.path(key)
+
+
+def _backdate(path, seconds):
+    stamp = time.time() - seconds
+    os.utime(path, (stamp, stamp))
+
+
+@pytest.fixture(params=["artifact", "template"])
+def store(request):
+    return _StoreSide(request.param)
+
+
+class TestBothStores:
+    """Results and templates share one store implementation: same behaviour."""
+
+    def test_memory_hit(self, cache, store):
+        key, value = store.entry(1)
+        assert store.get(cache, key) is None
+        store.put(cache, key, value)
+        assert store.get(cache, key) is value  # the memory layer, same object
+        stats = cache.stats()
+        assert stats[store.hits] == 1 and stats[store.misses] == 1
+
+    def test_disk_hit_promotes_and_touches_mtime(self, cache, store):
+        key, value = store.entry(2)
+        store.put(cache, key, value)
+        path = store.path(cache, key)
+        _backdate(path, 3600)
+        cache.forget_memory()
+        restored = store.get(cache, key)
+        assert restored is not None and restored is not value
+        assert path.stat().st_mtime > time.time() - 60  # touched for LRU/TTL
+        assert store.get(cache, key) is restored  # promoted into memory
+
+    def test_injected_read_error_is_a_miss(self, cache, store):
+        from repro.service import faults
+
+        key, value = store.entry(3)
+        store.put(cache, key, value)
+        cache.forget_memory()
+        faults.REGISTRY.configure("cache.read:error")
+        try:
+            assert store.get(cache, key) is None
+        finally:
+            faults.REGISTRY.clear()
+        assert cache.read_errors == 1
+        assert cache.stats()[store.misses] == 1
+        assert store.get(cache, key) is not None  # the file was never touched
+
+    def test_corrupt_file_is_quarantined(self, cache, store):
+        key, value = store.entry(4)
+        store.put(cache, key, value)
+        cache.forget_memory()
+        path = store.path(cache, key)
+        path.write_text("{not json")
+        assert store.get(cache, key) is None
+        assert not path.exists()
+        assert cache.corrupt_artifacts == 1
+        assert (cache.quarantine_dir / path.name).exists()
+
+    def test_mtime_lru_evicts_the_stalest(self, cache, store):
+        old_key, old_value = store.entry(5)
+        new_key, new_value = store.entry(6)
+        store.put(cache, old_key, old_value)
+        _backdate(store.path(cache, old_key), 3600)
+        store.put(cache, new_key, new_value)
+        on_disk = store.path(cache, old_key).stat().st_size
+        on_disk += store.path(cache, new_key).stat().st_size
+        setattr(cache, store.budget, on_disk - 1)  # one file too many
+        store.put(cache, new_key, new_value)  # a write runs the eviction
+        assert not store.path(cache, old_key).exists()
+        assert store.path(cache, new_key).exists()
+        assert getattr(cache, store.evictions) == 1
+        assert store.get(cache, old_key) is None  # dropped from memory too
+
+    def test_ttl_expiry(self, tmp_path, store):
+        cache = ArtifactCache(tmp_path / "ttl", ttl_seconds=60.0)
+        stale_key, stale_value = store.entry(7)
+        fresh_key, fresh_value = store.entry(8)
+        store.put(cache, stale_key, stale_value)
+        store.put(cache, fresh_key, fresh_value)
+        _backdate(store.path(cache, stale_key), 3600)
+        summary = cache.sweep()
+        assert summary[store.expired] == 1
+        assert store.get(cache, stale_key) is None  # gone from memory as well
+        assert store.get(cache, fresh_key) is fresh_value

@@ -50,7 +50,7 @@ class TestTtlSweep:
     def test_sweep_without_ttl_only_reconciles(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = _store_one(cache)
-        _backdate(cache._object_path(key), 1e6)
+        _backdate(cache._objects.path(key), 1e6)
         summary = cache.sweep()
         assert summary == {
             "expired_objects": 0,
@@ -64,7 +64,7 @@ class TestTtlSweep:
         cache = ArtifactCache(tmp_path, ttl_seconds=60.0)
         stale = _store_one(cache, seed=3)
         fresh = _store_one(cache, seed=4)
-        _backdate(cache._object_path(stale), 3600)
+        _backdate(cache._objects.path(stale), 3600)
         cache.forget_memory()
         summary = cache.sweep()
         assert summary["expired_objects"] == 1
@@ -74,7 +74,7 @@ class TestTtlSweep:
     def test_sweep_expires_idle_templates(self, tmp_path):
         cache = ArtifactCache(tmp_path, ttl_seconds=60.0)
         key = _store_template(cache)
-        _backdate(cache._template_path(key), 3600)
+        _backdate(cache._templates.path(key), 3600)
         cache.forget_memory()
         assert cache.sweep()["expired_templates"] == 1
         assert cache.get_template(key) is None
@@ -83,7 +83,7 @@ class TestTtlSweep:
         # a get() touches the mtime, so an *active* artifact never expires
         cache = ArtifactCache(tmp_path, ttl_seconds=60.0)
         key = _store_one(cache, seed=5)
-        _backdate(cache._object_path(key), 3600)
+        _backdate(cache._objects.path(key), 3600)
         cache.forget_memory()
         assert cache.get(key) is not None  # disk hit touches mtime
         assert cache.sweep()["expired_objects"] == 0
@@ -92,7 +92,7 @@ class TestTtlSweep:
     def test_template_disk_hits_refresh_the_clock(self, tmp_path):
         cache = ArtifactCache(tmp_path, ttl_seconds=60.0)
         key = _store_template(cache, seed=6)
-        _backdate(cache._template_path(key), 3600)
+        _backdate(cache._templates.path(key), 3600)
         cache.forget_memory()
         assert cache.get_template(key) is not None
         assert cache.sweep()["expired_templates"] == 0
@@ -100,7 +100,7 @@ class TestTtlSweep:
     def test_counters_accumulate(self, tmp_path):
         cache = ArtifactCache(tmp_path, ttl_seconds=60.0)
         stale = _store_one(cache, seed=7)
-        _backdate(cache._object_path(stale), 3600)
+        _backdate(cache._objects.path(stale), 3600)
         cache.forget_memory()
         cache.sweep()
         cache.sweep()
@@ -115,7 +115,7 @@ class TestTemplateEviction:
         cache = ArtifactCache(tmp_path, max_template_bytes=1)
         first = _store_template(cache, seed=8)
         second = _store_template(cache, seed=9, num_terms=8)
-        names = {path.stem for _, _, path in cache._scan_templates()}
+        names = {path.stem for _, _, path in cache._templates.scan()}
         assert len(names) <= 1
         assert cache.template_evictions >= 1
         assert {first, second} - names  # at least one was evicted
@@ -123,12 +123,12 @@ class TestTemplateEviction:
     def test_oldest_template_evicted_first(self, tmp_path):
         cache = ArtifactCache(tmp_path, max_template_bytes=10_000_000)
         old = _store_template(cache, seed=10)
-        _backdate(cache._template_path(old), 3600)
+        _backdate(cache._templates.path(old), 3600)
         new = _store_template(cache, seed=11, num_terms=8)
-        size = sum(s for _, s, _ in cache._scan_templates())
+        size = sum(s for _, s, _ in cache._templates.scan())
         cache.max_template_bytes = size - 1  # force one eviction
-        cache._evict_templates_over_budget()
-        names = {path.stem for _, _, path in cache._scan_templates()}
+        cache._templates.evict()
+        names = {path.stem for _, _, path in cache._templates.scan()}
         assert new in names
         assert old not in names
         cache.forget_memory()

@@ -204,7 +204,7 @@ class TestQuarantine:
         cache = ArtifactCache(tmp_path / "cache")
         key = self._store_one(cache, rng)
         cache.forget_memory()
-        path = cache._object_path(key)
+        path = cache._objects.path(key)
         path.write_text("{ not json")
         assert cache.get(key) is None
         assert cache.corrupt_artifacts == 1
@@ -239,7 +239,7 @@ class TestQuarantine:
         for seed in range(5):
             key = self._store_one(cache, np.random.default_rng(seed + 100))
             cache.forget_memory()
-            cache._object_path(key).write_text("broken")
+            cache._objects.path(key).write_text("broken")
             assert cache.get(key) is None
             time.sleep(0.01)  # distinct mtimes for the oldest-first prune
         assert cache.corrupt_artifacts == 5

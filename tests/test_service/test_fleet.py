@@ -240,3 +240,45 @@ def test_sigterm_on_the_front_terminates_its_workers(tmp_path):
         for pid in workers:  # never leak a worker past a failed assertion
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(
+    os.name != "posix" or shutil.which("pgrep") is None,
+    reason="SIGTERM delivery and pgrep are POSIX-only",
+)
+def test_sigterm_on_a_single_server_terminates_its_pool(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.service", "--port", "0",
+            "--cache-dir", "none", "--pool-workers", "1",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    children: "list[int]" = []
+    try:
+        line = server.stdout.readline()
+        assert re.search(r"listening on http://", line), line
+        children = _child_pids(server.pid)
+        assert len(children) == 1, children
+        server.send_signal(signal.SIGTERM)
+        # still the abrupt default exit, killed by the signal
+        assert server.wait(timeout=15) == -signal.SIGTERM, server.stdout.read()
+        deadline = time.monotonic() + 15
+        while any(_alive(pid) for pid in children) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_alive(pid) for pid in children), (
+            f"pool workers {children} outlived their server"
+        )
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()
+        for pid in children:  # never leak a pool worker past a failed assertion
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

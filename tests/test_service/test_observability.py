@@ -127,6 +127,44 @@ class TestTracerRing:
         assert handle.context is None
         assert tracer.snapshot()["spans_recorded"] == 0
 
+    def test_region_observes_and_tags_an_escaping_exception(self):
+        tracer, telemetry = Tracer(), Telemetry()
+        with pytest.raises(RuntimeError):
+            with tracer.span(TraceContext("d" * 32), "boom", telemetry=telemetry,
+                             histogram="service.boom_seconds"):
+                raise RuntimeError("kaput")
+        (span,) = tracer.trace("d" * 32)
+        histogram = telemetry.snapshot()["latency"]["service.boom_seconds"]
+        assert span["error"] == "RuntimeError: kaput"
+        assert histogram["count"] == 1
+        assert histogram["sum_seconds"] == span["duration_seconds"]
+
+    def test_unsampled_region_observes_without_a_span(self):
+        tracer, telemetry = Tracer(), Telemetry()
+        with tracer.span(None, "quiet", telemetry=telemetry, histogram="h") as handle:
+            pass
+        assert handle.context is None
+        assert telemetry.snapshot()["latency"]["h"]["count"] == 1
+        assert tracer.snapshot()["spans_recorded"] == 0
+
+    def test_region_fans_out_over_sampled_contexts(self):
+        tracer, telemetry = Tracer(), Telemetry()
+        first, second = TraceContext("a" * 32, "1" * 16), TraceContext("b" * 32)
+        with tracer.span([first, None, second], "shared", tags={"k": 0},
+                         telemetry=telemetry, histogram="h") as handle:
+            handle.tag("k", 2, index=2)
+            handle.set_error("only the first", index=0)
+        assert handle.child(1) is None
+        assert handle.context == handle.child(0)
+        (one,) = tracer.trace("a" * 32)
+        (two,) = tracer.trace("b" * 32)
+        assert one["parent_id"] == "1" * 16 and two["parent_id"] is None
+        assert one["span_id"] == handle.child(0).span_id != two["span_id"]
+        assert one["tags"] == {"k": 0} and two["tags"] == {"k": 2}
+        assert one["error"] == "only the first" and "error" not in two
+        assert one["duration_seconds"] == two["duration_seconds"]
+        assert telemetry.snapshot()["latency"]["h"]["count"] == 1
+
     def test_traces_summaries(self):
         tracer = Tracer()
         root = tracer.record("e" * 32, "server.handle", 10.0, 1.0)
@@ -204,13 +242,6 @@ class TestPrometheusRender:
         ]
         assert values == sorted(values)
         assert values[-1] == 2.0  # +Inf bucket equals the observation count
-
-    def test_payload_without_raw_buckets_degrades_to_gauges(self):
-        metrics = _sample_metrics()
-        metrics["telemetry"]["latency"]["service.request_seconds"].pop("buckets")
-        families = parse_prometheus_text(render_prometheus([(metrics, {})]))
-        assert "repro_service_request_seconds" not in families
-        assert families["repro_service_request_seconds_count"]["type"] == "gauge"
 
 
 class TestPrometheusParserStrictness:
@@ -331,6 +362,72 @@ class TestServerTracing:
             assert connection.getresponse().status == 400
         finally:
             connection.close()
+
+
+class TestOneTimedRegion:
+    """Each histogram observation and its span come from one clock read."""
+
+    def _serve(self, tmp_path):
+        server = ServiceServer(
+            cache=ArtifactCache(str(tmp_path / "cache")),
+            window_seconds=0.001,
+            trace_sample=0.0,
+        )
+        return server, run_server_in_thread(server)
+
+    def test_traced_miss_histograms_equal_span_durations(self, tmp_path):
+        server, running = self._serve(tmp_path)
+        terms = get_benchmark("H2O").terms()
+        with running, Client(port=server.port, trace=True) as client:
+            client.compile(terms, include_result=False)
+            latency = server.telemetry.snapshot()["latency"]
+            spans = {s["name"]: s for s in TRACER.trace(client.last_trace_id)}
+        for histogram, span in (
+            ("service.request_seconds", "server.handle"),
+            ("service.cache_lookup_seconds", "cache.read"),
+            ("service.compile_seconds", "scheduler.batch"),
+            ("service.cache_store_seconds", "cache.write"),
+        ):
+            assert latency[histogram]["count"] == 1, histogram
+            assert latency[histogram]["sum_seconds"] == spans[span]["duration_seconds"]
+
+    def test_unsampled_request_observes_histograms_only(self, tmp_path):
+        server, running = self._serve(tmp_path)
+        terms = get_benchmark("H2O").terms()
+        with running, Client(port=server.port) as client:
+            client.compile(terms, include_result=False)
+            latency = server.telemetry.snapshot()["latency"]
+        assert latency["service.request_seconds"]["count"] == 1
+        assert latency["service.cache_lookup_seconds"]["count"] == 1
+        assert latency["service.compile_seconds"]["count"] == 1
+        assert TRACER.snapshot()["spans_recorded"] == 0
+
+    def test_deduplicated_jobs_share_one_compile_observation(self, tmp_path):
+        from repro.service.scheduler import CompileJob, execute_batch
+
+        telemetry = Telemetry()
+        terms = get_benchmark("H2O").terms()
+        contexts = [TraceContext(f"{index:032x}", "f" * 16) for index in range(1, 5)]
+        jobs = [CompileJob(program=terms, trace=context) for context in contexts]
+        completed = execute_batch(
+            jobs, cache=ArtifactCache(str(tmp_path / "cache")), telemetry=telemetry
+        )
+        assert all(job.error is None and not job.cache_hit for job in completed)
+        latency = telemetry.snapshot()["latency"]
+        assert latency["service.compile_seconds"]["count"] == 1
+        assert latency["service.cache_store_seconds"]["count"] == 1
+        batches = TRACER.find("scheduler.batch")
+        writes = TRACER.find("cache.write")
+        assert len(batches) == len(writes) == len(jobs)
+        assert {s["trace_id"] for s in batches} == {c.trace_id for c in contexts}
+        assert len({s["span_id"] for s in batches}) == len(jobs)
+        for span in batches:
+            assert span["parent_id"] == "f" * 16
+            assert span["tags"]["dedup_jobs"] == len(jobs)
+            assert span["duration_seconds"] == latency["service.compile_seconds"]["sum_seconds"]
+            passes = [s for s in TRACER.trace(span["trace_id"])
+                      if s["name"].startswith("pass.")]
+            assert passes and all(p["parent_id"] == span["span_id"] for p in passes)
 
 
 class TestSlowRequestLog:

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.observability import TRACER
 from repro.service.telemetry import (
     DEFAULT_BUCKETS,
     LatencyHistogram,
     Telemetry,
     merge_snapshots,
-    quantile_from_counts,
 )
 
 
@@ -55,7 +55,7 @@ class TestTelemetry:
         telemetry = Telemetry()
         telemetry.inc("service.bind_requests")
         telemetry.inc("service.bind_requests")
-        with telemetry.timed("service.bind_seconds"):
+        with TRACER.span(telemetry=telemetry, histogram="service.bind_seconds"):
             pass
         snapshot = telemetry.snapshot()
         assert snapshot["counters"]["service.bind_requests"] == 2
@@ -92,43 +92,38 @@ class TestMergeSnapshots:
         assert merged["p50_seconds"] <= 0.00005
         assert merged["p99_seconds"] <= 0.001
 
-    def test_mismatched_bounds_fall_back_to_conservative_max(self):
+    def test_mismatched_bounds_are_rejected(self):
+        # every producer uses DEFAULT_BUCKETS; a foreign payload is a bug
         fast = _snapshot_of([0.00003] * 100)
         other = Telemetry()
         other._histograms["service.request_seconds"] = LatencyHistogram(
             buckets=(0.1, 1.0)
         )
         other.observe("service.request_seconds", 0.005)
+        with pytest.raises(ValueError, match="bucket bounds"):
+            merge_snapshots([fast, other.snapshot()])
+
+    def test_min_max_and_sum_merge_exactly(self):
         merged = merge_snapshots(
-            [fast, other.snapshot()]
+            [_snapshot_of([0.002, 0.004]), _snapshot_of([0.001, 0.008])]
         )["latency"]["service.request_seconds"]
-        assert merged["count"] == 101
-        assert "buckets" not in merged
-        # conservative: the max of the per-worker quantiles
-        assert merged["p50_seconds"] == pytest.approx(0.1)
-
-    def test_payload_without_buckets_falls_back(self):
-        fast = _snapshot_of([0.00003] * 100)
-        legacy = _snapshot_of([0.005] * 100)
-        legacy["latency"]["service.request_seconds"].pop("buckets")
-        merged = merge_snapshots(
-            [fast, legacy]
-        )["latency"]["service.request_seconds"]
-        assert merged["count"] == 200
-        assert merged["p50_seconds"] >= 0.005  # old max-of-quantiles behavior
+        assert merged["min_seconds"] == 0.001
+        assert merged["max_seconds"] == 0.008
+        assert merged["sum_seconds"] == pytest.approx(0.015)
+        assert merged["mean_seconds"] == pytest.approx(0.015 / 4)
 
 
-class TestQuantileFromCounts:
-    def test_matches_single_histogram_quantile(self):
+class TestQuantile:
+    def test_merge_of_one_snapshot_keeps_its_quantiles(self):
         histogram = LatencyHistogram()
         for seconds in [0.00001, 0.0005, 0.0005, 0.02]:
             histogram.observe(seconds)
-        snap = histogram.snapshot()
-        for fraction in (0.5, 0.99):
-            assert quantile_from_counts(
-                snap["buckets"]["bounds"], snap["buckets"]["counts"],
-                fraction, snap["max_seconds"],
-            ) == histogram.quantile(fraction)
+        merged = merge_snapshots(
+            [{"latency": {"h": histogram.snapshot()}}]
+        )["latency"]["h"]
+        assert merged["p50_seconds"] == histogram.quantile(0.5)
+        assert merged["p99_seconds"] == histogram.quantile(0.99)
+        assert merged == histogram.snapshot()
 
-    def test_empty_counts(self):
-        assert quantile_from_counts([0.001], [0, 0], 0.5, 9.9) == 0.0
+    def test_empty_histogram(self):
+        assert LatencyHistogram().quantile(0.5) == 0.0

@@ -20,7 +20,7 @@ from repro.circuits.statevector import circuits_equivalent
 from repro.compiler.passes import CliffordExtraction, GroupCommuting, Peephole
 from repro.compiler.pipeline import Pipeline
 from repro.core.extraction import CliffordExtractor
-from repro.exceptions import CircuitError, CompilerError
+from repro.exceptions import CircuitError
 from repro.synthesis.trotter import synthesize_trotter_circuit
 from repro.transpile.peephole import peephole_optimize
 from repro.transpile.wire_optimizer import (
@@ -288,15 +288,10 @@ class TestEmissionFusedExtraction:
 
     def test_legacy_engine_still_available(self, rng):
         terms = random_pauli_terms(rng, 3, 5)
-        legacy = Pipeline(
-            [GroupCommuting(), CliffordExtraction(), Peephole(engine="legacy")]
-        ).run(terms)
+        unfused = Pipeline([GroupCommuting(), CliffordExtraction()]).run(terms)
+        legacy = peephole_optimize(unfused.circuit)
         streaming = repro.compile(terms, level=3)
-        assert legacy.circuit.gates == streaming.circuit.gates
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(CompilerError):
-            Peephole(engine="vectorized")
+        assert legacy.gates == streaming.circuit.gates
 
     def test_fused_naive_synthesis(self, rng):
         from repro.compiler.passes import NaiveSynthesis
