@@ -65,12 +65,12 @@ _SKIPPED_PREFIXES = ("OPENQASM", "include", "creg", "barrier", "measure")
 def from_qasm(text: str) -> QuantumCircuit:
     """Parse the OpenQASM 2.0 subset produced by :func:`to_qasm`.
 
-    The parser is on the service deserialization hot path (a cached
-    ``CompilationResult`` carries its circuits as QASM text), so the common
-    statement shape — ``name q[i];`` / ``name(angle) q[i], q[j];`` with plain
-    float literals — is handled with string splitting and interned
-    parameterless gates; the regex/expression machinery remains as the
-    fallback for hand-written programs (``pi``-expressions, odd whitespace).
+    Artifacts and templates stored as ``repro.circuit/v1`` carry their
+    circuits as QASM text and decode through here, so the common statement
+    shape — ``name q[i];`` / ``name(angle) q[i], q[j];`` with plain float
+    literals — is handled with string splitting and interned parameterless
+    gates; the regex/expression machinery remains as the fallback for
+    hand-written programs (``pi``-expressions, odd whitespace).
     """
     num_qubits: int | None = None
     gates: list[Gate] = []

@@ -95,7 +95,8 @@ class CompilationResult:
     def to_dict(self) -> dict:
         """This result as a JSON-safe wire payload.
 
-        Circuits travel as OpenQASM, the conjugation tableau as its packed
+        Circuits travel as opcode / qubit / angle arrays
+        (``repro.circuit/v2``), the conjugation tableau as its packed
         generator rows, metadata and pass timings bit-exactly;
         :meth:`from_dict` reverses it.  ``properties`` stay behind — they
         hold process-local machinery (conjugation caches, lazy absorbers)

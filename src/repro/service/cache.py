@@ -15,14 +15,18 @@ differ only in codec and byte budget; quarantine, the advisory index and the
 TTL sweep sit above them in :class:`ArtifactCache`.  Layering (fastest
 first):
 
-1. an in-memory LRU of deserialized values — a warm hit costs a dict
-   lookup, which is what lets a repeat request come back orders of magnitude
-   faster than the cold compile;
+1. an in-memory LRU: a compiled result is kept as a :class:`StoredResult` —
+   the decoded value, the exact JSON bytes of its artifact file, and its
+   ``metrics()`` / compiler name — so a warm hit costs a dict lookup and the
+   server can answer it by writing the stored bytes, never re-encoding;
+   templates are kept decoded only, because ``/bind`` needs the object.
+   Every memory hit also refreshes the file mtime, so the hottest entries
+   are the last to be expired or evicted;
 2. the disk store — survives process restarts and is shared by concurrent
    processes: every file and index write goes through a temp file plus
    :func:`os.replace` (atomic on POSIX and Windows), so readers never see a
-   torn file, and the size cap evicts by file mtime (touched on every disk
-   hit); an undecodable file is quarantined and read as a miss;
+   torn file, and the size cap evicts by file mtime (touched on every hit);
+   an undecodable file is quarantined and read as a miss;
 3. in front of the existing in-memory
    :class:`~repro.clifford.engine.ConjugationCache`: the cache owns one and
    the service threads it through every ``compile_many`` call, so even cache
@@ -43,6 +47,7 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -58,6 +63,7 @@ from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
 from repro.service import faults
 from repro.service.serialize import (
+    program_parts_from_wire,
     result_from_wire,
     result_to_wire,
     template_from_wire,
@@ -73,7 +79,7 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: but no longer exempt: an abandoned ansatz must not pin disk forever
 DEFAULT_MAX_TEMPLATE_BYTES = 64 * 1024 * 1024
 
-#: default number of deserialized results kept in the in-memory layer
+#: default number of results (and of templates) kept in the in-memory layer
 DEFAULT_MEMORY_ENTRIES = 128
 
 #: most corrupt files kept in ``<cache>/quarantine/`` — oldest pruned beyond
@@ -121,6 +127,31 @@ def pipeline_fingerprint(level: int, pipeline: str | None) -> str:
     )
 
 
+def _artifact_digest(
+    table: PackedPauliTable,
+    coefficients: np.ndarray,
+    target: Target | CouplingMap | str | None,
+    level: int,
+    pipeline: str | None,
+) -> str:
+    """The artifact key layout, shared by :func:`cache_key` and :func:`wire_cache_key`.
+
+    The arrays are hashed back to back with no length prefixes; the header's
+    qubit and row counts fix their sizes only because every caller hands over
+    a table whose shapes were checked against them.
+    """
+    digest = hashlib.sha256()
+    digest.update(f"repro-artifact/v1:{table.num_qubits}:{table.num_rows}".encode())
+    digest.update(np.ascontiguousarray(table.x_words, dtype="<u8").tobytes())
+    digest.update(np.ascontiguousarray(table.z_words, dtype="<u8").tobytes())
+    digest.update(np.ascontiguousarray(table.phases % 4, dtype="<i8").tobytes())
+    digest.update(np.ascontiguousarray(coefficients, dtype="<f8").tobytes())
+    digest.update(target_fingerprint(target).encode())
+    digest.update(b"|")
+    digest.update(pipeline_fingerprint(level, pipeline).encode())
+    return digest.hexdigest()
+
+
 def cache_key(
     program: Sequence[PauliTerm] | SparsePauliSum,
     target: Target | CouplingMap | str | None = None,
@@ -135,16 +166,29 @@ def cache_key(
     else:
         table = PackedPauliTable.from_paulis(term.pauli for term in program)
         coefficients = np.array([term.coefficient for term in program], dtype=float)
-    digest = hashlib.sha256()
-    digest.update(f"repro-artifact/v1:{table.num_qubits}:{table.num_rows}".encode())
-    digest.update(np.ascontiguousarray(table.x_words, dtype="<u8").tobytes())
-    digest.update(np.ascontiguousarray(table.z_words, dtype="<u8").tobytes())
-    digest.update(np.ascontiguousarray(table.phases % 4, dtype="<i8").tobytes())
-    digest.update(np.ascontiguousarray(coefficients, dtype="<f8").tobytes())
-    digest.update(target_fingerprint(target).encode())
-    digest.update(b"|")
-    digest.update(pipeline_fingerprint(level, pipeline).encode())
-    return digest.hexdigest()
+    return _artifact_digest(table, coefficients, target, level, pipeline)
+
+
+def wire_cache_key(
+    wire_program: dict,
+    target: Target | CouplingMap | str | None = None,
+    level: int = 3,
+    pipeline: str | None = None,
+) -> str:
+    """The key :func:`cache_key` gives ``program_from_wire(wire_program)``.
+
+    Computed from the base64-decoded packed arrays, after the same shape
+    checks :func:`~repro.service.serialize.program_from_wire` runs, without
+    materializing a term; a sum folds its row signs into its coefficients
+    first, exactly as the decoded :class:`SparsePauliSum` would.  The program
+    itself is *not* validated: the key is for looking up artifacts, which
+    were validated when they were stored.
+    """
+    kind, table, coefficients = program_parts_from_wire(wire_program)
+    if kind == "sum":
+        program = SparsePauliSum.from_packed(table, coefficients)
+        table, coefficients = program.packed_table, program.coefficient_vector()
+    return _artifact_digest(table, coefficients, target, level, pipeline)
 
 
 def template_cache_key(
@@ -182,12 +226,12 @@ def template_cache_key(
     return digest.hexdigest()
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file plus :func:`os.replace`."""
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file plus :func:`os.replace`."""
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -216,21 +260,52 @@ def _scan_dir(directory: Path) -> list[tuple[float, int, Path]]:
     return entries
 
 
+@dataclass(frozen=True)
+class StoredResult:
+    """One compiled result as the memory layer keeps it.
+
+    ``raw`` is the exact JSON text of the artifact file — what
+    :func:`~repro.service.serialize.result_to_wire` produced when it was
+    stored — so a response can carry it without encoding the result again.
+    """
+
+    result: CompilationResult
+    raw: bytes
+    metrics: dict
+    compiler: str
+
+    @classmethod
+    def of(cls, result: CompilationResult, raw: bytes) -> "StoredResult":
+        return cls(result, raw, result.metrics(), result.name)
+
+
+def _keep_value(value, _raw: bytes):
+    return value
+
+
 class _Store:
     """One directory of wire-encoded artifacts: disk budget, memory LRU, counters.
 
     :class:`ArtifactCache` runs two of these — ``objects/`` for compiled
     results and ``templates/`` for compiled templates — that differ only in
-    their codec and budget.  ``lock`` is the owning cache's lock and
-    ``quarantine`` its best-effort quarantine of an undecodable file.
+    their codec, budget and what the memory layer keeps: ``keep(value, raw)``
+    builds the memory entry from a decoded value and its file bytes, and
+    :meth:`get` / :meth:`peek` / :meth:`put` hand that entry out.  ``lock``
+    is the owning cache's lock and ``quarantine`` its best-effort quarantine
+    of an undecodable file.
     """
 
     def __init__(self, directory: Path, kind: str, encode, decode,
-                 max_bytes: int, memory_entries: int, lock, quarantine):
+                 max_bytes: int, memory_entries: int, lock, quarantine,
+                 keep=_keep_value):
         self.directory = directory
         self.kind = kind
         self.encode = encode
         self.decode = decode
+        self.keep = keep
+        #: ``path(key)`` as plain string concatenation, for the memory-hit
+        #: mtime touch (a ``Path`` join costs as much as the syscall)
+        self._file_prefix = os.path.join(directory, "")
         self.max_bytes = int(max_bytes)
         self.memory_entries = int(memory_entries)
         self.lock = lock
@@ -249,15 +324,30 @@ class _Store:
             raise CacheError(f"malformed {self.kind} key {key!r}")
         return self.directory / f"{key}.json"
 
-    def get(self, key: str):
-        """Memory, then disk: a disk hit is decoded, mtime-touched, promoted."""
+    def peek(self, key: str):
+        """The memory entry for ``key``, or ``None``; never reads the disk.
+
+        A hit refreshes the file mtime, so the TTL sweep and the disk
+        budget see the use.
+        """
         with self.lock:
             cached = self.memory.get(key)
-            if cached is not None:
-                self.memory.move_to_end(key)
-                self.hits += 1
-                self.memory_hits += 1
-                return cached
+            if cached is None:
+                return None
+            self.memory.move_to_end(key)
+            self.hits += 1
+            self.memory_hits += 1
+        try:
+            os.utime(self._file_prefix + key + ".json")
+        except OSError:
+            pass
+        return cached
+
+    def get(self, key: str):
+        """Memory, then disk: a disk hit is decoded, mtime-touched, promoted."""
+        cached = self.peek(key)
+        if cached is not None:
+            return cached
         path = self.path(key)
         try:
             faults.fire("cache.read")
@@ -276,7 +366,9 @@ class _Store:
             return None
         raw = faults.corrupt_bytes("cache.read", raw)
         try:
-            value = self.decode(json.loads(raw))
+            # the decode is the corruption check; the entry keeps the bytes
+            # it checked
+            entry = self.keep(self.decode(json.loads(raw)), raw)
         except (ValueError, ReproError):
             # corrupt or incompatible file (undecodable bytes, a wire-format
             # mismatch, or a structurally valid payload whose contents fail
@@ -292,23 +384,27 @@ class _Store:
         with self.lock:
             self.hits += 1
             self.disk_hits += 1
-            self.remember(key, value)
-        return value
+            self.remember(key, entry)
+        return entry
 
-    def put(self, key: str, value) -> list[tuple[float, int, Path]]:
-        """Atomic write, memory insert, LRU eviction; returns the surviving files."""
+    def put(self, key: str, value):
+        """Encode once, write atomically, remember, evict.
+
+        Returns the memory entry and the files surviving eviction.
+        """
         faults.fire("cache.write")
-        encoded = json.dumps(self.encode(value), separators=(",", ":"))
-        _atomic_write(self.path(key), encoded)
+        raw = json.dumps(self.encode(value), separators=(",", ":")).encode()
+        _atomic_write(self.path(key), raw)
+        entry = self.keep(value, raw)
         with self.lock:
-            self.remember(key, value)
-        return self.evict()
+            self.remember(key, entry)
+        return entry, self.evict()
 
-    def remember(self, key: str, value) -> None:
+    def remember(self, key: str, entry) -> None:
         """Insert into the memory LRU (caller holds the lock)."""
         if self.memory_entries <= 0:
             return
-        self.memory[key] = value
+        self.memory[key] = entry
         self.memory.move_to_end(key)
         while len(self.memory) > self.memory_entries:
             self.memory.popitem(last=False)
@@ -373,12 +469,13 @@ class ArtifactCache:
         demand.
     max_bytes:
         Disk budget; least-recently-used artifacts (by file mtime, touched
-        on every disk hit) are evicted after a write pushes the total over.
+        on every hit) are evicted after a write pushes the total over.
     memory_entries:
-        Size of the in-memory LRU of deserialized results (0 disables it).
+        Size of each in-memory LRU — stored results, and separately
+        templates (0 disables them).
     max_template_bytes:
         Disk budget of the ``templates/`` store; evicted mtime-LRU like the
-        result objects (template mtimes are touched on every disk hit).
+        result objects (template mtimes are touched on every hit).
     ttl_seconds:
         Optional idle time-to-live: :meth:`sweep` removes artifacts and
         templates whose file mtime is older than this.  ``None`` (default)
@@ -404,7 +501,7 @@ class ArtifactCache:
         self._objects = _Store(
             self.cache_dir / "objects", "artifact", result_to_wire,
             result_from_wire, max_bytes, memory_entries, self._lock,
-            self._quarantine,
+            self._quarantine, keep=StoredResult.of,
         )
         #: compiled templates live beside the result objects under their own
         #: (larger-grained) budget: one template serves every binding of an
@@ -464,15 +561,35 @@ class ArtifactCache:
     def get(self, key: str) -> CompilationResult | None:
         """The cached result for ``key``, or ``None`` on a miss.
 
-        Memory first; a disk hit is deserialized, promoted into the memory
-        layer, and its file mtime refreshed so LRU eviction sees the use.
+        Memory first — no decode — then disk: a disk hit is deserialized,
+        promoted into the memory layer, and its file mtime refreshed so LRU
+        eviction sees the use (a memory hit refreshes it too).
         """
+        stored = self._objects.get(key)
+        return None if stored is None else stored.result
+
+    def get_stored(self, key: str) -> StoredResult | None:
+        """Like :meth:`get`, but the whole :class:`StoredResult` entry."""
         return self._objects.get(key)
 
-    def put(self, key: str, result: CompilationResult) -> None:
-        """Store ``result`` under ``key`` (atomic write + LRU eviction)."""
+    def peek(self, key: str) -> StoredResult | None:
+        """The memory layer's entry for ``key``; never touches the disk store.
+
+        The serving fast path: a hit here is answered on the event loop from
+        the stored bytes, and anything else takes the scheduler path.
+        """
+        return self._objects.peek(key)
+
+    def put(self, key: str, result: CompilationResult) -> StoredResult:
+        """Store ``result`` under ``key`` (atomic write + LRU eviction).
+
+        The result is encoded once; the returned entry carries those bytes
+        so the caller can send them without encoding again.
+        """
+        stored, survivors = self._objects.put(key, result)
         # one directory scan feeds both eviction and the index snapshot
-        self._write_index(self._objects.put(key, result))
+        self._write_index(survivors)
+        return stored
 
     def delete(self, key: str) -> bool:
         """Explicitly remove the artifact under ``key`` from every layer.
@@ -504,8 +621,9 @@ class ArtifactCache:
 
         Memory first, then disk — a disk hit pays one wire deserialization
         and is promoted, so repeat binds against a restarted service go back
-        to dict-lookup cost.  The in-memory object is shared across requests
-        (templates are value-immutable; only their bind counters move).
+        to dict-lookup cost.  Either hit refreshes the file mtime.  The
+        in-memory object is shared across requests (templates are
+        value-immutable; only their bind counters move).
         """
         return self._templates.get(key)
 
@@ -563,14 +681,16 @@ class ArtifactCache:
                 for mtime, size, path in sorted(entries)
             },
         }
-        _atomic_write(self.index_path, json.dumps(index, indent=2, sort_keys=True))
+        _atomic_write(
+            self.index_path, json.dumps(index, indent=2, sort_keys=True).encode()
+        )
 
     def sweep(self, now: float | None = None) -> dict:
         """One lifecycle pass: expire idle artifacts/templates, repair drift.
 
         With ``ttl_seconds`` set, removes every artifact and template whose
         file mtime is older than ``now - ttl_seconds`` (mtimes are touched on
-        each disk hit, so this is an *idle* TTL, not an age cap), then
+        every hit, so this is an *idle* TTL, not an age cap), then
         reconciles the advisory index.  With no TTL it is just a reconcile
         pass.  Safe to race with other processes on the same directory —
         losing an unlink means someone else expired the file first.

@@ -26,10 +26,16 @@ mid-batch finishes that batch serially in-process
 in-process, because the scheduler always hands ``compile_many`` a
 conjugation cache.
 
-Bind requests (:mod:`repro.parametric`) never enter the batching window:
+A hit in the cache's memory layer never enters the batching window: the
+server answers it on the event loop from the stored bytes, so only misses,
+disk hits and ``use_cache=false`` requests are submitted here, each
+carrying the artifact key the server already hashed from the wire arrays.
+Bind requests (:mod:`repro.parametric`) skip the window too:
 :func:`execute_bind` replays a pre-compiled template skeleton in
 microseconds, so parking one behind even a 2 ms collection window would cost
-10x its own latency.  The server calls it inline on the event loop.  It groups jobs by compilation
+10x its own latency.  The server calls it inline on the event loop.
+
+:func:`execute_batch` groups jobs by compilation
 config (target / level / pipeline), resolves each group against the
 :class:`~repro.service.cache.ArtifactCache`, deduplicates identical programs
 *within* the batch (32 concurrent requests for the same Hamiltonian compile
@@ -58,7 +64,7 @@ from repro.observability import TRACER, TraceContext
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
 from repro.service import faults
-from repro.service.cache import ArtifactCache
+from repro.service.cache import ArtifactCache, StoredResult
 from repro.service.telemetry import Telemetry
 
 #: default collection window, seconds ("a few ms")
@@ -82,6 +88,9 @@ class CompileJob:
     level: int = 3
     pipeline: str | None = None
     use_cache: bool = True
+    #: the artifact key, when the submitter already derived it (the server
+    #: does, from the raw wire program); ``None`` has the batch compute it
+    key: str | None = None
     #: absolute ``time.monotonic()`` deadline, or ``None`` for no limit; a
     #: job still queued past its deadline is abandoned instead of compiled
     deadline: float | None = None
@@ -106,6 +115,9 @@ class CompletedJob:
     result: "repro.CompilationResult | None"
     cache_hit: bool = False
     error: Exception | None = None
+    #: the cache entry the result was read from or just written to — it
+    #: carries the encoded bytes, so a response need not encode again
+    stored: StoredResult | None = None
 
 
 def execute_batch(
@@ -184,10 +196,14 @@ def _execute_group(
         try:
             validate_program(job.program, source="repro.service")
             if cache is not None:
-                with TRACER.span(telemetry=telemetry, histogram="service.key_seconds"):
-                    key = cache.key_for(
-                        job.program, target=target, level=level, pipeline=pipeline
-                    )
+                key = job.key
+                if key is None:
+                    with TRACER.span(
+                        telemetry=telemetry, histogram="service.key_seconds"
+                    ):
+                        key = cache.key_for(
+                            job.program, target=target, level=level, pipeline=pipeline
+                        )
         except ReproError as error:
             completed[index] = CompletedJob(None, None, error=error)
             telemetry.inc("service.invalid_requests")
@@ -200,12 +216,14 @@ def _execute_group(
                     job.trace, "cache.read", telemetry=telemetry,
                     histogram="service.cache_lookup_seconds",
                 ) as read:
-                    cached = cache.get(key)
+                    cached = cache.get_stored(key)
                     read.tag("hit", cached is not None).tag(
                         "quarantined", cache.corrupt_artifacts > corrupt_before
                     )
                 if cached is not None:
-                    completed[index] = CompletedJob(key, cached, cache_hit=True)
+                    completed[index] = CompletedJob(
+                        key, cached.result, cache_hit=True, stored=cached
+                    )
                     telemetry.inc("service.cache_hits")
                     continue
             telemetry.inc("service.cache_misses")
@@ -340,6 +358,7 @@ def _execute_group(
                 completed[index] = CompletedJob(stored_key, None, error=result)
             continue
         compiled += 1
+        stored = None
         if cache is not None and stored_key is not None:
             # a failed store must not fail the request — the compile already
             # succeeded; the artifact is simply recomputed next time
@@ -351,13 +370,15 @@ def _execute_group(
                 histogram="service.cache_store_seconds",
             ) as store:
                 try:
-                    cache.put(stored_key, result)
+                    stored = cache.put(stored_key, result)
                 except (ReproError, OSError) as error:
                     telemetry.inc("service.cache_store_errors")
                     store.tag("stored", False)
                     store.set_error(f"{type(error).__name__}: {error}")
         for index in job_indices:
-            completed[index] = CompletedJob(stored_key, result, cache_hit=False)
+            completed[index] = CompletedJob(
+                stored_key, result, cache_hit=False, stored=stored
+            )
     telemetry.inc("service.compiled_programs", compiled)
 
 
@@ -476,8 +497,12 @@ class BatchingScheduler:
         use_cache: bool = True,
         deadline: float | None = None,
         trace: TraceContext | None = None,
+        key: str | None = None,
     ) -> CompletedJob:
         """Queue one compile request; resolves when its batch completes.
+
+        ``key`` is the request's artifact key when the caller already has it
+        (the batch then does not hash the program again).
 
         ``deadline`` is an absolute ``time.monotonic()`` timestamp: a job
         still queued when it passes is abandoned with
@@ -501,6 +526,7 @@ class BatchingScheduler:
             level=level,
             pipeline=pipeline,
             use_cache=use_cache,
+            key=key,
             deadline=deadline,
             future=loop.create_future(),
             trace=trace,

@@ -12,10 +12,13 @@ Bit-exactness is the design constraint, not prettiness:
   ``float64`` coefficient vector — the store the whole compiler operates on,
   with no per-term repacking on either side.  ``deserialize(serialize(x))``
   reproduces the packed words, phases and coefficients byte-for-byte.
-* Circuits travel through the existing OpenQASM path
-  (:func:`repro.circuits.qasm.to_qasm` / ``from_qasm``); float parameters are
-  emitted with ``repr`` and parsed with ``float``, which round-trips every
-  IEEE-754 double exactly.
+* Circuits (``repro.circuit/v2``) travel as three base64 arrays: one opcode
+  byte per gate (``<u1``), a ``(gates, 2)`` matrix of qubit indices
+  (``<u4``, the second column unused by one-qubit gates) and the rotation
+  angles in gate order (``<f8``), so every angle round-trips bit-exactly and
+  decoding is an ``np.frombuffer`` plus one pass that interns the
+  parameterless gates.  ``repro.circuit/v1`` payloads (OpenQASM text, as
+  artifacts and templates written by earlier releases hold) still decode.
 * Clifford tableaus travel as their packed generator rows.
 * Whole :class:`~repro.compiler.result.CompilationResult` objects round-trip
   through :func:`result_to_wire` / :func:`result_from_wire` — circuit,
@@ -30,17 +33,19 @@ portable across hosts.
 from __future__ import annotations
 
 import base64
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.qasm import from_qasm, to_qasm
+from repro.circuits.gate import TWO_QUBIT_GATES, Gate, cached_gate
+from repro.circuits.qasm import from_qasm
 from repro.clifford.tableau import CliffordTableau
 from repro.compiler.context import PropertySet
 from repro.compiler.result import CompilationResult
 from repro.core.extraction import ExtractionResult
-from repro.exceptions import WireFormatError
+from repro.exceptions import CircuitError, WireFormatError
 from repro.paulis.packed import PackedPauliTable, words_for_qubits
 from repro.paulis.pauli import PauliString
 from repro.paulis.sum import SparsePauliSum
@@ -51,7 +56,9 @@ WIRE_VERSION = 1
 
 PROGRAM_FORMAT = f"repro.program/v{WIRE_VERSION}"
 PAULI_FORMAT = f"repro.pauli/v{WIRE_VERSION}"
-CIRCUIT_FORMAT = f"repro.circuit/v{WIRE_VERSION}"
+#: circuits moved to opcode/qubit/angle arrays; the QASM form still decodes
+CIRCUIT_FORMAT = "repro.circuit/v2"
+CIRCUIT_FORMAT_V1 = f"repro.circuit/v{WIRE_VERSION}"
 TABLEAU_FORMAT = f"repro.tableau/v{WIRE_VERSION}"
 RESULT_FORMAT = f"repro.result/v{WIRE_VERSION}"
 PARAMETRIC_FORMAT = f"repro.parametric/v{WIRE_VERSION}"
@@ -79,6 +86,29 @@ def _field(payload: dict, key: str, kind: str):
         return payload[key]
     except (KeyError, TypeError) as error:
         raise WireFormatError(f"{kind} payload lacks required field {key!r}") from error
+
+
+def _decoder(kind: str):
+    """Turn any structural failure inside a payload decoder into a WireFormatError.
+
+    A damaged payload can still be valid JSON: a ``null`` where a number
+    belongs, a list where an object belongs.  Converting those with bare
+    ``int()`` / ``float()`` / ``.get`` raises ``TypeError`` and friends, which
+    the cache's drop-and-recompile recovery does not handle; this wrapper
+    gives every decoder the one exception type it does.
+    """
+
+    def wrap(decode):
+        @functools.wraps(decode)
+        def decoder(payload):
+            try:
+                return decode(payload)
+            except (TypeError, ValueError, AttributeError, KeyError, IndexError) as error:
+                raise WireFormatError(f"malformed {kind} payload: {error!r}") from error
+
+        return decoder
+
+    return wrap
 
 
 # ---------------------------------------------------------------------- #
@@ -190,7 +220,14 @@ def program_to_wire(program: Sequence[PauliTerm] | SparsePauliSum) -> dict:
     return payload
 
 
-def program_from_wire(payload: dict) -> list[PauliTerm] | SparsePauliSum:
+def program_parts_from_wire(payload: dict) -> tuple[str, PackedPauliTable, np.ndarray]:
+    """A wire program's ``kind``, packed table and coefficient vector.
+
+    Runs every check :func:`program_from_wire` runs on the payload — the
+    format tag, ``x``/``z`` shapes equal to ``(rows, words)`` for the declared
+    qubit count, one phase and one coefficient per row, a known ``kind`` —
+    without materializing a single term.
+    """
     check_format(payload, PROGRAM_FORMAT)
     kind = payload.get("kind")
     table = _packed_table_from_fields(payload)
@@ -200,17 +237,22 @@ def program_from_wire(payload: dict) -> list[PauliTerm] | SparsePauliSum:
             f"{coefficients.shape[0] if coefficients.ndim else 0} coefficients "
             f"for {table.num_rows} packed rows"
         )
+    if kind not in ("terms", "sum"):
+        raise WireFormatError(f"unknown program kind {kind!r}")
+    return kind, table, coefficients
+
+
+def program_from_wire(payload: dict) -> list[PauliTerm] | SparsePauliSum:
+    kind, table, coefficients = program_parts_from_wire(payload)
     if kind == "sum":
         try:
             return SparsePauliSum.from_packed(table, coefficients)
         except Exception as error:
             raise WireFormatError(f"malformed sum payload: {error}") from error
-    if kind == "terms":
-        return [
-            PauliTerm(table.row(index), float(coefficients[index]))
-            for index in range(table.num_rows)
-        ]
-    raise WireFormatError(f"unknown program kind {kind!r}")
+    return [
+        PauliTerm(table.row(index), float(coefficients[index]))
+        for index in range(table.num_rows)
+    ]
 
 
 def sum_to_wire(observable: SparsePauliSum) -> dict:
@@ -230,21 +272,90 @@ def sum_from_wire(payload: dict) -> SparsePauliSum:
 # ---------------------------------------------------------------------- #
 # Circuits and tableaus
 # ---------------------------------------------------------------------- #
+#: the opcode of a gate is its index here: parameterless gates first, then
+#: the rotations, which each take the next angle of the payload
+_OPCODE_NAMES = (
+    "i", "x", "y", "z", "h", "s", "sdg", "sx", "sxdg", "cx", "cz", "swap",
+    "rz", "rx", "ry", "rzz",
+)
+_OPCODES = {name: code for code, name in enumerate(_OPCODE_NAMES)}
+_FIRST_ROTATION = _OPCODES["rz"]
+_TWO_QUBIT_OPCODES = frozenset(_OPCODES[name] for name in TWO_QUBIT_GATES)
+
+
 def circuit_to_wire(circuit: QuantumCircuit) -> dict:
-    """A circuit as its OpenQASM 2.0 text (the platform-independent path)."""
+    """A circuit as opcode, qubit-pair and angle arrays (``repro.circuit/v2``)."""
+    gates = circuit.gates
+    opcodes = _OPCODES
+    pairs = np.zeros((len(gates), 2), dtype=np.uint32)
+    pairs[:, 0] = [gate.qubits[0] for gate in gates]
+    pairs[:, 1] = [gate.qubits[-1] for gate in gates]
     return {
         "format": CIRCUIT_FORMAT,
         "num_qubits": circuit.num_qubits,
-        "qasm": to_qasm(circuit),
+        "ops": encode_array(
+            np.fromiter((opcodes[gate.name] for gate in gates), np.uint8, len(gates)),
+            "<u1",
+        ),
+        "qubits": encode_array(pairs, "<u4"),
+        "angles": encode_array(
+            np.array([angle for gate in gates for angle in gate.params], dtype=float),
+            "<f8",
+        ),
     }
 
 
+@_decoder("circuit")
 def circuit_from_wire(payload: dict) -> QuantumCircuit:
+    if isinstance(payload, dict) and payload.get("format") == CIRCUIT_FORMAT_V1:
+        return _circuit_from_qasm(payload)
     check_format(payload, CIRCUIT_FORMAT)
+    num_qubits = int(_field(payload, "num_qubits", "circuit"))
+    ops = decode_array(_field(payload, "ops", "circuit"), "<u1")
+    qubits = decode_array(_field(payload, "qubits", "circuit"), "<u4")
+    angles = decode_array(_field(payload, "angles", "circuit"), "<f8")
+    if ops.ndim != 1 or qubits.shape != (len(ops), 2) or angles.ndim != 1:
+        raise WireFormatError(
+            f"circuit arrays do not line up: ops {ops.shape}, qubits "
+            f"{qubits.shape}, angles {angles.shape}"
+        )
+    if len(ops) and int(ops.max()) >= len(_OPCODE_NAMES):
+        raise WireFormatError(f"circuit payload holds unknown opcode {int(ops.max())}")
+    if len(ops) and int(qubits.max()) >= num_qubits:
+        raise WireFormatError(
+            f"circuit payload addresses qubit {int(qubits.max())} of a "
+            f"{num_qubits}-qubit register"
+        )
+    rotations = int(np.count_nonzero(ops >= _FIRST_ROTATION))
+    if rotations != len(angles):
+        raise WireFormatError(
+            f"circuit payload holds {len(angles)} angles for {rotations} rotations"
+        )
+    names = _OPCODE_NAMES
+    two_qubit = _TWO_QUBIT_OPCODES
+    first_rotation = _FIRST_ROTATION
+    angle_list = angles.tolist()
+    gates = []
+    append = gates.append
+    position = 0
     try:
-        circuit = from_qasm(_field(payload, "qasm", "circuit"))
-    except TypeError as error:
+        for op, first, second in zip(
+            ops.tolist(), qubits[:, 0].tolist(), qubits[:, 1].tolist()
+        ):
+            operands = (first, second) if op in two_qubit else (first,)
+            if op < first_rotation:
+                append(cached_gate(names[op], operands))
+            else:
+                append(Gate(names[op], operands, (angle_list[position],)))
+                position += 1
+        return QuantumCircuit.from_trusted_gates(num_qubits, gates)
+    except CircuitError as error:
         raise WireFormatError(f"malformed circuit payload: {error}") from error
+
+
+def _circuit_from_qasm(payload: dict) -> QuantumCircuit:
+    """Decode a ``repro.circuit/v1`` payload (OpenQASM text)."""
+    circuit = from_qasm(_field(payload, "qasm", "circuit"))
     declared = int(payload.get("num_qubits", circuit.num_qubits))
     if circuit.num_qubits != declared:
         raise WireFormatError(
@@ -332,6 +443,7 @@ def _circuit_or_reference(payload: dict, references: dict) -> QuantumCircuit:
     return circuit_from_wire(payload)
 
 
+@_decoder("result")
 def result_from_wire(payload: dict) -> CompilationResult:
     check_format(payload, RESULT_FORMAT)
     circuit = circuit_from_wire(_field(payload, "circuit", "result"))
@@ -417,8 +529,9 @@ def template_to_wire(template) -> dict:
     """A :class:`~repro.parametric.CompiledTemplate` as one payload.
 
     The merge chains are flattened into three arrays (CSR-style offsets plus
-    per-entry term indices and signs); the skeleton travels as QASM, whose
-    ``repr``-exact floats keep the sentinel placeholders bit-exact.
+    per-entry term indices and signs); the skeleton travels as a circuit
+    payload, whose ``<f8`` angle array keeps the sentinel placeholders
+    bit-exact.
     """
     chains = template._chains
     offsets = np.zeros(len(chains) + 1, dtype=np.int64)
@@ -455,6 +568,7 @@ def template_to_wire(template) -> dict:
     }
 
 
+@_decoder("template")
 def template_from_wire(payload: dict):
     from repro.compiler.target import Target
     from repro.parametric.template import CompiledTemplate

@@ -5,10 +5,15 @@ Endpoints (all JSON bodies/responses):
 * ``POST /compile`` — one wire-format program (plus ``target`` / ``level`` /
   ``pipeline`` / ``use_cache`` / ``include_result`` options); responds with
   the artifact ``key``, a ``cache_hit`` flag, summary ``metrics``, and the
-  serialized result.
-* ``POST /compile_batch`` — ``{"programs": [...]}`` with shared options; the
-  entries coalesce into the same scheduler window and compile as one planned
-  batch.  Per-entry errors are reported per entry.
+  serialized result.  The key is hashed from the raw wire arrays, and a hit
+  in the cache's memory layer is answered **inline on the event loop** by
+  splicing the stored artifact bytes into the response; everything else
+  (a memory miss, a disk hit, ``use_cache=false``, a payload the raw path
+  cannot read) goes through the batching scheduler.
+* ``POST /compile_batch`` — ``{"programs": [...]}`` with shared options;
+  memory hits are answered inline as above, the rest coalesce into the same
+  scheduler window and compile as one planned batch.  Per-entry errors are
+  reported per entry.
 * ``POST /compile_template`` — one ``repro.parametric/v1`` program; traces
   the pipeline once into a compiled template, stores it under a
   structure-only key (``template_key``), optionally returns the template
@@ -17,7 +22,8 @@ Endpoints (all JSON bodies/responses):
   ``template_key`` or shipped inline) plus a ``params`` vector; replays the
   template skeleton **inline on the event loop** — a bind takes microseconds,
   so it never waits out the batching window.
-* ``GET /result/<key>`` — fetch a cached artifact by key (404 on miss).
+* ``GET /result/<key>`` — fetch a cached artifact by key, as its stored
+  bytes (404 on miss).
 * ``DELETE /result/<key>`` — explicitly evict a cached artifact (404 on
   miss); counted on ``/metrics`` as ``service.results_deleted``.
 * ``GET /healthz`` — liveness.
@@ -26,9 +32,9 @@ Endpoints (all JSON bodies/responses):
 The server is a single ``asyncio`` process: request handling stays on the
 event loop, while compilation runs on worker threads via the
 :class:`~repro.service.scheduler.BatchingScheduler`, so concurrent
-``POST /compile`` requests buffer for a few milliseconds and execute as one
-:func:`repro.compile_many` batch.  HTTP/1.1 keep-alive is supported (one
-request at a time per connection).
+``POST /compile`` requests that miss the memory layer buffer for a few
+milliseconds and execute as one :func:`repro.compile_many` batch.  HTTP/1.1
+keep-alive is supported (one request at a time per connection).
 
 Start it with ``python -m repro.service``; drive it with
 :class:`repro.service.client.Client`.
@@ -58,7 +64,7 @@ from repro.observability import (
     render_prometheus,
 )
 from repro.service import faults
-from repro.service.cache import ArtifactCache
+from repro.service.cache import ArtifactCache, StoredResult, wire_cache_key
 from repro.service.scheduler import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_QUEUE_DEPTH,
@@ -124,6 +130,37 @@ class _TextPayload:
     def __init__(self, body: bytes, content_type: str):
         self.body = body
         self.content_type = content_type
+
+
+class _Spliced:
+    """A JSON-object response whose member ``name`` is already encoded.
+
+    ``fields`` are encoded at write time and ``raw`` — the bytes of one JSON
+    value — is written as is: a stored artifact goes out exactly as it sits
+    on disk, with no decode and no re-encode.
+    """
+
+    __slots__ = ("fields", "name", "raw")
+
+    def __init__(self, fields: dict, name: str, raw: bytes):
+        self.fields = fields
+        self.name = name
+        self.raw = raw
+
+    def marked(self, name: str, value) -> "_Spliced":
+        """A copy with one more encoded-at-write-time field."""
+        return _Spliced({**self.fields, name: value}, self.name, self.raw)
+
+    def encode(self) -> bytes:
+        head = json.dumps(self.fields, separators=(",", ":")).encode()
+        opening = head[:-1] + b"," if self.fields else b"{"
+        return opening + json.dumps(self.name).encode() + b":" + self.raw + b"}"
+
+
+def _json_bytes(payload) -> bytes:
+    if isinstance(payload, _Spliced):
+        return payload.encode()
+    return json.dumps(payload, separators=(",", ":")).encode()
 
 
 #: the content type Prometheus scrapers expect from a text-format endpoint
@@ -394,8 +431,11 @@ class ServiceServer:
             replay = self._dedup.get(request_id)
             if replay is not None:
                 status, payload = replay
-                payload = dict(payload)
-                payload["deduplicated"] = True
+                if isinstance(payload, _Spliced):
+                    payload = payload.marked("deduplicated", True)
+                else:
+                    payload = dict(payload)
+                    payload["deduplicated"] = True
                 self.telemetry.inc("service.request_dedup_hits")
                 await self._respond(writer, status, payload, keep_alive)
                 return keep_alive
@@ -456,7 +496,7 @@ class ServiceServer:
                 )
         if status != 200:
             self.telemetry.inc(f"service.http_{status}")
-        elif request_id and isinstance(payload, dict):
+        elif request_id and isinstance(payload, (dict, _Spliced)):
             self._dedup[request_id] = (status, payload)
             self._dedup.move_to_end(request_id)
             while len(self._dedup) > self.dedup_entries:
@@ -487,6 +527,9 @@ class ServiceServer:
                 writer, status, payload.body, keep_alive, extra_headers,
                 content_type=payload.content_type,
             )
+            return
+        if isinstance(payload, _Spliced):
+            await respond_raw(writer, status, payload.encode(), keep_alive, extra_headers)
             return
         await respond_json(writer, status, payload, keep_alive, extra_headers)
 
@@ -610,18 +653,18 @@ class ServiceServer:
 
     def _get_result(
         self, key: str, trace: "TraceContext | None" = None
-    ) -> tuple[int, dict]:
+    ) -> tuple[int, _Spliced]:
         if self.cache is None:
             raise _HttpError(404, "the server runs without an artifact cache", "NoCache")
         with self.tracer.span(trace, "cache.read", tags={"kind": "artifact"}) as span:
             try:
-                result = self.cache.get(key)
+                stored = self.cache.get_stored(key)
             except ReproError as error:
                 raise _bad_request(error) from error
-            span.tag("hit", result is not None)
-        if result is None:
+            span.tag("hit", stored is not None)
+        if stored is None:
             raise _HttpError(404, f"no artifact stored under {key!r}", "NotFound")
-        return 200, {"key": key, "result": result_to_wire(result)}
+        return 200, _Spliced({"key": key}, "result", stored.raw)
 
     @staticmethod
     def _compile_options(payload: dict) -> dict:
@@ -641,7 +684,25 @@ class ServiceServer:
             "use_cache": bool(payload.get("use_cache", True)),
         }
 
-    def _job_payload(self, outcome: CompletedJob, include_result: bool) -> dict:
+    @staticmethod
+    def _stored_payload(
+        key: str, stored: StoredResult, cache_hit: bool, include_result: bool
+    ) -> "dict | _Spliced":
+        entry = {
+            "key": key,
+            "cache_hit": cache_hit,
+            "metrics": stored.metrics,
+            "compiler": stored.compiler,
+        }
+        return _Spliced(entry, "result", stored.raw) if include_result else entry
+
+    def _job_payload(
+        self, outcome: CompletedJob, include_result: bool
+    ) -> "dict | _Spliced":
+        if outcome.stored is not None:
+            return self._stored_payload(
+                outcome.key, outcome.stored, outcome.cache_hit, include_result
+            )
         entry: dict = {"key": outcome.key, "cache_hit": outcome.cache_hit}
         if outcome.result is not None:
             entry["metrics"] = outcome.result.metrics()
@@ -650,25 +711,86 @@ class ServiceServer:
                 entry["result"] = result_to_wire(outcome.result)
         return entry
 
+    def _wire_key(self, wire_program, options: dict) -> "str | None":
+        """The artifact key of a raw wire program, or ``None``.
+
+        ``None`` without a cache, or when the raw path cannot read the
+        payload: the request then takes the scheduler path, whose decode
+        and validation report the error exactly as they always have.
+        """
+        if self.cache is None:
+            return None
+        try:
+            with self.tracer.span(
+                telemetry=self.telemetry, histogram="service.key_seconds"
+            ):
+                return wire_cache_key(
+                    wire_program,
+                    target=options["target"],
+                    level=options["level"],
+                    pipeline=options["pipeline"],
+                )
+        except Exception:  # noqa: BLE001 — the scheduler path reports it
+            return None
+
+    def _memory_hit(
+        self, key: str, trace: "TraceContext | None"
+    ) -> "StoredResult | None":
+        """Look ``key`` up in the cache's memory layer, on the event loop.
+
+        Only a hit is recorded (a ``cache.read`` span and one
+        ``service.cache_lookup_seconds`` observation): a miss goes on to the
+        scheduler, whose own lookup of both layers records the read.
+        """
+        started_wall, started = time.time(), time.perf_counter()
+        stored = self.cache.peek(key)
+        if stored is None:
+            return None
+        seconds = time.perf_counter() - started
+        self.telemetry.observe("service.cache_lookup_seconds", seconds)
+        self.telemetry.inc("service.cache_hits")
+        if trace is not None:
+            self.tracer.record(
+                trace.trace_id, "cache.read", started_wall, seconds,
+                parent_id=trace.span_id,
+                tags={"kind": "artifact", "hit": True, "layer": "memory"},
+            )
+        return stored
+
+    async def _compile_entry(
+        self,
+        wire_program,
+        options: dict,
+        include_result: bool,
+        deadline: float | None,
+        trace: "TraceContext | None",
+    ) -> "dict | _Spliced":
+        """One compile request: a memory hit inline, anything else batched."""
+        key = self._wire_key(wire_program, options)
+        if key is not None and options["use_cache"]:
+            stored = self._memory_hit(key, trace)
+            if stored is not None:
+                return self._stored_payload(key, stored, True, include_result)
+        program = program_from_wire(wire_program)
+        outcome = await self.scheduler.submit(
+            program, key=key, deadline=deadline, trace=trace, **options
+        )
+        return self._job_payload(outcome, include_result)
+
     async def _post_compile(
         self,
         payload: dict,
         deadline: float | None = None,
         trace: "TraceContext | None" = None,
-    ) -> tuple[int, dict]:
+    ) -> "tuple[int, dict | _Spliced]":
         wire_program = payload.get("program")
         if wire_program is None:
             raise _HttpError(400, "payload lacks a 'program' field")
         options = self._compile_options(payload)
         include_result = bool(payload.get("include_result", True))
-        try:
-            program = program_from_wire(wire_program)
-        except ReproError as error:
-            raise _bad_request(error) from error
-        outcome = await self.scheduler.submit(
-            program, deadline=deadline, trace=trace, **options
+        return 200, await self._compile_entry(
+            wire_program, options, include_result, deadline, trace
         )
-        return 200, self._job_payload(outcome, include_result)
 
     def _post_fault(self, payload: dict) -> tuple[int, dict]:
         """Arm / inspect the in-process fault registry (chaos tooling only)."""
@@ -817,27 +939,27 @@ class ServiceServer:
         payload: dict,
         deadline: float | None = None,
         trace: "TraceContext | None" = None,
-    ) -> tuple[int, dict]:
+    ) -> "tuple[int, _Spliced]":
         wire_programs = payload.get("programs")
         if not isinstance(wire_programs, list) or not wire_programs:
             raise _HttpError(400, "payload needs a non-empty 'programs' list")
         options = self._compile_options(payload)
         include_result = bool(payload.get("include_result", True))
 
-        async def _one(wire_program) -> dict:
+        async def _one(wire_program) -> "dict | _Spliced":
             try:
-                program = program_from_wire(wire_program)
-                outcome = await self.scheduler.submit(
-                    program, deadline=deadline, trace=trace, **options
+                return await self._compile_entry(
+                    wire_program, options, include_result, deadline, trace
                 )
             except ReproError as error:
                 return {"error": str(error), "type": type(error).__name__}
-            return self._job_payload(outcome, include_result)
 
         # submitted in one loop tick, so the scheduler coalesces the whole
         # batch into a single window
         entries = await asyncio.gather(*(_one(wire) for wire in wire_programs))
-        return 200, {"results": list(entries)}
+        return 200, _Spliced(
+            {}, "results", b"[" + b",".join(map(_json_bytes, entries)) + b"]"
+        )
 
 
 # ---------------------------------------------------------------------- #

@@ -623,3 +623,66 @@ class TestBothStores:
         assert summary[store.expired] == 1
         assert store.get(cache, stale_key) is None  # gone from memory as well
         assert store.get(cache, fresh_key) is fresh_value
+
+    def test_memory_hits_refresh_the_idle_ttl(self, tmp_path, store):
+        ttl = 10.0 if store.kind == "artifact" else 60.0
+        cache = ArtifactCache(tmp_path / "ttl", ttl_seconds=ttl)
+        key, value = store.entry(9)
+        store.put(cache, key, value)
+        _backdate(store.path(cache, key), ttl + 1)  # stored a while ago
+        for _ in range(100):  # steady load, all from the memory layer
+            assert store.get(cache, key) is value
+        assert cache.sweep()[store.expired] == 0
+        assert store.get(cache, key) is value
+
+    def test_memory_hits_count_for_the_disk_budget(self, tmp_path, cache, store):
+        hot_key, hot_value = store.entry(10)
+        cold_key, cold_value = store.entry(11)
+        new_key, new_value = store.entry(12)
+        sizer = ArtifactCache(tmp_path / "sizer")
+        store.put(sizer, new_key, new_value)
+        budget = store.path(sizer, new_key).stat().st_size - 1
+        for key, value, age in ((hot_key, hot_value, 30), (cold_key, cold_value, 20)):
+            store.put(cache, key, value)
+            _backdate(store.path(cache, key), age)
+            budget += store.path(cache, key).stat().st_size
+        for _ in range(50):
+            store.get(cache, hot_key)
+        setattr(cache, store.budget, budget)  # the third file is one too many
+        store.put(cache, new_key, new_value)
+        assert store.path(cache, hot_key).exists()
+        assert not store.path(cache, cold_key).exists()
+
+
+def _damage(artifact: dict, field: str):
+    *parents, name = field.split(".")
+    for parent in parents:
+        artifact = artifact[parent]
+    artifact[name] = [] if name == "extraction" else None
+
+
+class TestDamagedArtifacts:
+    """Valid JSON with a broken field reads as a miss, never as an error."""
+
+    @pytest.mark.parametrize("field", [
+        "compile_seconds",
+        "circuit.num_qubits",
+        "extraction.rotation_count",
+        "extraction.elapsed_seconds",
+        "extraction",
+        "circuit.ops",
+    ])
+    def test_damaged_field_is_quarantined(self, cache, rng, field):
+        terms = random_pauli_terms(rng, 4, 6)
+        key = cache.key_for(terms)
+        cache.put(key, repro.compile(terms))
+        path = cache.objects_dir / f"{key}.json"
+        artifact = json.loads(path.read_text())
+        _damage(artifact, field)
+        path.write_text(json.dumps(artifact))
+        cache.forget_memory()
+        assert cache.get(key) is None
+        assert not path.exists()
+        assert (cache.quarantine_dir / path.name).exists()
+        assert cache.corrupt_artifacts == 1
+

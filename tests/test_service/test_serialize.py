@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.circuits.qasm import to_qasm
 from repro.exceptions import WireFormatError
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
@@ -145,10 +146,103 @@ class TestCircuitWire:
         assert [g.params for g in restored] == [g.params for g in circuit]
 
     def test_qubit_count_mismatch_rejected(self, rng):
-        payload = circuit_to_wire(random_clifford_circuit(rng, 4, 10))
-        payload["num_qubits"] = 9
+        circuit = random_clifford_circuit(rng, 4, 10)
+        # v1 carries the register twice (the field and the QASM qreg)
+        legacy = {"format": "repro.circuit/v1", "num_qubits": 9, "qasm": to_qasm(circuit)}
+        with pytest.raises(WireFormatError):
+            circuit_from_wire(legacy)
+        # v2 has one declaration: a register too small for the gates fails
+        payload = circuit_to_wire(circuit)
+        payload["num_qubits"] = max(qubit for gate in circuit for qubit in gate.qubits)
         with pytest.raises(WireFormatError):
             circuit_from_wire(payload)
+
+
+def _every_gate_kind(num_qubits: int, angles) -> "repro.QuantumCircuit":
+    from repro.circuits.gate import SINGLE_QUBIT_GATES, TWO_QUBIT_GATES, Gate
+
+    circuit = repro.QuantumCircuit(num_qubits)
+    angles = iter(angles)
+    last = num_qubits - 1
+    for name in sorted(SINGLE_QUBIT_GATES):
+        for qubit in {0, last}:
+            params = (next(angles),) if name.startswith("r") else ()
+            circuit.append(Gate(name, (qubit,), params))
+    if num_qubits > 1:
+        for name in sorted(TWO_QUBIT_GATES):
+            for pair in {(0, last), (last, 0)}:
+                params = (next(angles),) if name.startswith("r") else ()
+                circuit.append(Gate(name, pair, params))
+    return circuit
+
+
+def _bits(circuit) -> list:
+    return [
+        (gate.name, gate.qubits, np.array(gate.params, dtype="<f8").tobytes())
+        for gate in circuit
+    ]
+
+
+class TestCircuitWireV2:
+    #: signed zeros, subnormals, extremes, and template sentinel codes
+    ANGLES = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, np.pi, 1.0, -2.0, 17.0, -1e-17, 3.0]
+
+    @pytest.mark.parametrize("num_qubits", [1, 64, 129])
+    def test_every_gate_kind_round_trips_bit_exactly(self, num_qubits):
+        circuit = _every_gate_kind(num_qubits, self.ANGLES * 4)
+        payload = _json_roundtrip(circuit_to_wire(circuit))
+        assert payload["format"] == "repro.circuit/v2"
+        restored = circuit_from_wire(payload)
+        assert restored.num_qubits == num_qubits
+        assert _bits(restored) == _bits(circuit)
+        assert circuit_from_wire(_json_roundtrip(circuit_to_wire(restored))) == circuit
+
+    def test_empty_circuit_round_trips(self):
+        empty = repro.QuantumCircuit(3)
+        assert circuit_from_wire(_json_roundtrip(circuit_to_wire(empty))) == empty
+
+    def test_template_skeleton_sentinels_round_trip_bit_exactly(self, rng):
+        from repro.parametric import ParametricProgram, compile_template
+        from repro.service.serialize import template_from_wire, template_to_wire
+
+        terms = random_pauli_terms(rng, 5, 10)
+        template = compile_template(ParametricProgram.from_terms(terms, list(range(10))))
+        restored = template_from_wire(_json_roundtrip(template_to_wire(template)))
+        assert _bits(restored._skeleton) == _bits(template._skeleton)
+
+    def test_v1_payloads_still_decode(self, rng):
+        circuit = _every_gate_kind(4, self.ANGLES * 4)
+        legacy = {"format": "repro.circuit/v1", "num_qubits": 4, "qasm": to_qasm(circuit)}
+        assert _bits(circuit_from_wire(legacy)) == _bits(circuit)
+
+    @staticmethod
+    def _rewrite(payload, field, array, dtype):
+        payload = dict(payload)
+        payload[field] = encode_array(array, dtype)
+        return payload
+
+    def test_rejects_malformed_arrays(self, rng):
+        payload = circuit_to_wire(_every_gate_kind(4, self.ANGLES * 4))
+        ops = decode_array(payload["ops"], "<u1")
+        qubits = decode_array(payload["qubits"], "<u4")
+        angles = decode_array(payload["angles"], "<f8")
+        bad_op, bad_qubit = ops.copy(), qubits.copy()
+        bad_op[3] = 16
+        bad_qubit[5, 0] = 4
+        repeated = qubits.copy()
+        repeated[-1] = (2, 2)
+        for broken in (
+            self._rewrite(payload, "ops", bad_op, "<u1"),
+            self._rewrite(payload, "qubits", bad_qubit, "<u4"),
+            self._rewrite(payload, "qubits", repeated, "<u4"),
+            self._rewrite(payload, "qubits", qubits[1:], "<u4"),
+            self._rewrite(payload, "angles", angles[1:], "<f8"),
+            self._rewrite(payload, "angles", np.append(angles, 1.0), "<f8"),
+            dict(payload, num_qubits=None),
+            dict(payload, format="repro.circuit/v3"),
+        ):
+            with pytest.raises(WireFormatError):
+                circuit_from_wire(broken)
 
 
 class TestTableauWire:
