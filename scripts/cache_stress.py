@@ -12,15 +12,21 @@ advisory index.  This script makes that claim falsifiable.  The parent
    running ``--ops`` randomized operations — ``put`` / ``get`` / ``delete`` /
    ``reconcile_index`` / ``sweep`` — against the shared directory, with a
    *protected* subset of keys that is written but never deleted,
-3. then verifies: every worker exited cleanly, every protected artifact is
-   present and deserializes to a result whose metrics match the reference
-   compile, every surviving contested artifact also round-trips, the index
-   parses, a reconcile pass finds zero drift on its second run, and no
-   temp files leaked.
+3. then verifies: every worker exited cleanly, the object files fit the
+   budget every process shares (``--max-bytes``) within the
+   ``1 + processes / RESCAN_FRACTION`` overshoot that per-process ledgers
+   allow, every protected artifact is present and deserializes to a result
+   whose metrics match the reference compile, every surviving contested
+   artifact also round-trips, the index parses, a reconcile pass finds zero
+   drift on its second run, after a final sweep the index lists exactly the
+   files present, and no temp files leaked.  Under an explicit
+   ``--max-bytes`` a protected artifact may be evicted like any other; then
+   the protected ones that survive must round-trip.
 
 Exit code 0 = the invariants held.  Run it standalone::
 
     PYTHONPATH=src python scripts/cache_stress.py --processes 4 --ops 120
+    PYTHONPATH=src python scripts/cache_stress.py --processes 4 --max-bytes 20000
 
 or via ``tests/test_service/test_cache_multiprocess.py``.
 """
@@ -41,7 +47,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import repro  # noqa: E402
 from repro.paulis.pauli import PauliString  # noqa: E402
 from repro.paulis.term import PauliTerm  # noqa: E402
-from repro.service.cache import ArtifactCache, cache_key  # noqa: E402
+from repro.service.cache import (  # noqa: E402
+    DEFAULT_MAX_BYTES,
+    RESCAN_FRACTION,
+    ArtifactCache,
+    cache_key,
+)
 
 #: paulis per program / qubits — small enough that a compile is milliseconds
 NUM_QUBITS = 6
@@ -82,7 +93,10 @@ def run_worker(args: argparse.Namespace) -> int:
     programs = build_universe(args.seed)
     keys = [cache_key(program) for program in programs]
     compiled = {}
-    cache = ArtifactCache(args.cache_dir, ttl_seconds=3600.0)
+    cache = ArtifactCache(
+        args.cache_dir, max_bytes=args.max_bytes or DEFAULT_MAX_BYTES,
+        ttl_seconds=3600.0,
+    )
     for _ in range(args.ops):
         index = rng.randrange(UNIVERSE)
         key, program = keys[index], programs[index]
@@ -131,6 +145,8 @@ def run_parent(args: argparse.Namespace) -> int:
                 "--ops", str(args.ops),
                 "--seed", str(args.seed),
             ]
+            if args.max_bytes is not None:
+                command += ["--max-bytes", str(args.max_bytes)]
             workers.append(subprocess.Popen(command))
         failures = 0
         for index, process in enumerate(workers):
@@ -140,17 +156,32 @@ def run_parent(args: argparse.Namespace) -> int:
         if failures:
             return 1
 
-        cache = ArtifactCache(cache_dir)
-        # 1. every protected artifact survived and round-trips correctly
+        # 1. the processes kept the shared budget, up to what each one's
+        #    ledger could miss of the others' writes
+        max_bytes = args.max_bytes or DEFAULT_MAX_BYTES
+        limit = max_bytes * (1 + args.processes / RESCAN_FRACTION)
+        objects_dir = Path(cache_dir) / "objects"
+        disk_bytes = sum(path.stat().st_size for path in objects_dir.glob("*.json"))
+        if disk_bytes > limit:
+            print(f"FAIL: {disk_bytes} bytes on disk, over the {limit:.0f} limit")
+            return 1
+
+        cache = ArtifactCache(cache_dir, max_bytes=max_bytes)
+        # 2. every protected artifact survived (unless a budget was set) and
+        #    round-trips correctly
+        protected = 0
         for key in keys[:PROTECTED]:
             result = cache.get(key)
             if result is None:
+                if args.max_bytes is not None:
+                    continue  # evicted under the budget, like any artifact
                 print(f"FAIL: protected artifact {key[:12]} lost")
                 return 1
+            protected += 1
             if structural_metrics(result) != structural_metrics(reference[key]):
                 print(f"FAIL: protected artifact {key[:12]} corrupted")
                 return 1
-        # 2. every surviving contested artifact also round-trips
+        # 3. every surviving contested artifact also round-trips
         survivors = 0
         for key in keys[PROTECTED:]:
             result = cache.get(key)
@@ -160,7 +191,7 @@ def run_parent(args: argparse.Namespace) -> int:
             if structural_metrics(result) != structural_metrics(reference[key]):
                 print(f"FAIL: contested artifact {key[:12]} corrupted")
                 return 1
-        # 3. the advisory index parses and reconciles to a fixed point
+        # 4. the advisory index parses and reconciles to a fixed point
         index_path = Path(cache_dir) / "index.json"
         if index_path.exists():
             with open(index_path) as handle:
@@ -170,7 +201,18 @@ def run_parent(args: argparse.Namespace) -> int:
         if drift != 0:
             print(f"FAIL: reconcile_index did not stabilize (drift {drift})")
             return 1
-        # 4. no temp files leaked past the atomic-write window
+        # 5. after a final sweep the index lists exactly the files present
+        cache.sweep()
+        with open(index_path) as handle:
+            listed = set(json.load(handle)["artifacts"])
+        present = {path.stem for path in objects_dir.glob("*.json")}
+        if listed != present:
+            print(
+                f"FAIL: index lists {len(listed - present)} missing and omits "
+                f"{len(present - listed)} present artifacts"
+            )
+            return 1
+        # 6. no temp files leaked past the atomic-write window
         leaked = [
             str(path)
             for path in Path(cache_dir).rglob(".tmp-*")
@@ -180,7 +222,8 @@ def run_parent(args: argparse.Namespace) -> int:
             return 1
         print(
             f"OK: {args.processes} processes x {args.ops} ops — "
-            f"{PROTECTED} protected + {survivors} contested artifacts intact, "
+            f"{protected} protected + {survivors} contested artifacts intact, "
+            f"{disk_bytes} bytes on disk (budget {max_bytes}), "
             "index stable, no temp leaks"
         )
         return 0
@@ -195,6 +238,11 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--ops", type=int, default=120, help="operations per process")
     parser.add_argument("--seed", type=int, default=20250807)
     parser.add_argument("--cache-dir", default=None, help="default: a temp dir")
+    parser.add_argument(
+        "--max-bytes", type=int, default=None,
+        help="disk budget of every process (default: the cache's default); "
+        "protected artifacts may then be evicted",
+    )
     parser.add_argument(
         "--worker", type=int, default=None, help=argparse.SUPPRESS
     )

@@ -25,17 +25,29 @@ first):
 2. the disk store — survives process restarts and is shared by concurrent
    processes: every file and index write goes through a temp file plus
    :func:`os.replace` (atomic on POSIX and Windows), so readers never see a
-   torn file, and the size cap evicts by file mtime (touched on every hit);
-   an undecodable file is quarantined and read as a miss;
+   torn file, and the size cap evicts by file mtime (touched on every hit)
+   from a per-store ledger of the directory, so a write lists nothing; an
+   undecodable file is quarantined and read as a miss;
 3. in front of the existing in-memory
    :class:`~repro.clifford.engine.ConjugationCache`: the cache owns one and
    the service threads it through every ``compile_many`` call, so even cache
    *misses* pool their tableau freezes.
 
-``index.json`` is an advisory snapshot (key → size / stored-at) rebuilt from
-the object directory on every write; the object files themselves are the
-source of truth, so two processes racing on the index can only lose a
-snapshot update, never an artifact.
+``index.json`` is an advisory snapshot (key → size / mtime) of the last scan
+of the object directory.  The cache scans — and so rewrites the index — at
+construction, on :meth:`~ArtifactCache.sweep`, :meth:`~ArtifactCache.stats`
+/ :meth:`~ArtifactCache.reconcile_index` and :meth:`~ArtifactCache.delete`,
+and once a process has written ``max_bytes // RESCAN_FRACTION`` bytes since
+its last scan; an ordinary put touches neither the directory listing nor
+the index.  The object files themselves are the source of truth, so two
+processes racing on the index can only lose a snapshot update, never an
+artifact.
+
+Processes sharing one directory each evict against their own ledger, which
+misses only what the others wrote since its last scan.  Every process
+rescans after writing ``max_bytes // RESCAN_FRACTION`` bytes, so ``P``
+processes hold the directory to about ``max_bytes * (1 + (P - 1) /
+RESCAN_FRACTION)``, plus the artifacts being written at that moment.
 """
 
 from __future__ import annotations
@@ -85,6 +97,11 @@ DEFAULT_MEMORY_ENTRIES = 128
 #: most corrupt files kept in ``<cache>/quarantine/`` — oldest pruned beyond
 #: this, so a rotting disk cannot fill the volume with evidence
 DEFAULT_MAX_QUARANTINE = 32
+
+#: a store rescans its directory once this process has written
+#: ``max_bytes // RESCAN_FRACTION`` bytes since its last scan, which bounds
+#: what its ledger can miss of other processes' writes
+RESCAN_FRACTION = 8
 
 
 def target_fingerprint(target: Target | CouplingMap | str | None) -> str:
@@ -293,17 +310,28 @@ class _Store:
     :meth:`get` / :meth:`peek` / :meth:`put` hand that entry out.  ``lock``
     is the owning cache's lock and ``quarantine`` its best-effort quarantine
     of an undecodable file.
+
+    The store keeps a *ledger* of its directory — key → (mtime, size),
+    stalest first, plus the byte total — so a write does constant work
+    instead of listing the directory.  Every :meth:`scan` rebuilds the
+    ledger and hands the scan to ``on_scan`` (the object store's writes
+    ``index.json``); between scans this process's own puts, hits,
+    evictions and quarantines keep it current.  What other processes
+    sharing the directory write reaches the ledger at the next scan, and a
+    store scans on its own after writing ``max_bytes // RESCAN_FRACTION``
+    bytes since its last one.
     """
 
     def __init__(self, directory: Path, kind: str, encode, decode,
                  max_bytes: int, memory_entries: int, lock, quarantine,
-                 keep=_keep_value):
+                 keep=_keep_value, on_scan=None):
         self.directory = directory
         self.kind = kind
         self.encode = encode
         self.decode = decode
         self.keep = keep
-        #: ``path(key)`` as plain string concatenation, for the memory-hit
+        self.on_scan = on_scan
+        #: ``path(key)`` as plain string concatenation, for the per-request
         #: mtime touch (a ``Path`` join costs as much as the syscall)
         self._file_prefix = os.path.join(directory, "")
         self.max_bytes = int(max_bytes)
@@ -311,6 +339,13 @@ class _Store:
         self.lock = lock
         self.quarantine = quarantine
         self.memory: OrderedDict[str, object] = OrderedDict()
+        self.ledger: OrderedDict[str, tuple[float, int]] = OrderedDict()
+        self.ledger_bytes = 0
+        #: bytes this process wrote since its last scan
+        self.unscanned_bytes = 0
+        #: keys whose files this process removed since its last scan, so
+        #: that reconciling against that scan's index counts no drift
+        self.removed: set[str] = set()
         self.hits = 0
         self.misses = 0
         self.memory_hits = 0
@@ -337,10 +372,7 @@ class _Store:
             self.memory.move_to_end(key)
             self.hits += 1
             self.memory_hits += 1
-        try:
-            os.utime(self._file_prefix + key + ".json")
-        except OSError:
-            pass
+        self._touch(key)
         return cached
 
     def get(self, key: str):
@@ -376,11 +408,11 @@ class _Store:
             self.quarantine(path)
             with self.lock:
                 self.misses += 1
+                self.drop(key)
             return None
-        try:
-            os.utime(path)  # keep live entries fresh for LRU eviction and TTL
-        except OSError:
-            pass
+        # keep live entries fresh for LRU eviction and TTL; the file may be
+        # another process's write that the ledger has not seen yet
+        self._touch(key, len(raw))
         with self.lock:
             self.hits += 1
             self.disk_hits += 1
@@ -388,17 +420,27 @@ class _Store:
         return entry
 
     def put(self, key: str, value):
-        """Encode once, write atomically, remember, evict.
+        """Encode once, write atomically, remember, record; returns the entry.
 
-        Returns the memory entry and the files surviving eviction.
+        Then evicts from the ledger while it is over budget — after a scan
+        first, if this process has written ``max_bytes // RESCAN_FRACTION``
+        bytes since its last one.
         """
         faults.fire("cache.write")
         raw = json.dumps(self.encode(value), separators=(",", ":")).encode()
         _atomic_write(self.path(key), raw)
+        # taken after the write, so never older than the file's own mtime
+        stamp = time.time()
         entry = self.keep(value, raw)
         with self.lock:
             self.remember(key, entry)
-        return entry, self.evict()
+            self._record(key, stamp, len(raw))
+            self.unscanned_bytes += len(raw)
+            rescan = self.unscanned_bytes >= self.max_bytes // RESCAN_FRACTION
+        if rescan:
+            self.scan()
+        self.evict()
+        return entry
 
     def remember(self, key: str, entry) -> None:
         """Insert into the memory LRU (caller holds the lock)."""
@@ -409,44 +451,118 @@ class _Store:
         while len(self.memory) > self.memory_entries:
             self.memory.popitem(last=False)
 
-    def scan(self) -> list[tuple[float, int, Path]]:
-        return _scan_dir(self.directory)
+    def _record(self, key: str, mtime: float, size: int) -> None:
+        """Put ``key`` at the ledger's fresh end (caller holds the lock)."""
+        old = self.ledger.pop(key, None)
+        self.ledger[key] = (mtime, size)
+        self.ledger_bytes += size - (0 if old is None else old[1])
 
-    def evict(self) -> list[tuple[float, int, Path]]:
-        """Evict oldest-mtime files until under budget; returns the survivors."""
-        entries = self.scan()
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            return entries
-        survivors = list(entries)
-        for entry in sorted(entries):
-            _, size, path = entry
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            survivors.remove(entry)
+    def drop(self, key: str) -> None:
+        """Forget ``key`` whose file this process removed (caller holds the lock)."""
+        old = self.ledger.pop(key, None)
+        if old is not None:
+            self.ledger_bytes -= old[1]
+        self.memory.pop(key, None)
+        self.removed.add(key)
+
+    def _touch(self, key: str, size: int | None = None) -> None:
+        """Refresh ``key``'s file mtime and move it to the ledger's fresh end.
+
+        ``size`` is given for a file just read, which the ledger may not
+        hold yet; without it only a key the ledger holds is moved.
+        """
+        try:
+            os.utime(self._file_prefix + key + ".json")
+        except OSError:
+            return
+        stamp = time.time()
+        with self.lock:
+            if size is None:
+                record = self.ledger.get(key)
+                if record is None:
+                    return
+                size = record[1]
+            self._record(key, stamp, size)
+
+    def scan(self) -> list[tuple[float, int, Path]]:
+        """List the directory and rebuild the ledger from it."""
+        started = time.time()
+        entries = _scan_dir(self.directory)
+        self._adopt(entries, started)
+        return entries
+
+    def _adopt(self, entries: list[tuple[float, int, Path]], started: float) -> None:
+        """Make one directory scan, begun at ``started``, the ledger.
+
+        Records this process made since ``started`` that the listing missed
+        (another thread's put) are kept; then ``on_scan`` gets the scan.
+        """
+        ledger = OrderedDict(
+            (path.stem, (mtime, size)) for mtime, size, path in sorted(entries)
+        )
+        with self.lock:
+            for key, record in self.ledger.items():
+                if record[0] >= started and key not in ledger:
+                    ledger[key] = record
+            self.ledger = ledger
+            self.ledger_bytes = sum(size for _, size in ledger.values())
+            self.unscanned_bytes = 0
+            self.removed.clear()
+        if self.on_scan is not None:
+            self.on_scan(entries)
+
+    def evict(self) -> None:
+        """Unlink ledger entries stalest first while the ledger is over budget.
+
+        Each candidate's mtime is checked first: a file touched since the
+        ledger recorded it was used by another process, so it moves to the
+        fresh end instead, where a fresh scan would have sorted it.
+        """
+        while True:
             with self.lock:
-                self.memory.pop(path.stem, None)
+                if self.ledger_bytes <= self.max_bytes or not self.ledger:
+                    return
+                key, (mtime, size) = self.ledger.popitem(last=False)
+                self.ledger_bytes -= size
+            name = self._file_prefix + key + ".json"
+            try:
+                stat = os.stat(name)
+                if stat.st_mtime > mtime:
+                    with self.lock:
+                        if key not in self.ledger:
+                            self._record(key, stat.st_mtime, stat.st_size)
+                    continue
+                os.unlink(name)
+            except OSError:
+                continue  # already gone: another process removed it
+            with self.lock:
+                self.drop(key)
                 self.evictions += 1
-            total -= size
-            if total <= self.max_bytes:
-                break
-        return survivors
 
     def expire(self, deadline: float) -> int:
-        """Remove every file whose mtime is older than ``deadline``; returns the count."""
+        """Remove every file whose mtime is older than ``deadline``; returns the count.
+
+        Runs on a fresh scan, and the ledger becomes what survives it.
+        """
         expired = 0
-        for mtime, _, path in self.scan():
+        survivors = []
+        started = time.time()
+        for entry in _scan_dir(self.directory):
+            mtime, _, path = entry
             if mtime >= deadline:
+                survivors.append(entry)
                 continue
             try:
                 path.unlink()
+            except FileNotFoundError:
+                continue
             except OSError:
+                survivors.append(entry)
                 continue
             expired += 1
             with self.lock:
                 self.memory.pop(path.stem, None)
+        self._adopt(survivors, started)
         return expired
 
 
@@ -470,6 +586,8 @@ class ArtifactCache:
     max_bytes:
         Disk budget; least-recently-used artifacts (by file mtime, touched
         on every hit) are evicted after a write pushes the total over.
+        Processes sharing the directory can overshoot it by what the others
+        wrote since their last scans (see the module docstring).
     memory_entries:
         Size of each in-memory LRU — stored results, and separately
         templates (0 disables them).
@@ -501,7 +619,7 @@ class ArtifactCache:
         self._objects = _Store(
             self.cache_dir / "objects", "artifact", result_to_wire,
             result_from_wire, max_bytes, memory_entries, self._lock,
-            self._quarantine, keep=StoredResult.of,
+            self._quarantine, keep=StoredResult.of, on_scan=self._write_index,
         )
         #: compiled templates live beside the result objects under their own
         #: (larger-grained) budget: one template serves every binding of an
@@ -536,6 +654,7 @@ class ArtifactCache:
         #: get_template() — each is quarantined, counted, and degraded to a
         #: miss; surfaced on ``/metrics`` so operators can see disk rot
         self.corrupt_artifacts = 0
+        self._templates.scan()
         self.reconcile_index()
 
     max_bytes = _on_store("_objects", "max_bytes")
@@ -584,22 +703,23 @@ class ArtifactCache:
         """Store ``result`` under ``key`` (atomic write + LRU eviction).
 
         The result is encoded once; the returned entry carries those bytes
-        so the caller can send them without encoding again.
+        so the caller can send them without encoding again.  The write
+        lists no directory and leaves ``index.json`` alone: eviction works
+        from the store's ledger, which a scan refreshes after every
+        ``max_bytes // RESCAN_FRACTION`` bytes this process writes.
         """
-        stored, survivors = self._objects.put(key, result)
-        # one directory scan feeds both eviction and the index snapshot
-        self._write_index(survivors)
-        return stored
+        return self._objects.put(key, result)
 
     def delete(self, key: str) -> bool:
         """Explicitly remove the artifact under ``key`` from every layer.
 
-        Returns whether anything was removed (memory or disk); the index
-        snapshot is refreshed so the advisory view drops the entry too.
+        Returns whether anything was removed (memory or disk); a removed
+        file is followed by a scan, so the index snapshot drops it too.
         """
-        path = self._objects.path(key)
+        store = self._objects
+        path = store.path(key)
         with self._lock:
-            in_memory = self._objects.memory.pop(key, None) is not None
+            in_memory = store.memory.pop(key, None) is not None
         try:
             path.unlink()
             on_disk = True
@@ -609,8 +729,9 @@ class ArtifactCache:
         if removed:
             with self._lock:
                 self.deletes += 1
+                store.drop(key)
             if on_disk:
-                self._write_index()
+                store.scan()
         return removed
 
     # ------------------------------------------------------------------ #
@@ -667,10 +788,8 @@ class ArtifactCache:
             self._templates.memory.clear()
 
     # ------------------------------------------------------------------ #
-    def _write_index(self, entries: "list[tuple[float, int, Path]] | None" = None) -> None:
-        """Refresh the advisory ``index.json`` snapshot from the object dir."""
-        if entries is None:
-            entries = self._objects.scan()
+    def _write_index(self, entries: list[tuple[float, int, Path]]) -> None:
+        """Write one scan of the object dir as the advisory ``index.json``."""
         index = {
             "schema": "repro-artifact-index/v1",
             "written": time.time(),
@@ -707,8 +826,6 @@ class ArtifactCache:
         if self.ttl_seconds is not None:
             expired_objects = self._objects.expire(now - self.ttl_seconds)
             expired_templates = self._templates.expire(now - self.ttl_seconds)
-            if expired_objects:
-                self._write_index()
         drift = self.reconcile_index()
         with self._lock:
             self.sweeps += 1
@@ -721,35 +838,37 @@ class ArtifactCache:
         }
 
     def reconcile_index(self) -> int:
-        """Detect and repair advisory-index entries whose artifact is gone.
+        """Detect and repair artifacts that vanished behind the cache's back.
 
-        The object files are the source of truth; an ``index.json`` entry
-        with no backing file means something outside the cache's own write
-        path removed the artifact (operator cleanup, a shared-volume prune,
-        a lost eviction race).  Every drifted entry is counted into
-        ``index_drift``, dropped from the memory layer, and the snapshot is
-        rewritten from a fresh directory scan.  Returns the drift found by
-        *this* call; run automatically at construction and on every
-        :meth:`stats` read (so ``/metrics`` always reports a repaired view).
+        The object files are the source of truth.  A key listed in
+        ``index.json`` (the last scan, by any process) or in this process's
+        ledger that has no backing file means something outside this
+        process's own eviction and delete path removed the artifact
+        (operator cleanup, a shared-volume prune, a lost eviction race).
+        Every drifted key is counted into ``index_drift`` and dropped from
+        the memory layer, and a fresh directory scan rewrites both the
+        ledger and the snapshot.  Returns the drift found by *this* call;
+        run automatically at construction and on every :meth:`stats` read
+        (so ``/metrics`` always reports a repaired view).
         """
         try:
             with open(self.index_path) as handle:
                 index = json.load(handle)
         except (OSError, json.JSONDecodeError):
-            return 0
+            index = None
         listed = index.get("artifacts") if isinstance(index, dict) else None
-        if not isinstance(listed, dict) or not listed:
-            return 0
-        entries = self._objects.scan()
-        present = {path.stem for _, _, path in entries}
-        drifted = set(listed) - present
-        if not drifted:
-            return 0
+        store = self._objects
         with self._lock:
-            self.index_drift += len(drifted)
-            for key in drifted:
-                self._objects.memory.pop(key, None)
-        self._write_index(entries)
+            known = set(store.ledger)
+            if isinstance(listed, dict):
+                known |= set(listed) - store.removed
+        present = {path.stem for _, _, path in store.scan()}
+        drifted = known - present
+        if drifted:
+            with self._lock:
+                self.index_drift += len(drifted)
+                for key in drifted:
+                    store.memory.pop(key, None)
         return len(drifted)
 
     # ------------------------------------------------------------------ #
@@ -760,12 +879,12 @@ class ArtifactCache:
         return self._objects.path(key).exists()
 
     def __len__(self) -> int:
-        return len(self._objects.scan())
+        return len(_scan_dir(self.objects_dir))
 
     def stats(self) -> dict:
+        # the reconcile scan rebuilt the object ledger the disk figures
+        # come from; the template figures are that store's ledger
         self.reconcile_index()
-        entries = self._objects.scan()
-        template_entries = self._templates.scan()
         with self._lock:
             return {
                 "hits": self.hits,
@@ -786,11 +905,11 @@ class ArtifactCache:
                 "ttl_seconds": self.ttl_seconds,
                 "memory_entries": len(self._objects.memory),
                 "template_memory_entries": len(self._templates.memory),
-                "template_disk_entries": len(template_entries),
-                "template_disk_bytes": sum(size for _, size, _ in template_entries),
+                "template_disk_entries": len(self._templates.ledger),
+                "template_disk_bytes": self._templates.ledger_bytes,
                 "max_template_bytes": self.max_template_bytes,
-                "disk_entries": len(entries),
-                "disk_bytes": sum(size for _, size, _ in entries),
+                "disk_entries": len(self._objects.ledger),
+                "disk_bytes": self._objects.ledger_bytes,
                 "max_bytes": self.max_bytes,
                 "conjugation_cache": self.conjugation_cache.stats(),
             }

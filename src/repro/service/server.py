@@ -337,10 +337,16 @@ class ServiceServer:
         while True:
             await asyncio.sleep(self.sweep_interval)
             try:
-                await loop.run_in_executor(None, self.cache.sweep)
-                self.telemetry.inc("service.cache_sweeps")
+                await loop.run_in_executor(None, self._sweep_once)
             except Exception:  # noqa: BLE001 — a failed sweep must not kill the loop
                 self.telemetry.inc("service.cache_sweep_errors")
+
+    def _sweep_once(self) -> None:
+        # counted on the sweeping thread right after the cache counts it, not
+        # after a hop back to the event loop, so /metrics (which reads the
+        # cache first) does not see the cache's count run ahead of this one
+        self.cache.sweep()
+        self.telemetry.inc("service.cache_sweeps")
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -601,6 +607,9 @@ class ServiceServer:
         }
 
     def _metrics(self) -> dict:
+        # the cache first: a sweep finishing meanwhile then shows up in the
+        # telemetry snapshot at least as far as in the cache's counters
+        cache = None if self.cache is None else self.cache.stats()
         payload = {
             "telemetry": self.telemetry.snapshot(),
             "scheduler": {
@@ -615,8 +624,8 @@ class ServiceServer:
         }
         if self.scheduler.pool is not None:
             payload["pool"] = self.scheduler.pool.stats()
-        if self.cache is not None:
-            payload["cache"] = self.cache.stats()
+        if cache is not None:
+            payload["cache"] = cache
         return payload
 
     def _metrics_view(self, query: "dict[str, list[str]]"):

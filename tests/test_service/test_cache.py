@@ -104,6 +104,7 @@ class TestCacheStore:
         terms = random_pauli_terms(rng, 4, 6)
         key = cache.key_for(terms)
         cache.put(key, repro.compile(terms, level=3))
+        cache.sweep()
         index = json.loads(cache.index_path.read_text())
         assert index["schema"] == "repro-artifact-index/v1"
         assert key in index["artifacts"]
@@ -424,6 +425,7 @@ class TestIndexDrift:
         first = ArtifactCache(tmp_path / "shared")
         key = first.key_for(terms)
         first.put(key, repro.compile(terms, level=3))
+        first.sweep()
         first._objects.path(key).unlink()
         second = ArtifactCache(tmp_path / "shared")
         assert second.index_drift == 1

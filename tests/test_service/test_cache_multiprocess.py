@@ -2,8 +2,10 @@
 
 Drives ``scripts/cache_stress.py`` — the same harness an operator can run at
 larger scale — at a size small enough for CI.  The script exits non-zero if
-any process crashes, any protected artifact is lost or corrupted, the index
-fails to reconcile to a fixed point, or an atomic-write temp file leaks.
+any process crashes, the object files overshoot the shared budget by more
+than the per-process ledgers allow, any protected artifact is lost or
+corrupted, the index fails to reconcile to a fixed point or to list exactly
+the files present after a sweep, or an atomic-write temp file leaks.
 """
 
 import subprocess
@@ -42,3 +44,15 @@ class TestMultiprocessStress:
             "--cache-dir", str(tmp_path / "shared"),
         )
         assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_small_budget_holds_across_processes(self, tmp_path):
+        # ~5 of the universe's ~3.6 KB artifacts: every process evicts, and
+        # each sees the others' writes only through its periodic rescans
+        result = _run(
+            "--processes", "3",
+            "--ops", "60",
+            "--max-bytes", "20000",
+            "--cache-dir", str(tmp_path / "shared"),
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "OK:" in result.stdout
