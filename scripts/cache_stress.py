@@ -14,8 +14,8 @@ advisory index.  This script makes that claim falsifiable.  The parent
    *protected* subset of keys that is written but never deleted,
 3. then verifies: every worker exited cleanly, the object files fit the
    budget every process shares (``--max-bytes``) within the
-   ``1 + processes / RESCAN_FRACTION`` overshoot that per-process ledgers
-   allow, every protected artifact is present and deserializes to a result
+   ``1 + processes / RESCAN_FRACTION`` overshoot that per-process byte
+   counts allow, every protected artifact is present and deserializes to a result
    whose metrics match the reference compile, every surviving contested
    artifact also round-trips, the index parses, a reconcile pass finds zero
    drift on its second run, after a final sweep the index lists exactly the
@@ -157,7 +157,7 @@ def run_parent(args: argparse.Namespace) -> int:
             return 1
 
         # 1. the processes kept the shared budget, up to what each one's
-        #    ledger could miss of the others' writes
+        #    byte count could miss of the others' writes
         max_bytes = args.max_bytes or DEFAULT_MAX_BYTES
         limit = max_bytes * (1 + args.processes / RESCAN_FRACTION)
         objects_dir = Path(cache_dir) / "objects"

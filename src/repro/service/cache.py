@@ -26,28 +26,31 @@ first):
    processes: every file and index write goes through a temp file plus
    :func:`os.replace` (atomic on POSIX and Windows), so readers never see a
    torn file, and the size cap evicts by file mtime (touched on every hit)
-   from a per-store ledger of the directory, so a write lists nothing; an
-   undecodable file is quarantined and read as a miss;
+   once a running byte total says a write took the directory over it, so a
+   write below the budget lists nothing; an undecodable file is
+   quarantined and read as a miss;
 3. in front of the existing in-memory
    :class:`~repro.clifford.engine.ConjugationCache`: the cache owns one and
    the service threads it through every ``compile_many`` call, so even cache
    *misses* pool their tableau freezes.
 
 ``index.json`` is an advisory snapshot (key → size / mtime) of the last scan
-of the object directory.  The cache scans — and so rewrites the index — at
-construction, on :meth:`~ArtifactCache.sweep`, :meth:`~ArtifactCache.stats`
-/ :meth:`~ArtifactCache.reconcile_index` and :meth:`~ArtifactCache.delete`,
-and once a process has written ``max_bytes // RESCAN_FRACTION`` bytes since
-its last scan; an ordinary put touches neither the directory listing nor
-the index.  The object files themselves are the source of truth, so two
+of the object directory.  It is rewritten by every eviction pass — a write
+that takes the running total over budget, or one after this process has
+written ``max_bytes // RESCAN_FRACTION`` bytes since its last scan — by
+:meth:`~ArtifactCache.delete` and a TTL expiry, and by
+:meth:`~ArtifactCache.reconcile_index` (so :meth:`~ArtifactCache.sweep`
+and :meth:`~ArtifactCache.stats`) when it differs from the listing.  A
+write below the budget touches neither the directory listing nor the
+index.  The object files themselves are the source of truth, so two
 processes racing on the index can only lose a snapshot update, never an
 artifact.
 
-Processes sharing one directory each evict against their own ledger, which
-misses only what the others wrote since its last scan.  Every process
-rescans after writing ``max_bytes // RESCAN_FRACTION`` bytes, so ``P``
-processes hold the directory to about ``max_bytes * (1 + (P - 1) /
-RESCAN_FRACTION)``, plus the artifacts being written at that moment.
+Processes sharing one directory each count only their own writes since
+their last scan.  Every process rescans after writing ``max_bytes //
+RESCAN_FRACTION`` bytes, so ``P`` processes hold the directory to about
+``max_bytes * (1 + (P - 1) / RESCAN_FRACTION)``, plus the artifacts being
+written at that moment.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ DEFAULT_MAX_QUARANTINE = 32
 
 #: a store rescans its directory once this process has written
 #: ``max_bytes // RESCAN_FRACTION`` bytes since its last scan, which bounds
-#: what its ledger can miss of other processes' writes
+#: what its running byte total can miss of other processes' writes
 RESCAN_FRACTION = 8
 
 
@@ -311,15 +314,13 @@ class _Store:
     is the owning cache's lock and ``quarantine`` its best-effort quarantine
     of an undecodable file.
 
-    The store keeps a *ledger* of its directory — key → (mtime, size),
-    stalest first, plus the byte total — so a write does constant work
-    instead of listing the directory.  Every :meth:`scan` rebuilds the
-    ledger and hands the scan to ``on_scan`` (the object store's writes
-    ``index.json``); between scans this process's own puts, hits,
-    evictions and quarantines keep it current.  What other processes
-    sharing the directory write reaches the ledger at the next scan, and a
-    store scans on its own after writing ``max_bytes // RESCAN_FRACTION``
-    bytes since its last one.
+    The store keeps a running byte total of its directory: the last
+    :meth:`scan` plus what this process wrote since.  A put lists the
+    directory only when that total goes over budget (then it evicts, as a
+    fresh scan orders it) or when this process has written ``max_bytes //
+    RESCAN_FRACTION`` bytes since its last scan, which bounds what the total
+    can miss of other processes' writes.  Each eviction pass hands its
+    survivors to ``on_scan`` (the object store's writes ``index.json``).
     """
 
     def __init__(self, directory: Path, kind: str, encode, decode,
@@ -331,7 +332,7 @@ class _Store:
         self.decode = decode
         self.keep = keep
         self.on_scan = on_scan
-        #: ``path(key)`` as plain string concatenation, for the per-request
+        #: ``path(key)`` as plain string concatenation, for the memory-hit
         #: mtime touch (a ``Path`` join costs as much as the syscall)
         self._file_prefix = os.path.join(directory, "")
         self.max_bytes = int(max_bytes)
@@ -339,13 +340,13 @@ class _Store:
         self.lock = lock
         self.quarantine = quarantine
         self.memory: OrderedDict[str, object] = OrderedDict()
-        self.ledger: OrderedDict[str, tuple[float, int]] = OrderedDict()
-        self.ledger_bytes = 0
-        #: bytes this process wrote since its last scan
+        #: bytes in the directory at the last scan plus this process's
+        #: writes since
+        self.disk_bytes = 0
+        #: bytes this process wrote since its last scan, and when it wrote
+        #: each key
         self.unscanned_bytes = 0
-        #: keys whose files this process removed since its last scan, so
-        #: that reconciling against that scan's index counts no drift
-        self.removed: set[str] = set()
+        self.unscanned_keys: dict[str, float] = {}
         self.hits = 0
         self.misses = 0
         self.memory_hits = 0
@@ -372,7 +373,10 @@ class _Store:
             self.memory.move_to_end(key)
             self.hits += 1
             self.memory_hits += 1
-        self._touch(key)
+        try:
+            os.utime(self._file_prefix + key + ".json")
+        except OSError:
+            pass
         return cached
 
     def get(self, key: str):
@@ -408,11 +412,11 @@ class _Store:
             self.quarantine(path)
             with self.lock:
                 self.misses += 1
-                self.drop(key)
             return None
-        # keep live entries fresh for LRU eviction and TTL; the file may be
-        # another process's write that the ledger has not seen yet
-        self._touch(key, len(raw))
+        try:
+            os.utime(path)  # keep live entries fresh for LRU eviction and TTL
+        except OSError:
+            pass
         with self.lock:
             self.hits += 1
             self.disk_hits += 1
@@ -420,26 +424,33 @@ class _Store:
         return entry
 
     def put(self, key: str, value):
-        """Encode once, write atomically, remember, record; returns the entry.
+        """Encode once, write atomically, remember, count; returns the entry.
 
-        Then evicts from the ledger while it is over budget — after a scan
-        first, if this process has written ``max_bytes // RESCAN_FRACTION``
-        bytes since its last one.
+        Lists the directory and evicts only when the running total is over
+        budget or this process has written ``max_bytes // RESCAN_FRACTION``
+        bytes since its last scan.
         """
         faults.fire("cache.write")
         raw = json.dumps(self.encode(value), separators=(",", ":")).encode()
-        _atomic_write(self.path(key), raw)
-        # taken after the write, so never older than the file's own mtime
+        path = self.path(key)
+        try:
+            replaced = os.stat(path).st_size  # an overwrite counts once
+        except OSError:
+            replaced = 0
+        _atomic_write(path, raw)
         stamp = time.time()
         entry = self.keep(value, raw)
         with self.lock:
             self.remember(key, entry)
-            self._record(key, stamp, len(raw))
+            self.disk_bytes += len(raw) - replaced
             self.unscanned_bytes += len(raw)
-            rescan = self.unscanned_bytes >= self.max_bytes // RESCAN_FRACTION
-        if rescan:
-            self.scan()
-        self.evict()
+            self.unscanned_keys[key] = stamp
+            full = (
+                self.disk_bytes > self.max_bytes
+                or self.unscanned_bytes >= self.max_bytes // RESCAN_FRACTION
+            )
+        if full:
+            self.evict()
         return entry
 
     def remember(self, key: str, entry) -> None:
@@ -451,104 +462,54 @@ class _Store:
         while len(self.memory) > self.memory_entries:
             self.memory.popitem(last=False)
 
-    def _record(self, key: str, mtime: float, size: int) -> None:
-        """Put ``key`` at the ledger's fresh end (caller holds the lock)."""
-        old = self.ledger.pop(key, None)
-        self.ledger[key] = (mtime, size)
-        self.ledger_bytes += size - (0 if old is None else old[1])
-
-    def drop(self, key: str) -> None:
-        """Forget ``key`` whose file this process removed (caller holds the lock)."""
-        old = self.ledger.pop(key, None)
-        if old is not None:
-            self.ledger_bytes -= old[1]
-        self.memory.pop(key, None)
-        self.removed.add(key)
-
-    def _touch(self, key: str, size: int | None = None) -> None:
-        """Refresh ``key``'s file mtime and move it to the ledger's fresh end.
-
-        ``size`` is given for a file just read, which the ledger may not
-        hold yet; without it only a key the ledger holds is moved.
-        """
-        try:
-            os.utime(self._file_prefix + key + ".json")
-        except OSError:
-            return
-        stamp = time.time()
-        with self.lock:
-            if size is None:
-                record = self.ledger.get(key)
-                if record is None:
-                    return
-                size = record[1]
-            self._record(key, stamp, size)
-
     def scan(self) -> list[tuple[float, int, Path]]:
-        """List the directory and rebuild the ledger from it."""
-        started = time.time()
+        """List the directory; its byte total restarts the running count.
+
+        Writes that race the listing are counted again on top, which can
+        only bring the next scan forward.
+        """
+        with self.lock:
+            self.unscanned_bytes = 0
+            self.unscanned_keys.clear()
         entries = _scan_dir(self.directory)
-        self._adopt(entries, started)
+        with self.lock:
+            self.disk_bytes = sum(size for _, size, _ in entries) + self.unscanned_bytes
         return entries
 
-    def _adopt(self, entries: list[tuple[float, int, Path]], started: float) -> None:
-        """Make one directory scan, begun at ``started``, the ledger.
-
-        Records this process made since ``started`` that the listing missed
-        (another thread's put) are kept; then ``on_scan`` gets the scan.
-        """
-        ledger = OrderedDict(
-            (path.stem, (mtime, size)) for mtime, size, path in sorted(entries)
-        )
-        with self.lock:
-            for key, record in self.ledger.items():
-                if record[0] >= started and key not in ledger:
-                    ledger[key] = record
-            self.ledger = ledger
-            self.ledger_bytes = sum(size for _, size in ledger.values())
-            self.unscanned_bytes = 0
-            self.removed.clear()
-        if self.on_scan is not None:
-            self.on_scan(entries)
-
-    def evict(self) -> None:
-        """Unlink ledger entries stalest first while the ledger is over budget.
-
-        Each candidate's mtime is checked first: a file touched since the
-        ledger recorded it was used by another process, so it moves to the
-        fresh end instead, where a fresh scan would have sorted it.
-        """
-        while True:
-            with self.lock:
-                if self.ledger_bytes <= self.max_bytes or not self.ledger:
-                    return
-                key, (mtime, size) = self.ledger.popitem(last=False)
-                self.ledger_bytes -= size
-            name = self._file_prefix + key + ".json"
-            try:
-                stat = os.stat(name)
-                if stat.st_mtime > mtime:
-                    with self.lock:
-                        if key not in self.ledger:
-                            self._record(key, stat.st_mtime, stat.st_size)
+    def evict(self) -> list[tuple[float, int, Path]]:
+        """Scan, then evict oldest-mtime files until under budget; returns the survivors."""
+        entries = self.scan()
+        total = sum(size for _, size, _ in entries)
+        survivors = list(entries)
+        if total > self.max_bytes:
+            for entry in sorted(entries):
+                _, size, path = entry
+                try:
+                    path.unlink()
+                except OSError:
                     continue
-                os.unlink(name)
-            except OSError:
-                continue  # already gone: another process removed it
-            with self.lock:
-                self.drop(key)
-                self.evictions += 1
+                survivors.remove(entry)
+                total -= size
+                with self.lock:
+                    self.memory.pop(path.stem, None)
+                    self.disk_bytes -= size
+                    self.evictions += 1
+                if total <= self.max_bytes:
+                    break
+        if self.on_scan is not None:
+            self.on_scan(survivors)
+        return survivors
 
     def expire(self, deadline: float) -> int:
         """Remove every file whose mtime is older than ``deadline``; returns the count.
 
-        Runs on a fresh scan, and the ledger becomes what survives it.
+        Runs on a fresh scan; when anything expired, ``on_scan`` gets the
+        survivors.
         """
         expired = 0
         survivors = []
-        started = time.time()
-        for entry in _scan_dir(self.directory):
-            mtime, _, path = entry
+        for entry in self.scan():
+            mtime, size, path = entry
             if mtime >= deadline:
                 survivors.append(entry)
                 continue
@@ -562,7 +523,9 @@ class _Store:
             expired += 1
             with self.lock:
                 self.memory.pop(path.stem, None)
-        self._adopt(survivors, started)
+                self.disk_bytes -= size
+        if expired and self.on_scan is not None:
+            self.on_scan(survivors)
         return expired
 
 
@@ -646,9 +609,10 @@ class ArtifactCache:
         #: artifacts + templates they expired under ``ttl_seconds``
         self.sweeps = 0
         self.expired = 0
-        #: cumulative count of index.json entries found pointing at missing
-        #: artifact files (external deletion, a lost eviction race, a pruned
-        #: volume) — repaired on detection, surfaced on ``/metrics``
+        #: cumulative count of index.json entries, and of this process's
+        #: writes since the index was last written, found pointing at
+        #: missing artifact files (external deletion, a lost eviction race, a
+        #: pruned volume) — repaired on detection, surfaced on ``/metrics``
         self.index_drift = 0
         #: cumulative corrupt or incompatible artifacts hit by get()/
         #: get_template() — each is quarantined, counted, and degraded to a
@@ -703,18 +667,19 @@ class ArtifactCache:
         """Store ``result`` under ``key`` (atomic write + LRU eviction).
 
         The result is encoded once; the returned entry carries those bytes
-        so the caller can send them without encoding again.  The write
-        lists no directory and leaves ``index.json`` alone: eviction works
-        from the store's ledger, which a scan refreshes after every
-        ``max_bytes // RESCAN_FRACTION`` bytes this process writes.
+        so the caller can send them without encoding again.  Below the
+        budget the write lists no directory and leaves ``index.json`` alone;
+        a write that takes the running total over it scans, evicts and
+        rewrites the index, as does one every ``max_bytes //
+        RESCAN_FRACTION`` bytes this process writes.
         """
         return self._objects.put(key, result)
 
     def delete(self, key: str) -> bool:
         """Explicitly remove the artifact under ``key`` from every layer.
 
-        Returns whether anything was removed (memory or disk); a removed
-        file is followed by a scan, so the index snapshot drops it too.
+        Returns whether anything was removed (memory or disk); the index
+        snapshot is refreshed so the advisory view drops the entry too.
         """
         store = self._objects
         path = store.path(key)
@@ -729,9 +694,8 @@ class ArtifactCache:
         if removed:
             with self._lock:
                 self.deletes += 1
-                store.drop(key)
             if on_disk:
-                store.scan()
+                self._write_index(store.scan())
         return removed
 
     # ------------------------------------------------------------------ #
@@ -841,35 +805,46 @@ class ArtifactCache:
         """Detect and repair artifacts that vanished behind the cache's back.
 
         The object files are the source of truth.  A key listed in
-        ``index.json`` (the last scan, by any process) or in this process's
-        ledger that has no backing file means something outside this
-        process's own eviction and delete path removed the artifact
-        (operator cleanup, a shared-volume prune, a lost eviction race).
-        Every drifted key is counted into ``index_drift`` and dropped from
-        the memory layer, and a fresh directory scan rewrites both the
-        ledger and the snapshot.  Returns the drift found by *this* call;
-        run automatically at construction and on every :meth:`stats` read
-        (so ``/metrics`` always reports a repaired view).
+        ``index.json`` (the last scan, by any process), or written by this
+        process after that scan, that has no backing file means something
+        outside the cache's own eviction, expiry and delete paths removed
+        the artifact (operator cleanup, a shared-volume prune, a lost
+        eviction race); a key another process evicted left the index
+        written after it.  Every drifted key is counted into
+        ``index_drift`` and dropped from the memory layer, and the snapshot
+        is rewritten from a fresh directory scan when it differs from it.
+        Returns the drift found by *this* call; run automatically at
+        construction and on every :meth:`stats` read (so ``/metrics`` always
+        reports a repaired view).
         """
+        return self._reconcile()[0]
+
+    def _reconcile(self) -> tuple[int, list[tuple[float, int, Path]]]:
+        """:meth:`reconcile_index`, also returning the object scan it made."""
         try:
             with open(self.index_path) as handle:
                 index = json.load(handle)
         except (OSError, json.JSONDecodeError):
             index = None
         listed = index.get("artifacts") if isinstance(index, dict) else None
+        listed = set(listed) if isinstance(listed, dict) else None
+        written = index.get("written") if listed is not None else None
+        if not isinstance(written, (int, float)):
+            written = 0.0
         store = self._objects
         with self._lock:
-            known = set(store.ledger)
-            if isinstance(listed, dict):
-                known |= set(listed) - store.removed
-        present = {path.stem for _, _, path in store.scan()}
-        drifted = known - present
+            known = {k for k, stamp in store.unscanned_keys.items() if stamp > written}
+        entries = store.scan()
+        present = {path.stem for _, _, path in entries}
+        drifted = (known | (listed or set())) - present
         if drifted:
             with self._lock:
                 self.index_drift += len(drifted)
                 for key in drifted:
                     store.memory.pop(key, None)
-        return len(drifted)
+        if listed != present:
+            self._write_index(entries)
+        return len(drifted), entries
 
     # ------------------------------------------------------------------ #
     def __contains__(self, key: str) -> bool:
@@ -882,9 +857,9 @@ class ArtifactCache:
         return len(_scan_dir(self.objects_dir))
 
     def stats(self) -> dict:
-        # the reconcile scan rebuilt the object ledger the disk figures
-        # come from; the template figures are that store's ledger
-        self.reconcile_index()
+        # the reconcile scan gives the object figures
+        _, objects = self._reconcile()
+        templates = self._templates.scan()
         with self._lock:
             return {
                 "hits": self.hits,
@@ -905,11 +880,11 @@ class ArtifactCache:
                 "ttl_seconds": self.ttl_seconds,
                 "memory_entries": len(self._objects.memory),
                 "template_memory_entries": len(self._templates.memory),
-                "template_disk_entries": len(self._templates.ledger),
-                "template_disk_bytes": self._templates.ledger_bytes,
+                "template_disk_entries": len(templates),
+                "template_disk_bytes": sum(size for _, size, _ in templates),
                 "max_template_bytes": self.max_template_bytes,
-                "disk_entries": len(self._objects.ledger),
-                "disk_bytes": self._objects.ledger_bytes,
+                "disk_entries": len(objects),
+                "disk_bytes": sum(size for _, size, _ in objects),
                 "max_bytes": self.max_bytes,
                 "conjugation_cache": self.conjugation_cache.stats(),
             }

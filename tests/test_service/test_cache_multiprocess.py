@@ -3,7 +3,7 @@
 Drives ``scripts/cache_stress.py`` — the same harness an operator can run at
 larger scale — at a size small enough for CI.  The script exits non-zero if
 any process crashes, the object files overshoot the shared budget by more
-than the per-process ledgers allow, any protected artifact is lost or
+than the per-process byte counts allow, any protected artifact is lost or
 corrupted, the index fails to reconcile to a fixed point or to list exactly
 the files present after a sweep, or an atomic-write temp file leaks.
 """

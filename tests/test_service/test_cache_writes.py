@@ -1,9 +1,10 @@
-"""The artifact write path: puts work from the store's ledger, not a directory scan.
+"""The artifact write path: a put below the budget lists no directory.
 
 Counts, not timings: ``_scan_dir`` and ``_atomic_write`` are wrapped so each
 case can say how many directory listings and file writes a run of puts did.
 """
 
+import json
 import math
 import os
 import sys
@@ -78,20 +79,19 @@ class TestPutDoesNotScan:
         assert cache.index_path.read_bytes() == index_before
         assert len(cache) == 300
 
-    def test_small_budget_holds_after_every_put_with_bounded_scans(
-        self, tmp_path, result, calls
-    ):
+    def test_small_budget_holds_after_every_put(self, tmp_path, result, calls):
         size = _artifact_size(tmp_path, result)
         budget = 20 * size
         cache = ArtifactCache(tmp_path / "cache", max_bytes=budget)
         calls["scans"].clear()
-        written = 0
         for index in range(300):
             cache.put(_key(index), result)
-            written += size
             assert _disk_bytes(cache.objects_dir) <= budget
         scans = [d for d in calls["scans"] if d == cache.objects_dir]
-        assert len(scans) <= math.ceil(written / (budget // RESCAN_FRACTION)) + 1
+        # filling the budget scans only every max_bytes // RESCAN_FRACTION
+        # bytes; once full, every put takes the total over and scans once
+        filling = math.ceil(20 * size / (budget // RESCAN_FRACTION))
+        assert len(scans) <= filling + 280
         assert cache.evictions == 300 - 20
 
     def test_overwriting_a_key_counts_its_bytes_once(self, tmp_path, result, calls):
@@ -103,13 +103,11 @@ class TestPutDoesNotScan:
         calls["scans"].clear()
         cache.put(_key(9), result)
         assert calls["scans"] == []
-        assert cache._objects.ledger_bytes == 10 * size
+        assert cache._objects.disk_bytes == 10 * size
         assert cache.evictions == 0
         assert len(cache) == 10
 
     def test_own_evictions_are_not_drift(self, tmp_path, result):
-        # the last rescan wrote index.json before its put evicted, so the
-        # index still lists that eviction: this process removed it, no drift
         size = _artifact_size(tmp_path, result)
         cache = ArtifactCache(tmp_path / "cache", max_bytes=20 * size)
         for index in range(60):
@@ -117,10 +115,24 @@ class TestPutDoesNotScan:
         assert cache.evictions == 40
         assert cache.stats()["index_drift"] == 0
 
+    def test_stats_rewrites_the_index_only_when_the_listing_changed(
+        self, tmp_path, result, calls
+    ):
+        cache = ArtifactCache(tmp_path / "cache")
+        cache.put(_key(0), result)
+        calls["writes"].clear()
+        cache.stats()  # the index predates the put
+        assert calls["writes"] == [cache.index_path]
+        assert _key(0) in json.loads(cache.index_path.read_text())["artifacts"]
+        calls["writes"].clear()
+        cache.stats()
+        cache.sweep()
+        assert calls["writes"] == []
+
 
 class TestSharedDirectory:
     def test_a_hit_in_another_process_protects_the_stalest_entry(
-        self, tmp_path, result, calls
+        self, tmp_path, result
     ):
         size = _artifact_size(tmp_path, result)
         shared = tmp_path / "shared"
@@ -129,17 +141,12 @@ class TestSharedDirectory:
             writer.put(_key(index), result)
             stamp = time.time() - 1000 + index  # distinct, oldest first
             os.utime(writer._objects.path(_key(index)), (stamp, stamp))
-        writer.sweep()  # ledger from disk, oldest first; resets the rescan count
-        assert next(iter(writer._objects.ledger)) == _key(0)
         reader = ArtifactCache(shared)
         assert reader.get(_key(0)) is not None  # a disk hit touches the file
-        calls["scans"].clear()
         writer.put(_key(40), result)  # one file over budget
-        assert calls["scans"] == []  # the eviction ran from the ledger
         assert writer._objects.path(_key(0)).exists()
         assert not writer._objects.path(_key(1)).exists()
         assert writer.evictions == 1
-        assert list(writer._objects.ledger)[-2:] == [_key(40), _key(0)]
 
     def test_alternating_writers_stay_within_an_eighth_over_budget(
         self, tmp_path, result
@@ -155,7 +162,38 @@ class TestSharedDirectory:
         writers[0].put(_key(200), result)
         assert _disk_bytes(shared / "objects") <= budget
 
-    def test_a_put_during_a_rescan_stays_in_the_ledger(self, tmp_path, result, monkeypatch):
+    def test_another_processs_eviction_of_a_fresh_write_is_not_drift(
+        self, tmp_path, result
+    ):
+        size = _artifact_size(tmp_path, result)
+        shared = tmp_path / "shared"
+        first = ArtifactCache(shared, max_bytes=20 * size)
+        first.put(_key(0), result)  # below budget: not in any index yet
+        stamp = time.time() - 1000
+        os.utime(first._objects.path(_key(0)), (stamp, stamp))
+        second = ArtifactCache(shared, max_bytes=20 * size)
+        for index in range(1, 21):
+            second.put(_key(index), result)
+        assert second.evictions == 1
+        assert not first._objects.path(_key(0)).exists()
+        # the evicting process wrote the index after the eviction
+        assert first.stats()["index_drift"] == 0
+        assert second.stats()["index_drift"] == 0
+
+    def test_stats_counts_another_processs_template(self, tmp_path):
+        from repro.parametric import ParametricProgram, compile_template
+
+        terms = random_pauli_terms(np.random.default_rng(3), 4, 4)
+        program = ParametricProgram.from_terms(terms, list(range(len(terms))))
+        shared = tmp_path / "shared"
+        first, second = ArtifactCache(shared), ArtifactCache(shared)
+        assert first.stats()["template_disk_entries"] == 0
+        second.put_template(second.template_key_for(program), compile_template(program))
+        stats = first.stats()
+        assert stats["template_disk_entries"] == 1
+        assert stats["template_disk_bytes"] == _disk_bytes(first.templates_dir)
+
+    def test_a_put_during_a_scan_is_still_counted(self, tmp_path, result, monkeypatch):
         cache = ArtifactCache(tmp_path / "cache")
         scan_dir = cache_module._scan_dir
 
@@ -168,12 +206,12 @@ class TestSharedDirectory:
         cache.put(_key(0), result)
         monkeypatch.setattr(cache_module, "_scan_dir", list_then_put)
         cache._objects.scan()
-        assert set(cache._objects.ledger) == {_key(0), _key(1)}
-        assert cache._objects.ledger_bytes == _disk_bytes(cache.objects_dir)
+        assert set(cache._objects.unscanned_keys) == {_key(1)}
+        assert cache._objects.disk_bytes == _disk_bytes(cache.objects_dir)
 
 
 class TestThreads:
-    def test_concurrent_puts_and_hits_keep_the_ledger_whole(self, tmp_path, result):
+    def test_concurrent_puts_and_hits_hold_the_budget(self, tmp_path, result):
         size = _artifact_size(tmp_path, result)
         budget = 12 * size
         cache = ArtifactCache(tmp_path / "cache", max_bytes=budget)
@@ -200,8 +238,7 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        store = cache._objects
-        assert store.ledger_bytes == sum(size for _, size in store.ledger.values())
-        # no file escapes the ledger, so the budget holds on disk
-        assert {path.stem for path in cache.objects_dir.glob("*.json")} <= set(store.ledger)
+        # every put ends in an eviction pass that lists its own write
         assert _disk_bytes(cache.objects_dir) <= budget
+        cache.sweep()
+        assert cache._objects.disk_bytes == _disk_bytes(cache.objects_dir)
