@@ -3,9 +3,9 @@
 Runs the evaluation harness over the medium benchmark tier and prints the
 per-experiment numbers as markdown tables.  This is the script that produced
 the tables committed in EXPERIMENTS.md; re-run it after changing the compiler
-to refresh them:
+to refresh them, and update the file's header (commit, host, command):
 
-    python scripts/collect_experiment_data.py > experiment_data.md
+    PYTHONPATH=src python scripts/collect_experiment_data.py
 """
 
 from __future__ import annotations

@@ -183,6 +183,27 @@ class Gate:
         return f"{self.name} {list(self.qubits)}"
 
 
+def trusted_gate(name: str, qubits: Tuple[int, ...], params: Tuple[float, ...] = ()) -> Gate:
+    """A :class:`Gate` built without running its validation.
+
+    Value-identical to ``Gate(name, qubits, params)`` — ``__post_init__``
+    only validates — for hot loops whose gates are valid by construction
+    (the rotation of every extracted term).  The fields are set one by one,
+    as the frozen dataclass ``__init__`` does: filling ``__dict__`` in one
+    ``update`` would make the instance keep a full dict (248 instead of 104
+    bytes per gate).
+    """
+    gate = _new_object(Gate)
+    _set_field(gate, "name", name)
+    _set_field(gate, "qubits", qubits)
+    _set_field(gate, "params", params)
+    return gate
+
+
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
 @lru_cache(maxsize=None)
 def cached_gate(name: str, qubits: Tuple[int, ...]) -> Gate:
     """An interned parameterless :class:`Gate` instance.

@@ -12,12 +12,25 @@ The pass runs on a column-major table
 (:class:`~repro.paulis.columns.PauliColumns`): one Python integer per qubit
 and symplectic half whose bit ``r`` belongs to row ``r``, with the ``2n``
 tableau generator rows riding in the top bits.  Every emitted gate is a few
-big-integer operations that conjugate all rows at once (a CX is two XORs),
-in-block reordering permutes a list of row indices instead of moving bits,
-and lookahead / next-Pauli selection read the same columns.  The input is
-transposed to columns once.  The original per-term loop is preserved in
-:mod:`repro.core.extraction_legacy` as the ground truth the equivalence
-tests diff bit-for-bit.
+big-integer operations that conjugate all rows at once (a CX is two XORs).
+The input is transposed to columns once, and the per-term loop reads
+everything else off the same integers:
+
+* the term's support, basis-change layer, Hermiticity and root checks are
+  bit tests on its row, with the layer's gates taken from per-compile
+  tables (no :class:`~repro.circuits.gate.Gate` is built per term except
+  the rotation);
+* in-block reordering never moves a row: a commuting block's rows still
+  waiting are a bit mask, and the row chosen to go next is emitted right
+  after, so the rest always stay in ascending row order;
+* that makes the tree's guide sequence (the chosen next row, the other
+  waiting rows, then the later blocks) one row plus one mask, and the tree
+  (:func:`~repro.core.tree_synthesis.synthesize_tree_on_columns`) jumps
+  straight to the first guide row on which a group of qubits splits.
+
+The original per-term loop is preserved in
+:mod:`repro.core.extraction_legacy` as the ground truth the equivalence tests
+diff bit-for-bit.
 
 The equivalence maintained throughout is::
 
@@ -35,19 +48,20 @@ from typing import Sequence
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gate import Gate
+from repro.circuits.gate import Gate, cached_gate, trusted_gate
 from repro.clifford.engine import stream_gates_over_suffix
 from repro.transpile.wire_optimizer import GateStreamOptimizer
 from repro.clifford.tableau import CliffordTableau
 from repro.core.commuting import commuting_block_bounds
-from repro.core.tree_synthesis import ColumnRowGuide, chain_tree_cost, synthesize_tree
+from repro.core.tree_synthesis import CxGates, chain_tree_cost
+# imported under the stage name the hot path (and the perfbench probes) use
+from repro.core.tree_synthesis import synthesize_tree_on_columns as synthesize_tree
 from repro.exceptions import SynthesisError
 from repro.paulis.columns import PauliColumns
 from repro.paulis.packed import PackedPauliTable, apply_gate_to_words
 from repro.paulis.pauli import PauliString
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
-from repro.synthesis.pauli_rotation import basis_change_gates_sparse
 
 #: integer counters recorded in ``ExtractionResult.metadata["stage_counters"]``
 STAGE_COUNTERS = ("rotations", "basis_gates", "tree_cx", "candidates_scored", "rows_moved")
@@ -246,102 +260,89 @@ class CliffordExtractor:
         stream = GateStreamOptimizer(num_qubits) if self.fuse_peephole else None
         left_gates: list[Gate] = []
         counters = dict.fromkeys(STAGE_COUNTERS, 0)
+        cx_gates = CxGates()
+        h_gates = [cached_gate("h", (qubit,)) for qubit in range(num_qubits)]
+        sdg_gates = [cached_gate("sdg", (qubit,)) for qubit in range(num_qubits)]
+        reorder = self.reorder_within_blocks
+        recursive = self.recursive_tree
+        max_lookahead = self.max_lookahead
+        program_rows = (1 << num_rows) - 1
 
         for block_start, block_end in zip(bounds, bounds[1:]):
-            # Logical order of the block's rows.  Row bits never move: the
-            # in-block reordering permutes this list instead.  A chosen row is
-            # moved to the next position and emitted right after, so the rows
-            # still waiting behind it always stay in ascending row order.
-            order = list(range(block_start, block_end))
+            # Row bits never move; the block's waiting rows are a bit mask.
+            # The row chosen to go next is emitted right after the current
+            # one, so the logical order of the block is always: the current
+            # row, the chosen next row, the other waiting rows in ascending
+            # order.  That is also the tree's guide sequence, followed by the
+            # later blocks (not reordered yet) when lookahead may cross.
             waiting = ((1 << block_end) - 1) ^ ((1 << block_start) - 1)
-            for index in range(len(order)):
-                row = order[index]
+            beyond = program_rows >> block_end << block_end if self.cross_block_lookahead else 0
+            row = block_start
+            while waiting:
                 waiting ^= 1 << row
+                next_row = (waiting & -waiting).bit_length() - 1
                 support: list[int] = []
-                support_x: list[int] = []
-                support_z: list[int] = []
+                basis_gates: list[Gate] = []
+                num_y = 0
                 for qubit in range(num_qubits):
-                    x_bit = (x_columns[qubit] >> row) & 1
-                    z_bit = (z_columns[qubit] >> row) & 1
-                    if x_bit | z_bit:
+                    if (x_columns[qubit] >> row) & 1:
                         support.append(qubit)
-                        support_x.append(x_bit)
-                        support_z.append(z_bit)
+                        if (z_columns[qubit] >> row) & 1:
+                            num_y += 1
+                            basis_gates.append(sdg_gates[qubit])
+                        basis_gates.append(h_gates[qubit])
+                    elif (z_columns[qubit] >> row) & 1:
+                        support.append(qubit)
                 if not support:
                     # exp(-i theta/2 I) is a global phase; nothing to emit.
+                    row = next_row
                     continue
-                num_y = sum(x & z for x, z in zip(support_x, support_z))
-                if (columns.phase(row) - num_y) % 2:
+                if ((columns.p0 >> row) ^ num_y) & 1:
                     raise SynthesisError(
                         f"term {columns.row(row)!r} conjugated to a non-Hermitian Pauli"
                     )
-                basis_gates = basis_change_gates_sparse(support, support_x, support_z)
                 if basis_gates:
                     columns.apply_gates(basis_gates)
 
-                if self.reorder_within_blocks and index + 1 < len(order):
+                if reorder and waiting & (waiting - 1):
                     best = self._find_next_row(columns, waiting, support, counters)
-                    if best != order[index + 1]:
-                        order.insert(index + 1, order.pop(order.index(best, index + 1)))
+                    if best != next_row:
+                        next_row = best
                         counters["rows_moved"] += 1
-
-                lookahead_cache: dict[int, ColumnRowGuide | None] = {}
-
-                def lookahead(depth: int) -> ColumnRowGuide | None:
-                    if depth not in lookahead_cache:
-                        position = index + 1 + depth
-                        if position < len(order):
-                            guide_row = order[position]
-                        elif self.cross_block_lookahead:
-                            # later blocks are not reordered yet
-                            guide_row = block_end + position - len(order)
-                        else:
-                            guide_row = num_rows
-                        lookahead_cache[depth] = (
-                            ColumnRowGuide(x_columns, z_columns, guide_row)
-                            if guide_row < num_rows
-                            else None
-                        )
-                    return lookahead_cache[depth]
-
+                later_rows = (waiting ^ (1 << next_row) if waiting else 0) | beyond
                 tree_gates, root = synthesize_tree(
-                    support,
-                    lookahead,
-                    recursive=self.recursive_tree,
-                    max_depth=self.max_lookahead,
+                    support, x_columns, z_columns, next_row, later_rows,
+                    recursive, max_lookahead, cx_gates,
                 )
                 stream_gates_over_suffix(columns, tree_gates)
 
                 # Only support qubits were touched, so the row is Z on its
                 # root iff it is so on the support.
-                if any(
-                    (x_columns[qubit] >> row) & 1
-                    or ((z_columns[qubit] >> row) & 1) != (qubit == root)
-                    for qubit in support
-                ):
-                    raise SynthesisError(
-                        "internal error: the synthesized tree does not reduce the "
-                        "current Pauli to Z on its root "
-                        f"(got {columns.row(row).to_label()!r})"
-                    )
+                for qubit in support:
+                    if (x_columns[qubit] >> row) & 1 or ((z_columns[qubit] >> row) & 1) != (
+                        qubit == root
+                    ):
+                        raise SynthesisError(
+                            "internal error: the synthesized tree does not reduce the "
+                            "current Pauli to Z on its root "
+                            f"(got {columns.row(row).to_label()!r})"
+                        )
                 angle = float(coefficients[row])
-                if columns.phase(row) == 2:
+                # a Hermitian Z carries phase exponent 0 or 2: the high bit
+                if (columns.p1 >> row) & 1:
                     angle = -angle
 
-                rotation = Gate("rz", (root,), (angle,))
+                emitted = [*basis_gates, *tree_gates, trusted_gate("rz", (root,), (angle,))]
                 if stream is not None:
-                    stream.extend(basis_gates)
-                    stream.extend(tree_gates)
-                    stream.append(rotation)
+                    stream.extend(emitted)
                 else:
-                    optimized_gates.extend(basis_gates)
-                    optimized_gates.extend(tree_gates)
-                    optimized_gates.append(rotation)
+                    optimized_gates.extend(emitted)
                 counters["rotations"] += 1
                 counters["basis_gates"] += len(basis_gates)
                 counters["tree_cx"] += len(tree_gates)
                 left_gates.extend(basis_gates)
                 left_gates.extend(tree_gates)
+                row = next_row
 
         if stream is not None:
             optimized_gates = stream.gates()

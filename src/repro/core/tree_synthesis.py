@@ -13,6 +13,19 @@ minimises the weight of the following strings:
    paper shows to be weight-reducing: ``Z -> Y``, ``I -> X`` and finally the
    ``Z/Y`` survivor into the ``I/X`` survivor, which becomes the tree root
    carrying the ``Rz`` rotation.
+
+The module has two implementations of that recursion, which emit the same
+gates:
+
+* :func:`synthesize_tree_on_columns` is the one Clifford Extraction runs.  It
+  reads the guides straight out of the extractor's bit columns: a group whose
+  letters agree on a guide forms a single sub-group there, so the recursion
+  level is skipped.  The first guide row on which a group's letters differ is
+  the lowest set bit of ``(OR_x ^ AND_x) | (OR_z ^ AND_z)`` over the group's
+  columns, masked to the guide rows still ahead.
+* :func:`synthesize_tree` asks a callable for one guide per depth and groups
+  by ``guide.letter(qubit)``.  It is the reference the legacy extractor and
+  the differential tests use.
 """
 
 from __future__ import annotations
@@ -26,38 +39,13 @@ from repro.paulis.pauli import PauliString
 #: order in which group roots are considered when connecting (paper Sec. V-A)
 _ROOT_PRIORITY = ("Z", "I", "Y", "X")
 
+#: slot in ``_ROOT_PRIORITY`` of the letter with bits ``x | (z << 1)`` (I, X, Z, Y)
+_PRIORITY_SLOT = (1, 3, 0, 2)
+
 #: a callable returning the (already conjugated) Pauli ``depth`` positions
 #: after the current one, or None when the program ends before that.  Any
-#: object exposing ``letter(qubit) -> "I"|"X"|"Y"|"Z"`` works — the
-#: extractor hands out column-table row guides instead of full PauliStrings.
+#: object exposing ``letter(qubit) -> "I"|"X"|"Y"|"Z"`` works.
 LookaheadProvider = Callable[[int], "PauliString | None"]
-
-
-class ColumnRowGuide:
-    """A read-only letter view over one row of a column-major Pauli table.
-
-    Reads row ``row`` straight out of the per-qubit bit columns of a
-    :class:`~repro.paulis.columns.PauliColumns` (``x_columns[q]`` bit ``row``
-    is the row's x bit on qubit ``q``), so the ``guide.letter(qubit)`` calls
-    of :func:`synthesize_tree` are two integer bit tests.  The view is live:
-    it is valid until the table is next conjugated.  Only the guide protocol
-    of the lookahead is implemented — this is not a :class:`PauliString`.
-    """
-
-    __slots__ = ("_x_columns", "_z_columns", "_row")
-
-    _LETTERS = ("I", "X", "Z", "Y")  # indexed by x_bit | (z_bit << 1)
-
-    def __init__(self, x_columns: Sequence[int], z_columns: Sequence[int], row: int):
-        self._x_columns = x_columns
-        self._z_columns = z_columns
-        self._row = row
-
-    def letter(self, qubit: int) -> str:
-        row = self._row
-        x_bit = (self._x_columns[qubit] >> row) & 1
-        z_bit = (self._z_columns[qubit] >> row) & 1
-        return self._LETTERS[x_bit | (z_bit << 1)]
 
 
 def chain_tree(
@@ -119,6 +107,155 @@ def _connect_roots(roots: dict[str, int], gates: list[Gate]) -> int:
     return ix_root
 
 
+class CxGates(dict):
+    """Interned ``cx`` gates of one compile, keyed by ``(control, target)``.
+
+    A tree emits the same few CNOTs over and over; a plain dict lookup hands
+    out the shared :class:`Gate`, and only a first use asks the global
+    :func:`~repro.circuits.gate.cached_gate` intern.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple[int, int]) -> Gate:
+        gate = self[key] = cached_gate("cx", key)
+        return gate
+
+
+def _first_rows(first_row: int, later_rows: int, count: int) -> tuple[int, int]:
+    """The guide sequence ``first_row, *later_rows`` cut to its first ``count`` rows."""
+    if count <= 0:
+        return -1, 0
+    if first_row >= 0:
+        count -= 1
+    if later_rows.bit_count() <= count:
+        return first_row, later_rows
+    rest = later_rows
+    for _ in range(count):
+        rest &= rest - 1
+    return first_row, later_rows ^ rest
+
+
+def synthesize_tree_on_columns(
+    tree_qubits: Sequence[int],
+    x_columns: Sequence[int],
+    z_columns: Sequence[int],
+    first_row: int,
+    later_rows: int,
+    recursive: bool = True,
+    max_depth: int | None = None,
+    cx_gates: CxGates | None = None,
+) -> tuple[list[Gate], int]:
+    """Synthesize a CNOT parity tree guided by rows of a column table.
+
+    ``x_columns[q]`` / ``z_columns[q]`` hold the guides' bits on qubit ``q``,
+    bit ``r`` for row ``r`` (a :class:`~repro.paulis.columns.PauliColumns`).
+    The guide sequence is ``first_row`` (skipped when negative) followed by
+    the set bits of ``later_rows`` in ascending order; guide ``d`` plays the
+    part of ``lookahead(d)`` in :func:`synthesize_tree`, which returns the
+    same gates and root over the same sequence.  ``recursive=False`` and
+    ``max_depth`` cut the sequence to one and to ``max_depth`` guides.
+    ``cx_gates`` is the compile's CNOT table; a fresh one is used when absent.
+    ``tree_qubits`` must be in ascending order, as supports are.
+    """
+    qubits = list(tree_qubits)
+    if not qubits:
+        raise SynthesisError("cannot synthesize a tree over an empty support")
+    gates: list[Gate] = []
+    if len(qubits) == 1:
+        return gates, qubits[0]
+    if not recursive:
+        max_depth = 1 if max_depth is None else min(max_depth, 1)
+    if max_depth is not None:
+        first_row, later_rows = _first_rows(first_row, later_rows, max_depth)
+    if cx_gates is None:
+        cx_gates = CxGates()
+    root = _column_tree(qubits, x_columns, z_columns, first_row, later_rows, gates, cx_gates)
+    return gates, root
+
+
+def _column_tree(
+    qubits: list[int],
+    x_columns: Sequence[int],
+    z_columns: Sequence[int],
+    first_row: int,
+    ahead: int,
+    gates: list[Gate],
+    cx_gates: CxGates,
+) -> int:
+    """Emit the tree over ``qubits`` (two or more) into ``gates``; returns its root."""
+    or_x = or_z = 0
+    and_x = and_z = -1
+    for qubit in qubits:
+        x_column = x_columns[qubit]
+        z_column = z_columns[qubit]
+        or_x |= x_column
+        and_x &= x_column
+        or_z |= z_column
+        and_z &= z_column
+    split = (or_x ^ and_x) | (or_z ^ and_z)
+    if first_row >= 0 and (split >> first_row) & 1:
+        # sub-groups go on from the first of the later rows
+        row = first_row
+    else:
+        split &= ahead
+        if not split:
+            gates.extend(map(cx_gates.__getitem__, zip(qubits, qubits[1:])))
+            return qubits[-1]
+        low = split & -split
+        row = low.bit_length() - 1
+        ahead &= -(low << 1)
+
+    z_group: list[int] = []
+    i_group: list[int] = []
+    y_group: list[int] = []
+    x_group: list[int] = []
+    for qubit in qubits:
+        if (x_columns[qubit] >> row) & 1:
+            (y_group if (z_columns[qubit] >> row) & 1 else x_group).append(qubit)
+        elif (z_columns[qubit] >> row) & 1:
+            z_group.append(qubit)
+        else:
+            i_group.append(qubit)
+    roots = []
+    for group in (z_group, i_group, y_group, x_group):  # _ROOT_PRIORITY
+        if len(group) > 1:
+            roots.append(_column_tree(group, x_columns, z_columns, -1, ahead, gates, cx_gates))
+        else:
+            roots.append(group[0] if group else -1)
+    pairs, root = _root_pairs(*roots)
+    gates.extend(map(cx_gates.__getitem__, pairs))
+    return root
+
+
+def _root_pairs(
+    z_root: int, i_root: int, y_root: int, x_root: int
+) -> tuple[list[tuple[int, int]], int]:
+    """The CNOTs of :func:`_connect_roots` over the group roots (``-1``: no group).
+
+    Returns the ``(control, target)`` pairs in emission order and the root.
+    """
+    pairs = []
+    zy_root = y_root
+    if z_root >= 0:
+        if y_root >= 0:
+            pairs.append((z_root, y_root))
+        else:
+            zy_root = z_root
+    ix_root = x_root
+    if i_root >= 0:
+        if x_root >= 0:
+            pairs.append((i_root, x_root))
+        else:
+            ix_root = i_root
+    if zy_root < 0:
+        return pairs, ix_root
+    if ix_root < 0:
+        return pairs, zy_root
+    pairs.append((zy_root, ix_root))
+    return pairs, ix_root
+
+
 def chain_tree_cost(x_bits: Sequence[int], z_bits: Sequence[int]) -> int:
     """Support weight of a guide after conjugation through its chain tree.
 
@@ -133,39 +270,19 @@ def chain_tree_cost(x_bits: Sequence[int], z_bits: Sequence[int]) -> int:
     Algorithm 2's ``find_next_pauli``; adding the guide's (tree-invariant)
     off-support weight gives the exact cost the legacy extractor computes.
     """
-    groups: dict[str, list[int]] = {"I": [], "X": [], "Y": [], "Z": []}
-    for index, (x_bit, z_bit) in enumerate(zip(x_bits, z_bits)):
-        if x_bit:
-            groups["Y" if z_bit else "X"].append(index)
-        else:
-            groups["Z" if z_bit else "I"].append(index)
-    gates: list[tuple[int, int]] = []
-    roots: dict[str, int] = {}
-    for letter in _ROOT_PRIORITY:
-        members = groups[letter]
-        if not members:
-            continue
-        gates.extend(zip(members, members[1:]))
-        roots[letter] = members[-1]
-
-    def connect(first: str, second: str) -> int | None:
-        first_root = roots.get(first)
-        second_root = roots.get(second)
-        if first_root is None:
-            return second_root
-        if second_root is None:
-            return first_root
-        gates.append((first_root, second_root))
-        return second_root
-
-    zy_root = connect("Z", "Y")
-    ix_root = connect("I", "X")
-    if zy_root is not None and ix_root is not None:
-        gates.append((zy_root, ix_root))
-
     x = [int(bit) for bit in x_bits]
     z = [int(bit) for bit in z_bits]
-    for control, target in gates:
+    groups: tuple[list[int], ...] = ([], [], [], [])  # _ROOT_PRIORITY: Z, I, Y, X
+    for index, (x_bit, z_bit) in enumerate(zip(x, z)):
+        groups[_PRIORITY_SLOT[x_bit | (z_bit << 1)]].append(index)
+    # the chains touch disjoint positions, so each is replayed as it is built
+    roots = []
+    for members in groups:
+        for control, target in zip(members, members[1:]):
+            x[target] ^= x[control]
+            z[control] ^= z[target]
+        roots.append(members[-1] if members else -1)
+    for control, target in _root_pairs(*roots)[0]:
         x[target] ^= x[control]
         z[control] ^= z[target]
     return sum(1 for x_bit, z_bit in zip(x, z) if x_bit | z_bit)

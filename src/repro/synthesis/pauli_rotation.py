@@ -16,7 +16,7 @@ the sign of the angle.
 from __future__ import annotations
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gate import Gate, cached_gate
+from repro.circuits.gate import Gate
 from repro.exceptions import SynthesisError
 from repro.paulis.pauli import PauliString
 from repro.paulis.term import PauliTerm
@@ -36,26 +36,6 @@ def basis_change_gates(pauli: PauliString) -> list[Gate]:
         elif letter == "Y":
             gates.append(Gate("sdg", (qubit,)))
             gates.append(Gate("h", (qubit,)))
-    return gates
-
-
-def basis_change_gates_sparse(
-    support: list[int], x_bits: "list[int]", z_bits: "list[int]"
-) -> list[Gate]:
-    """Basis-change layer from symplectic bits on the support only.
-
-    ``x_bits`` / ``z_bits`` are the Pauli's bits at the ``support`` qubits (in
-    ascending qubit order).  Produces exactly the gate list of
-    :func:`basis_change_gates` — which walks the whole register — without
-    touching identity qubits; the table-native extractor reads the bits
-    straight off a packed row.
-    """
-    gates: list[Gate] = []
-    for qubit, x_bit, z_bit in zip(support, x_bits, z_bits):
-        if x_bit:
-            if z_bit:
-                gates.append(cached_gate("sdg", (qubit,)))
-            gates.append(cached_gate("h", (qubit,)))
     return gates
 
 

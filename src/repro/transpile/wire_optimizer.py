@@ -122,13 +122,60 @@ def _representative(name: str, qubits: tuple[int, ...]) -> Gate:
 _COMMUTES = _commutation_table()
 
 
-class _Node:
-    """One pending gate: mutable so rotation merges update it in place."""
+def _verdict_rows() -> tuple[dict, dict]:
+    """``_COMMUTES`` regrouped for the scans, which index instead of hashing a pattern.
 
-    __slots__ = ("gate", "raw_angle", "seq", "alive")
+    One-qubit gates: ``[name][other_name][position]``, the position of the
+    gate's wire in the pending gate's qubits.  Two-qubit gates:
+    ``[name][other_name][code]`` with ``code = 3 * (p0 + 1) + (p1 + 1)`` for
+    the overlap pattern ``(p0, p1)``.
+    """
+    one: dict[str, dict[str, tuple]] = {}
+    two: dict[str, dict[str, tuple]] = {}
+    for (name, other_name, pattern), verdict in _COMMUTES.items():
+        if len(pattern) == 1:
+            row = one.setdefault(name, {}).setdefault(other_name, [None, None])
+            row[pattern[0]] = verdict
+        else:
+            row = two.setdefault(name, {}).setdefault(other_name, [None] * 9)
+            row[3 * (pattern[0] + 1) + pattern[1] + 1] = verdict
+    def freeze(rows: dict) -> dict:
+        return {
+            name: {other: tuple(row) for other, row in by_other.items()}
+            for name, by_other in rows.items()
+        }
+
+    return freeze(one), freeze(two)
+
+
+_ONE_QUBIT_VERDICTS, _TWO_QUBIT_VERDICTS = _verdict_rows()
+
+#: name -> (CNOT-equivalent weight, name of the gate it merges or cancels
+#: with, whether its two qubits may be swapped, whether it is a rotation)
+_KINDS: dict[str, tuple[int, str | None, bool, bool]] = {
+    name: (
+        CX_EQUIVALENT_WEIGHT.get(name, 0),
+        name if name in _ROTATIONS else _PARTNER_NAME.get(name),
+        name in _SYMMETRIC_GATES,
+        name in _ROTATIONS,
+    )
+    for name in SINGLE_QUBIT_GATES | TWO_QUBIT_GATES
+}
+
+
+class _Node:
+    """One pending gate: mutable so rotation merges update it in place.
+
+    ``name`` and ``qubits`` are the gate's, kept on the node for the scans
+    (a merge replaces ``gate`` but never changes either).
+    """
+
+    __slots__ = ("gate", "name", "qubits", "raw_angle", "seq", "alive")
 
     def __init__(self, gate: Gate, raw_angle: float | None, seq: int):
         self.gate = gate
+        self.name = gate.name
+        self.qubits = gate.qubits
         #: un-normalized accumulated angle for rotations (the legacy merge
         #: pass sums raw params before normalizing once; accumulating the raw
         #: sum keeps the merged float bit-identical to the legacy result)
@@ -192,82 +239,84 @@ class GateStreamOptimizer:
     # Streaming input
     # ------------------------------------------------------------------ #
     def extend(self, gates: Iterable[Gate]) -> "GateStreamOptimizer":
-        for gate in gates:
-            self.append(gate)
+        self._feed(gates)
         return self
 
     def append(self, gate: Gate) -> "GateStreamOptimizer":
-        self._appended += 1
-        name = gate.name
-        weight = CX_EQUIVALENT_WEIGHT.get(name)
-        if weight is not None:
-            self._appended_cx += weight
-        if name == "i":
-            return self
-        qubits = gate.qubits
-        # A rotation matches (merges with) its own name; a parameterless gate
-        # matches its inverse partner.  Gate names uniquely determine whether
-        # params are carried, so a name match is a full kind match.
-        rotation = name in _ROTATIONS
-        partner = name if rotation else _PARTNER_NAME.get(name)
-        flipped = (
-            (qubits[1], qubits[0])
-            if name in _SYMMETRIC_GATES
-            else None
-        )
-        if len(qubits) == 1:
-            node = self._scan_one(gate, qubits, partner, flipped)
-        else:
-            node = self._scan_two(gate, qubits, partner, flipped)
-        if rotation:
-            self._merge_rotation(gate, node)
-        elif node is not None:
-            self._kill(node)
-        else:
-            self._push(gate, None)
+        self._feed((gate,))
         return self
 
-    # ------------------------------------------------------------------ #
-    # Wire-indexed backward scans
-    # ------------------------------------------------------------------ #
-    # Only the frontier stacks of the arriving gate's own wires are visited,
-    # so pending gates on disjoint qubits — which trivially commute — cost
-    # nothing, unlike the legacy whole-list sweep.  The scan stops at the
-    # first non-commuting pending gate; the match node (or None) is returned.
+    def _feed(self, gates: Iterable[Gate]) -> None:
+        """Apply every rewrite an arriving gate enables, gate by gate.
 
-    def _scan_one(self, gate, qubits, partner, flipped) -> "_Node | None":
-        stack = self._wires[qubits[0]]
-        name = gate.name
-        for index in range(len(stack) - 1, -1, -1):
-            node = stack[index]
-            if not node.alive:
-                continue
-            other = node.gate
-            if other.name == partner and (
-                other.qubits == qubits or other.qubits == flipped
-            ):
-                return node
-            if not _COMMUTES[name, other.name, overlap_pattern(qubits, other.qubits)]:
-                return None
-        return None
-
-    def _scan_two(self, gate, qubits, partner, flipped) -> "_Node | None":
+        The backward scan visits only the frontier stacks of the arriving
+        gate's own wires, so pending gates on disjoint qubits — which
+        trivially commute — cost nothing, unlike the legacy whole-list sweep.
+        It stops at the first non-commuting pending gate.  A rotation matches
+        (merges with) its own name; a parameterless gate matches its inverse
+        partner.  Gate names uniquely determine whether params are carried,
+        so a name match is a full kind match.
+        """
         wires = self._wires
-        stack_a = wires[qubits[0]]
-        stack_b = wires[qubits[1]]
+        order = self._order
+        count = 0
+        for gate in gates:
+            count += 1
+            name = gate.name
+            weight, partner, symmetric, rotation = _KINDS[name]
+            self._appended_cx += weight
+            if name == "i":
+                continue
+            qubits = gate.qubits
+            match = None
+            if len(qubits) == 1:
+                (wire,) = qubits
+                verdicts = _ONE_QUBIT_VERDICTS[name]
+                for node in reversed(wires[wire]):
+                    if not node.alive:
+                        continue
+                    other = node.qubits
+                    if node.name == partner and other == qubits:
+                        match = node
+                        break
+                    if not verdicts[node.name][other[0] != wire]:
+                        break
+            else:
+                match = self._scan_two(name, qubits, partner, symmetric)
+            if rotation:
+                self._merge_rotation(gate, match)
+            elif match is not None:
+                self._kill(match)
+            else:  # _push, inlined for the gate that matches nothing
+                node = _Node(gate, None, self._seq)
+                self._seq += 1
+                order.append(node)
+                for wire in qubits:
+                    wires[wire].append(node)
+                self._live += 1
+        self._appended += count
+
+    def _scan_two(self, name, qubits, partner, symmetric) -> "_Node | None":
+        """The match of an arriving two-qubit gate, walking both wires newest first."""
+        first, second = qubits
+        flipped = (second, first) if symmetric else None
+        verdicts = _TWO_QUBIT_VERDICTS[name]
+        wires = self._wires
+        stack_a = wires[first]
+        stack_b = wires[second]
         index_a = len(stack_a) - 1
         index_b = len(stack_b) - 1
-        name = gate.name
         while True:
             while index_a >= 0 and not stack_a[index_a].alive:
                 index_a -= 1
             while index_b >= 0 and not stack_b[index_b].alive:
                 index_b -= 1
-            if index_a < 0 and index_b < 0:
-                return None
-            if index_b < 0 or (
-                index_a >= 0 and stack_a[index_a].seq >= stack_b[index_b].seq
-            ):
+            if index_a < 0:
+                if index_b < 0:
+                    return None
+                node = stack_b[index_b]
+                index_b -= 1
+            elif index_b < 0 or stack_a[index_a].seq >= stack_b[index_b].seq:
                 node = stack_a[index_a]
                 index_a -= 1
                 # a pending two-qubit gate sharing both wires sits on both
@@ -277,12 +326,18 @@ class GateStreamOptimizer:
             else:
                 node = stack_b[index_b]
                 index_b -= 1
-            other = node.gate
-            if other.name == partner and (
-                other.qubits == qubits or other.qubits == flipped
-            ):
+            other = node.qubits
+            if node.name == partner and (other == qubits or other == flipped):
                 return node
-            if not _COMMUTES[name, other.name, overlap_pattern(qubits, other.qubits)]:
+            head = other[0]
+            if len(other) == 1:
+                code = 3 if head == first else 1
+            else:
+                tail = other[1]
+                code = (3 if head == first else 6 if tail == first else 0) + (
+                    1 if head == second else 2 if tail == second else 0
+                )
+            if not verdicts[node.name][code]:
                 return None
 
     # ------------------------------------------------------------------ #
@@ -324,7 +379,7 @@ class GateStreamOptimizer:
         node.alive = False
         self._live -= 1
         self._dead += 1
-        for qubit in node.gate.qubits:
+        for qubit in node.qubits:
             stack = self._wires[qubit]
             while stack and not stack[-1].alive:
                 stack.pop()
@@ -333,10 +388,11 @@ class GateStreamOptimizer:
 
     def _compact(self) -> None:
         """Drop dead nodes from all buffers (amortized against the kills)."""
-        self._order = [node for node in self._order if node.alive]
+        self._order[:] = [node for node in self._order if node.alive]
         for qubit, stack in enumerate(self._wires):
             self._wires[qubit] = [node for node in stack if node.alive]
         self._dead = 0
+
 
 def streaming_peephole_optimize(circuit: "QuantumCircuit") -> "QuantumCircuit":
     """Peephole-optimize a circuit in one streaming pass.
