@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,13 +149,29 @@ def _generic_parameters(num_params: int, attempt: int) -> np.ndarray:
     )
 
 
+class BindReplay(NamedTuple):
+    """One binding's per-bind work, as :meth:`CompiledTemplate.replay` left it.
+
+    ``coefficients`` holds one value per input term and ``angles`` one per
+    skeleton rotation, in skeleton order; both are ``None`` for a degenerate
+    binding, whose full-pipeline result is ``fallback``.
+    """
+
+    coefficients: list[float] | None
+    angles: list[float] | None
+    #: ``time.perf_counter()`` after validation, where compile time starts
+    start: float
+    fallback: CompilationResult | None
+
+
 class CompiledTemplate:
     """A pipeline run frozen into an angle-bindable skeleton.
 
-    Produced by :func:`compile_template`; :meth:`bind` is the serving-path
-    entry point.  All bindings share the tail circuit, conjugation tableau
-    and Pauli rows — results are value-immutable by convention, so the
-    sharing is safe and keeps a bind allocation-light.
+    Produced by :func:`compile_template`.  :meth:`bind` is the in-process
+    entry point; it and the service's ``POST /bind`` share :meth:`replay`,
+    the validate-and-replay step.  All bindings share the tail circuit,
+    conjugation tableau and Pauli rows — results are value-immutable by
+    convention, so the sharing is safe and keeps a bind allocation-light.
     """
 
     def __init__(
@@ -201,6 +217,10 @@ class CompiledTemplate:
         )
         self.binds = 0
         self.fallback_binds = 0
+        #: the service's pre-encoded bound result
+        #: (:func:`repro.service.serialize.bound_result_skeleton`), built at
+        #: the first non-degenerate ``POST /bind`` and freed with the template
+        self._bound_skeleton = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -223,24 +243,41 @@ class CompiledTemplate:
     def bind(self, params: Sequence[float] | np.ndarray) -> CompilationResult:
         """Compile this template at concrete angles.
 
-        Validates ``params`` (arity + NaN/inf rejection), replays the merge
-        chains, and stitches the skeleton into a fresh
+        Runs :meth:`replay` and stitches the skeleton into a fresh
         :class:`~repro.compiler.result.CompilationResult` — bit-identical to
         ``repro.compile`` of the bound program.  Degenerate bindings (a
         merged rotation within ``1e-12`` of zero, which the concrete peephole
-        would delete) transparently fall back to the full pipeline.
+        would delete) return the full pipeline's result instead.
+        """
+        replay = self.replay(params)
+        if replay.fallback is not None:
+            return replay.fallback
+        return self.assemble(replay)
+
+    def replay(self, params: Sequence[float] | np.ndarray) -> "BindReplay":
+        """The per-bind work: validate ``params`` and replay the merge chains.
+
+        Validates ``params`` (arity + NaN/inf rejection), evaluates the term
+        coefficients and replays the chains into one angle per skeleton
+        rotation; a degenerate binding runs the full pipeline instead and
+        carries its result as :attr:`BindReplay.fallback`.  Counts
+        :attr:`binds` and :attr:`fallback_binds`.  :meth:`bind` builds a
+        result object from the replay; the service splices its arrays into a
+        pre-encoded payload (:mod:`repro.service.serialize`).
         """
         array = validate_parameters(
             params, self.num_params, source="repro.parametric.bind"
         )
         start = time.perf_counter()
         self.binds += 1
+        coefficients = angles = None
         if not self._always_fallback:
-            result = self._bind_fast(array, start)
-            if result is not None:
-                return result
-        self.fallback_binds += 1
-        return self._full_compile(array)
+            coefficients = self.program._evaluate_validated(array).tolist()
+            angles = self._chain_angles(coefficients)
+        if angles is None:
+            self.fallback_binds += 1
+            return BindReplay(None, None, start, self._full_compile(array))
+        return BindReplay(coefficients, angles, start, None)
 
     def _chain_angles(self, coefficients: list[float]) -> list[float] | None:
         """Final rotation angles per chain, or ``None`` on a degenerate sum.
@@ -272,25 +309,27 @@ class CompiledTemplate:
             append(merged)
         return angles
 
-    def _bind_fast(self, array: np.ndarray, start: float) -> CompilationResult | None:
-        coefficients = self.program._evaluate_validated(array).tolist()
-        angles = self._chain_angles(coefficients)
-        if angles is None:
-            return None
-
-        # Substitute angles into the skeleton.  Gate is a frozen dataclass
-        # with pure-validation __post_init__, so a trusted construction that
-        # fills __dict__ directly is value-identical and skips the per-gate
-        # validation cost on the microsecond path.
+    def assemble(self, replay: "BindReplay") -> CompilationResult:
+        """The :class:`CompilationResult` of a non-degenerate replay."""
+        # Substitute angles into the skeleton.  Gate and PauliTerm are frozen
+        # dataclasses with pure-validation __post_init__, so a trusted
+        # construction that sets the fields directly is value-identical and
+        # skips the per-gate validation cost.  The fields go in declaration
+        # order through object.__setattr__, as the dataclass __init__ sets
+        # them, which keeps each instance's __dict__ the compact key-sharing
+        # kind (a __dict__.update would give every instance a full dict).
+        # Inlined rather than circuits.gate.trusted_gate: a call per rotation
+        # costs ~7% of an H2O bind.
         gates = self._skeleton.copy()
         blank = object.__new__
+        setter = object.__setattr__
         gate_cls = Gate
-        for position, angle in zip(self._positions, angles):
+        for position, angle in zip(self._positions, replay.angles):
             proto = gates[position]
             gate = blank(gate_cls)
-            gate.__dict__.update(
-                name=proto.name, qubits=proto.qubits, params=(angle,)
-            )
+            setter(gate, "name", proto.name)
+            setter(gate, "qubits", proto.qubits)
+            setter(gate, "params", (angle,))
             gates[position] = gate
         circuit = QuantumCircuit.from_trusted_gates(self.num_qubits, gates)
 
@@ -299,9 +338,10 @@ class CompiledTemplate:
             terms: list[PauliTerm] = []
             append = terms.append
             term_cls = PauliTerm
-            for pauli, coefficient in zip(self._row_paulis, coefficients):
+            for pauli, coefficient in zip(self._row_paulis, replay.coefficients):
                 term = blank(term_cls)
-                term.__dict__.update(pauli=pauli, coefficient=coefficient)
+                setter(term, "pauli", pauli)
+                setter(term, "coefficient", coefficient)
                 append(term)
             extraction = ExtractionResult(
                 optimized_circuit=circuit,
@@ -319,7 +359,7 @@ class CompiledTemplate:
             circuit=circuit,
             extracted_clifford=self._tail,
             extraction=extraction,
-            compile_seconds=time.perf_counter() - start,
+            compile_seconds=time.perf_counter() - replay.start,
             name=self.name,
             metadata=metadata,
             properties=PropertySet(),
@@ -474,7 +514,8 @@ def _calibrate(template: CompiledTemplate, device: Target | None, level: int) ->
     for attempt in range(_CALIBRATION_ATTEMPTS):
         candidate = _generic_parameters(program.num_params, attempt)
         coefficients = program._evaluate_validated(candidate).tolist()
-        if template._chain_angles(coefficients) is not None:
+        angles = template._chain_angles(coefficients)
+        if angles is not None:
             calibration = candidate
             break
         if program.num_params == 0:
@@ -499,7 +540,10 @@ def _calibrate(template: CompiledTemplate, device: Target | None, level: int) ->
     if template._always_fallback:
         return
 
-    fast = template._bind_fast(np.asarray(calibration, dtype=np.float64), 0.0)
+    # assembled directly, not through replay(): calibration is no bind
+    fast = template.assemble(
+        BindReplay(coefficients, angles, time.perf_counter(), None)
+    )
     mismatch = _diff_results(fast, reference)
     if mismatch is not None:
         raise CompilerError(
@@ -509,12 +553,8 @@ def _calibrate(template: CompiledTemplate, device: Target | None, level: int) ->
         )
 
 
-def _diff_results(
-    fast: CompilationResult | None, reference: CompilationResult
-) -> str | None:
+def _diff_results(fast: CompilationResult, reference: CompilationResult) -> str | None:
     """The first field where the two results differ, or ``None``."""
-    if fast is None:
-        return "degeneracy detection (fast bind refused calibration angles)"
     if fast.circuit != reference.circuit:
         return "the optimized circuit"
     if (fast.extracted_clifford is None) != (reference.extracted_clifford is None):

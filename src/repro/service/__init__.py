@@ -24,7 +24,8 @@ the serving substrate on top of it:
   ``POST /compile_template``, ``POST /bind``, ``GET /result/<key>``,
   ``DELETE /result/<key>``, ``GET /healthz``, ``GET /metrics``).  Bind
   requests replay a pre-compiled :mod:`repro.parametric` template inline on
-  the event loop — microseconds per request, never the batching window.
+  the event loop — microseconds per request, never the batching window —
+  and splice the fresh angles into the template's pre-encoded result.
 * :mod:`repro.service.client` — the thin synchronous :class:`Client` used by
   the examples, the smoke test, and the benchmark.
 * :mod:`repro.service.fleet` / ``python -m repro.service --workers N`` —

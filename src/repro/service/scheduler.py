@@ -31,7 +31,7 @@ server answers it on the event loop from the stored bytes, so only misses,
 disk hits and ``use_cache=false`` requests are submitted here, each
 carrying the artifact key the server already hashed from the wire arrays.
 Bind requests (:mod:`repro.parametric`) skip the window too:
-:func:`execute_bind` replays a pre-compiled template skeleton in
+:func:`execute_bind` replays a pre-compiled template's merge chains in
 microseconds, so parking one behind even a 2 ms collection window would cost
 10x its own latency.  The server calls it inline on the event loop.
 
@@ -48,7 +48,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import repro
 from repro.clifford.engine import ConjugationCache
@@ -66,6 +66,9 @@ from repro.paulis.term import PauliTerm
 from repro.service import faults
 from repro.service.cache import ArtifactCache, StoredResult
 from repro.service.telemetry import Telemetry
+
+if TYPE_CHECKING:
+    from repro.parametric.template import BindReplay
 
 #: default collection window, seconds ("a few ms")
 DEFAULT_WINDOW_SECONDS = 0.002
@@ -418,25 +421,27 @@ def execute_bind(
     template,
     params,
     telemetry: Telemetry | None = None,
-) -> "repro.CompilationResult":
-    """Bind one parameter vector against a compiled template (fast path).
+) -> "BindReplay":
+    """Replay one parameter vector against a compiled template (fast path).
 
     Synchronous and scheduler-free by design: a bind replays the template's
     merge chains in microseconds, so it runs inline instead of joining a
-    batching window.  Counts ``service.bind_requests`` /
-    ``service.bind_seconds`` and, when the binding was degenerate and fell
-    back to a full compile, ``service.degenerate_binds``.  Validation errors
+    batching window.  Returns the template's
+    :class:`~repro.parametric.template.BindReplay`: the angles and
+    coefficients the response splices into the template's pre-encoded
+    result, or the full compile of a degenerate binding.  Counts
+    ``service.bind_requests`` / ``service.bind_seconds`` and, when the
+    binding was degenerate, ``service.degenerate_binds``.  Validation errors
     (wrong arity, NaN/inf) propagate as
     :class:`~repro.exceptions.InvalidProgramError`.
     """
     telemetry = telemetry if telemetry is not None else Telemetry()
     telemetry.inc("service.bind_requests")
-    fallbacks_before = template.fallback_binds
     with TRACER.span(telemetry=telemetry, histogram="service.bind_seconds"):
-        result = template.bind(params)
-    if template.fallback_binds != fallbacks_before:
+        replay = template.replay(params)
+    if replay.fallback is not None:
         telemetry.inc("service.degenerate_binds")
-    return result
+    return replay
 
 
 class BatchingScheduler:

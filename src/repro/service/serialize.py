@@ -25,6 +25,13 @@ Bit-exactness is the design constraint, not prettiness:
   extracted tail, conjugation tableau, metadata and pass timings included.
   (Python's ``json`` emits floats with ``repr``, so timing floats survive a
   JSON round-trip bit-exactly too.)
+* A template's bound results (``POST /bind``) are not re-encoded per bind:
+  :class:`BoundResultSkeleton` holds one template's result payload encoded
+  once, at its first non-degenerate bind, and each bind splices base64 of
+  its fresh angle and coefficient arrays (plus ``compile_seconds``) into
+  it.  The spliced bytes equal ``result_to_wire(template.bind(params))``
+  encoded with ``json.dumps(..., separators=(",", ":"))``, outside the
+  timing fields.
 
 Arrays are encoded with explicit little-endian dtypes so payloads are
 portable across hosts.
@@ -34,6 +41,9 @@ from __future__ import annotations
 
 import base64
 import functools
+import json
+import re
+import uuid
 from typing import Sequence
 
 import numpy as np
@@ -485,6 +495,91 @@ def result_from_wire(payload: dict) -> CompilationResult:
         metadata=metadata,
         properties=PropertySet(),
     )
+
+# ---------------------------------------------------------------------- #
+# Bound results: one pre-encoded payload per template, spliced per bind
+# ---------------------------------------------------------------------- #
+class BoundResultSkeleton:
+    """A template's fast-bind result, JSON-encoded once with three open slots.
+
+    Every non-degenerate bind of one template yields the same
+    :func:`result_to_wire` payload except for ``compile_seconds``, the
+    circuit's rotation angles and the extraction's term coefficients: gate
+    opcodes and qubits, the Clifford tail, the conjugation tableau, the
+    packed term words and all metadata depend on the Pauli structure alone.
+    The skeleton holds that payload as the bytes ``json.dumps`` gives it
+    (the encoding the server writes), cut at the three slots, plus the
+    structure-constant :meth:`~repro.compiler.result.CompilationResult.metrics`.
+    :meth:`encode` fills the slots with base64 of the fresh arrays, so a
+    bound response is byte-identical to encoding ``template.bind(params)``
+    outside its timing fields.
+    """
+
+    __slots__ = ("name", "_metrics", "_pieces", "_slots")
+
+    def __init__(self, result: CompilationResult, angles: list[float]):
+        # the angles slot takes the replayed chain angles as the whole array
+        if [angle for gate in result.circuit for angle in gate.params] != angles:
+            raise WireFormatError(
+                "a bound circuit's rotation angles are not its chain angles in "
+                "gate order; its payload cannot be spliced"
+            )
+        self.name = result.name
+        self._metrics = result.metrics()
+        payload = result_to_wire(result)
+        token = uuid.uuid4().hex
+        payload["compile_seconds"] = f"{token}:seconds"
+        payload["circuit"]["angles"]["data"] = f"{token}:angles"
+        extraction = payload["extraction"]
+        if extraction is not None and extraction["terms"] is not None:
+            extraction["terms"]["coefficients"]["data"] = f"{token}:coefficients"
+        encoded = json.dumps(payload, separators=(",", ":")).encode()
+        parts = re.split(b'"' + token.encode() + rb':(\w+)"', encoded)
+        self._pieces = parts[0::2]
+        self._slots = [slot.decode() for slot in parts[1::2]]
+
+    def metrics(self, compile_seconds: float) -> dict:
+        """The bound result's ``metrics()``: the structure counts plus the time."""
+        metrics = dict(self._metrics)
+        metrics["compile_seconds"] = compile_seconds
+        return metrics
+
+    def encode(self, replay, compile_seconds: float) -> bytes:
+        """The JSON bytes of the bound result for one non-degenerate replay."""
+        fills = {
+            "seconds": repr(float(compile_seconds)).encode(),
+            "angles": _quoted_base64(replay.angles),
+        }
+        if "coefficients" in self._slots:
+            fills["coefficients"] = _quoted_base64(replay.coefficients)
+        pieces = self._pieces
+        out = [pieces[0]]
+        for slot, piece in zip(self._slots, pieces[1:]):
+            out.append(fills[slot])
+            out.append(piece)
+        return b"".join(out)
+
+
+def _quoted_base64(values: list[float]) -> bytes:
+    """A JSON string of base64 ``<f8`` bytes, as :func:`encode_array` writes it."""
+    data = np.array(values, dtype="<f8").tobytes()
+    return b'"' + base64.b64encode(data) + b'"'
+
+
+def bound_result_skeleton(template, replay) -> BoundResultSkeleton:
+    """``template``'s :class:`BoundResultSkeleton`, built at its first use.
+
+    ``replay`` is a non-degenerate :class:`~repro.parametric.template.BindReplay`
+    of the template; the first call assembles its result once to build the
+    skeleton from.  The skeleton lives on the template, so it is freed with
+    it (an evicted template takes its skeleton along).
+    """
+    skeleton = template._bound_skeleton
+    if skeleton is None:
+        skeleton = BoundResultSkeleton(template.assemble(replay), replay.angles)
+        template._bound_skeleton = skeleton
+    return skeleton
+
 
 # ---------------------------------------------------------------------- #
 # Parametric programs and compiled templates (repro.parametric/v1)

@@ -20,8 +20,13 @@ Endpoints (all JSON bodies/responses):
   wire payload (``include_template``).
 * ``POST /bind`` — a ``repro.parametric/v1`` bind request (template named by
   ``template_key`` or shipped inline) plus a ``params`` vector; replays the
-  template skeleton **inline on the event loop** — a bind takes microseconds,
-  so it never waits out the batching window.
+  template's merge chains **inline on the event loop** — a bind takes
+  microseconds, so it never waits out the batching window.  The response's
+  ``result`` is spliced: the fresh angle and coefficient arrays go into a
+  per-template pre-encoded result, so no gate objects are built and the
+  bytes equal an encode of ``template.bind(params)`` outside the timing
+  fields (``compile_seconds``, ``metrics.compile_seconds``).  A degenerate
+  binding (``"degenerate": true``) is compiled in full and encoded as such.
 * ``GET /result/<key>`` — fetch a cached artifact by key, as its stored
   bytes (404 on miss).
 * ``DELETE /result/<key>`` — explicitly evict a cached artifact (404 on
@@ -75,6 +80,7 @@ from repro.service.scheduler import (
 )
 from repro.service.serialize import (
     bind_request_from_wire,
+    bound_result_skeleton,
     parametric_program_from_wire,
     program_from_wire,
     result_to_wire,
@@ -137,7 +143,8 @@ class _Spliced:
 
     ``fields`` are encoded at write time and ``raw`` — the bytes of one JSON
     value — is written as is: a stored artifact goes out exactly as it sits
-    on disk, with no decode and no re-encode.
+    on disk, and a bound result as its template's skeleton spliced it, with
+    no decode and no re-encode.
     """
 
     __slots__ = ("fields", "name", "raw")
@@ -902,8 +909,15 @@ class ServiceServer:
             program, target=options["target"], level=options["level"]
         )
 
-    def _post_bind(self, payload: dict) -> tuple[int, dict]:
-        """Bind a template — inline on the event loop, no batching window."""
+    def _post_bind(self, payload: dict) -> "tuple[int, dict | _Spliced]":
+        """Bind a template — inline on the event loop, no batching window.
+
+        A non-degenerate bind splices its angles and coefficients into the
+        template's pre-encoded result
+        (:class:`~repro.service.serialize.BoundResultSkeleton`); a
+        degenerate one encodes the full compile's result as ``/compile``
+        does.
+        """
         include_result = bool(payload.get("include_result", True))
         try:
             template_key, template_payload, params = bind_request_from_wire(payload)
@@ -930,16 +944,24 @@ class ServiceServer:
                 template = template_from_wire(template_payload)
             except ReproError as error:
                 raise _bad_request(error) from error
-        fallbacks_before = template.fallback_binds
-        result = execute_bind(template, params, self.telemetry)
+        replay = execute_bind(template, params, self.telemetry)
+        result = replay.fallback
+        if result is None:
+            skeleton = bound_result_skeleton(template, replay)
+            seconds = time.perf_counter() - replay.start
+            metrics, compiler = skeleton.metrics(seconds), skeleton.name
+        else:
+            metrics, compiler = result.metrics(), result.name
         entry: dict = {
             "template_key": template_key,
             "cache_hit": template_key is not None,
-            "degenerate": template.fallback_binds != fallbacks_before,
-            "metrics": result.metrics(),
-            "compiler": result.name,
+            "degenerate": result is not None,
+            "metrics": metrics,
+            "compiler": compiler,
         }
         if include_result:
+            if result is None:
+                return 200, _Spliced(entry, "result", skeleton.encode(replay, seconds))
             entry["result"] = result_to_wire(result)
         return 200, entry
 
