@@ -40,25 +40,23 @@ def main() -> None:
     # streams across the table suffix as whole-matrix bitwise ops, and
     # lookahead reads rows instead of re-conjugating Pauli objects.
     #
-    # Local optimization is now *fused into emission*: extraction streams
-    # every gate through the wire-indexed peephole engine as it is emitted
-    # (per-qubit frontier stacks, cancellation/merging at append time), so
-    # the Peephole pass below is just a fixpoint check.  Compare against the
-    # legacy iterated-sweep oracle, which rescans the materialized tail up
-    # to 20 times (on H2O-class tails: ~6 ms of Peephole wall-clock before,
-    # ~0.07 ms after — a >90x reduction, see BENCH_throughput.json).
-    print("\nPer-pass timing breakdown (fused streaming peephole):")
+    # Local optimization is the Peephole pass: it streams the extracted
+    # circuit once through the wire-indexed peephole engine (per-qubit
+    # frontier stacks, cancellation/merging as each gate arrives).  Compare
+    # against the legacy iterated-sweep oracle, which rescans the whole
+    # circuit up to 20 times.
+    print("\nPer-pass timing breakdown (streaming peephole):")
     print(format_pass_timings(result.metadata["pass_timings"]))
 
     from repro.compiler import CliffordExtraction, GroupCommuting, Pipeline
     from repro.transpile.peephole import peephole_optimize
 
-    unfused = Pipeline([GroupCommuting(), CliffordExtraction()]).run(terms)
+    raw = Pipeline([GroupCommuting(), CliffordExtraction()]).run(terms)
     start = time.perf_counter()
-    legacy = peephole_optimize(unfused.circuit)
+    legacy = peephole_optimize(raw.circuit)
     legacy_ms = (time.perf_counter() - start) * 1000.0
     print(
-        f"\nLegacy iterated peephole on the same unfused circuit: {legacy_ms:.3f} ms, "
+        f"\nLegacy iterated peephole on the same raw circuit: {legacy_ms:.3f} ms, "
         f"{legacy.cx_count()} CNOTs (streaming: {result.cx_count()})"
     )
 

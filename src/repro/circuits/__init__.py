@@ -9,14 +9,13 @@ hybrid-execution examples.
 """
 
 from repro.circuits.gate import Gate, GATE_DEFINITIONS
-from repro.circuits.circuit import CircuitBuilder, QuantumCircuit
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.qasm import from_qasm, to_qasm
 from repro.circuits.statevector import Statevector
 
 __all__ = [
     "Gate",
     "GATE_DEFINITIONS",
-    "CircuitBuilder",
     "QuantumCircuit",
     "Statevector",
     "from_qasm",

@@ -228,20 +228,6 @@ class QuantumCircuit:
     # Convenience constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def builder(cls, num_qubits: int, peephole: bool = True) -> "CircuitBuilder":
-        """A streaming builder that peephole-optimizes at gate-append time.
-
-        With ``peephole=True`` (the default) every appended gate streams
-        through the wire-indexed
-        :class:`~repro.transpile.wire_optimizer.GateStreamOptimizer`, so the
-        finished circuit is already a local-rewrite fixpoint — the tail is
-        built *once* instead of materialized and then repeatedly rescanned.
-        ``peephole=False`` gives a plain accumulating builder with the same
-        interface.
-        """
-        return CircuitBuilder(num_qubits, peephole=peephole)
-
-    @classmethod
     def from_gates(cls, num_qubits: int, gates: Sequence[Gate]) -> "QuantumCircuit":
         return cls(num_qubits, gates)
 
@@ -258,77 +244,3 @@ class QuantumCircuit:
         circuit._gates = gates
         return circuit
 
-
-class CircuitBuilder:
-    """Accumulates gates into a :class:`QuantumCircuit`, optimizing en route.
-
-    The builder is the emission-fused peephole path: synthesis code appends
-    gates exactly as it would onto a circuit (the builder mirrors the
-    ``append``/``extend`` sink protocol), and with ``peephole=True`` each
-    gate is folded into the streaming wire-indexed optimizer immediately, so
-    :meth:`build` returns a circuit that is already a peephole fixpoint.
-    """
-
-    __slots__ = ("_num_qubits", "_sink", "_gates")
-
-    def __init__(self, num_qubits: int, peephole: bool = True):
-        if num_qubits < 1:
-            raise CircuitError("a circuit needs at least one qubit")
-        self._num_qubits = int(num_qubits)
-        if peephole:
-            # imported lazily: repro.transpile.peephole imports this module
-            from repro.transpile.wire_optimizer import GateStreamOptimizer
-
-            self._sink = GateStreamOptimizer(self._num_qubits)
-            self._gates = None
-        else:
-            self._sink = None
-            self._gates = []
-
-    # ------------------------------------------------------------------ #
-    @property
-    def num_qubits(self) -> int:
-        return self._num_qubits
-
-    @property
-    def optimizing(self) -> bool:
-        return self._sink is not None
-
-    @property
-    def appended(self) -> int:
-        """Gates fed in so far (before any peephole reduction)."""
-        return self._sink.appended if self._sink is not None else len(self._gates)
-
-    @property
-    def appended_cx(self) -> int:
-        """CNOT-equivalent count of the raw (pre-optimization) stream."""
-        if self._sink is not None:
-            return self._sink.appended_cx
-        return sum(CX_EQUIVALENT_WEIGHT.get(gate.name, 0) for gate in self._gates)
-
-    def __len__(self) -> int:
-        """Gates currently surviving."""
-        return len(self._sink) if self._sink is not None else len(self._gates)
-
-    # ------------------------------------------------------------------ #
-    def append(self, gate: Gate) -> "CircuitBuilder":
-        for qubit in gate.qubits:
-            if not 0 <= qubit < self._num_qubits:
-                raise CircuitError(
-                    f"gate {gate!r} addresses qubit {qubit} outside 0..{self._num_qubits - 1}"
-                )
-        if self._sink is not None:
-            self._sink.append(gate)
-        else:
-            self._gates.append(gate)
-        return self
-
-    def extend(self, gates: Iterable[Gate]) -> "CircuitBuilder":
-        for gate in gates:
-            self.append(gate)
-        return self
-
-    def build(self) -> QuantumCircuit:
-        """The finished circuit (already a peephole fixpoint when optimizing)."""
-        gates = self._sink.gates() if self._sink is not None else list(self._gates)
-        return QuantumCircuit.from_trusted_gates(self._num_qubits, gates)

@@ -95,18 +95,11 @@ class CliffordExtraction(Pass):
         recursive_tree: bool = True,
         cross_block_lookahead: bool = True,
         max_lookahead: int | None = None,
-        fuse_peephole: bool = False,
         extractor: CliffordExtractor | None = None,
     ):
         if extractor is not None:
-            defaults = (True, True, True, None, False)
-            given = (
-                reorder_within_blocks,
-                recursive_tree,
-                cross_block_lookahead,
-                max_lookahead,
-                fuse_peephole,
-            )
+            defaults = (True, True, True, None)
+            given = (reorder_within_blocks, recursive_tree, cross_block_lookahead, max_lookahead)
             if given != defaults:
                 raise CompilerError(
                     "pass either feature flags or an explicit extractor, not both: "
@@ -117,7 +110,6 @@ class CliffordExtraction(Pass):
             recursive_tree=recursive_tree,
             cross_block_lookahead=cross_block_lookahead,
             max_lookahead=max_lookahead,
-            fuse_peephole=fuse_peephole,
         )
 
     def run(self, program: Program, context: PassContext) -> None:
@@ -136,69 +128,47 @@ class CliffordExtraction(Pass):
         program.extraction = extraction
         program.metadata["rotation_count"] = extraction.rotation_count
         program.metadata.setdefault("num_blocks", extraction.metadata.get("num_blocks"))
-        if extraction.metadata.get("peephole_fused"):
-            # emission already streamed through the wire-indexed optimizer:
-            # the circuit is a local-rewrite fixpoint, a later Peephole pass
-            # can skip the re-scan, and the raw emitted CNOT count is kept
-            # for the usual pre/post report
-            program.metadata["peephole_fixpoint"] = True
-            program.metadata.setdefault(
-                "pre_optimization_cx", extraction.metadata["pre_optimization_cx"]
-            )
         context.properties["conjugation_tableau"] = extraction.conjugation
         context.properties["rotation_count"] = extraction.rotation_count
 
 
 class NaiveSynthesis(Pass):
-    """Direct synthesis: one V-shaped block per Pauli rotation, in order.
+    """Direct synthesis: one V-shaped block per Pauli rotation, in order."""
 
-    ``fuse_peephole=True`` streams the blocks through a peephole-optimizing
-    circuit builder, so mirrored trees between adjacent blocks cancel as they
-    are emitted and any later :class:`Peephole` pass is a no-op.
-    """
-
-    def __init__(self, tree: str = "chain", fuse_peephole: bool = False):
+    def __init__(self, tree: str = "chain"):
         self.tree = tree
-        self.fuse_peephole = fuse_peephole
 
     def run(self, program: Program, context: PassContext) -> None:
         terms = self._require_terms(program)
-        if self.fuse_peephole:
-            from repro.circuits.circuit import QuantumCircuit
-            from repro.synthesis.pauli_rotation import synthesize_pauli_rotation
-
-            builder = QuantumCircuit.builder(terms[0].num_qubits)
-            for term in terms:
-                synthesize_pauli_rotation(term, tree=self.tree, into=builder)
-            program.metadata.setdefault("pre_optimization_cx", builder.appended_cx)
-            program.metadata["peephole_fixpoint"] = True
-            program.circuit = builder.build()
-        else:
-            program.circuit = synthesize_trotter_circuit(terms, tree=self.tree)
+        program.circuit = synthesize_trotter_circuit(terms, tree=self.tree)
         context.properties["synthesis_tree"] = self.tree
 
 
 class Peephole(Pass):
     """Local rewriting: inverse-pair cancellation and rotation merging.
 
-    Runs the wire-indexed
+    Streams the circuit once through the wire-indexed
     :class:`~repro.transpile.wire_optimizer.GateStreamOptimizer` — one
-    amortized-linear pass, no iteration cap — and skips entirely when the
-    upstream synthesis already streamed its emission through the optimizer
-    (``program.metadata["peephole_fixpoint"]``).  The iterated ground-truth
+    amortized-linear pass, no iteration cap.  The iterated ground-truth
     sweeps (:func:`~repro.transpile.peephole.peephole_optimize`) are an
     oracle for tests, not a pipeline stage.
+
+    When the circuit is the one the extraction record emitted, the record
+    takes the rewritten circuit (and its raw CNOT count) as well, so a
+    result's ``extraction.optimized_circuit`` is always the circuit that
+    runs.  Rewriting preserves the unitary, so ``optimized_circuit``
+    followed by ``extracted_clifford`` still equals the original program.
     """
 
     def run(self, program: Program, context: PassContext) -> None:
         circuit = self._require_circuit(program)
-        program.metadata.setdefault("pre_optimization_cx", circuit.cx_count())
-        if program.metadata.get("peephole_fixpoint"):
-            # emission-fused: the circuit was built through the streaming
-            # optimizer, re-running it would be a no-op by construction
-            return
+        raw_cx = circuit.cx_count()
+        program.metadata.setdefault("pre_optimization_cx", raw_cx)
         program.circuit = streaming_peephole_optimize(circuit)
-        program.metadata["peephole_fixpoint"] = True
+        extraction = program.extraction
+        if extraction is not None and extraction.optimized_circuit is circuit:
+            extraction.optimized_circuit = program.circuit
+            extraction.metadata["pre_optimization_cx"] = raw_cx
 
 
 class PostRoutingPeephole(Peephole):
@@ -247,9 +217,6 @@ class SabreRouting(Pass):
         program.routing = routing
         program.metadata["swap_count"] = routing.swap_count
         program.metadata["routed"] = True
-        # SWAP decomposition exposes fresh cancellations: the pre-routing
-        # peephole fixpoint no longer holds for the rewritten circuit
-        program.metadata["peephole_fixpoint"] = False
         program.metadata["device"] = target.name
         context.properties["routing"] = routing
         context.properties["initial_layout"] = routing.initial_layout

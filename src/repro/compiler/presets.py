@@ -41,13 +41,9 @@ def quclear_passes(
 ) -> list:
     """The logical-circuit portion of the QuCLEAR flow as a pass list.
 
-    Grouping, extraction with the requested feature flags, and (optionally)
-    the peephole pass — no routing, no absorption preparation.
-
-    When local optimization is requested the extraction pass streams its
-    emission through the wire-indexed peephole engine (``fuse_peephole``):
-    the optimized tail is built once, at gate-append time, and the trailing
-    :class:`Peephole` pass reduces to a fixpoint check.
+    Grouping, extraction with the requested feature flags, and (when
+    ``local_optimize``, the switch of the paper's Fig. 9 ablation) the
+    :class:`Peephole` pass — no routing, no absorption preparation.
     """
     passes: list = [
         GroupCommuting(),
@@ -56,7 +52,6 @@ def quclear_passes(
             recursive_tree=recursive_tree,
             cross_block_lookahead=cross_block_lookahead,
             max_lookahead=max_lookahead,
-            fuse_peephole=local_optimize,
         ),
     ]
     if local_optimize:

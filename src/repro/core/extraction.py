@@ -50,7 +50,6 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import Gate, cached_gate, trusted_gate
 from repro.clifford.engine import stream_gates_over_suffix
-from repro.transpile.wire_optimizer import GateStreamOptimizer
 from repro.clifford.tableau import CliffordTableau
 from repro.core.commuting import commuting_block_bounds
 from repro.core.tree_synthesis import CxGates, chain_tree_cost
@@ -87,7 +86,9 @@ class ExtractionResult:
     metadata:
         Pass flags plus ``stage_counters``: integer counts of the rotations,
         basis-change gates and tree CNOTs emitted, the candidates whose cost
-        the in-block selection evaluated, and the rows it moved.
+        the in-block selection evaluated, and the rows it moved.  A pipeline
+        ``Peephole`` pass that rewrites ``optimized_circuit`` adds the raw
+        CNOT count as ``pre_optimization_cx``.
     """
 
     optimized_circuit: QuantumCircuit
@@ -165,15 +166,9 @@ class CliffordExtractor:
         of later blocks (the block order itself is never changed).
     max_lookahead:
         Optional cap on how many future strings may guide a single tree.
-    fuse_peephole:
-        Stream every emitted gate through the wire-indexed
-        :class:`~repro.transpile.wire_optimizer.GateStreamOptimizer` *as it
-        is emitted*, so ``optimized_circuit`` comes out already at the local
-        rewrite fixpoint — the tail is built once instead of materialized
-        and then rescanned by a separate peephole pass.  The extracted
-        Clifford tail and conjugation tableau are unaffected (they are built
-        from the raw left halves), so the usual equivalence
-        ``original == optimized_circuit . extracted_clifford`` still holds.
+
+    ``optimized_circuit`` is the raw emission; local rewriting is the
+    separate :class:`~repro.compiler.passes.Peephole` stage of the pipeline.
     """
 
     def __init__(
@@ -182,13 +177,11 @@ class CliffordExtractor:
         recursive_tree: bool = True,
         cross_block_lookahead: bool = True,
         max_lookahead: int | None = None,
-        fuse_peephole: bool = False,
     ):
         self.reorder_within_blocks = reorder_within_blocks
         self.recursive_tree = recursive_tree
         self.cross_block_lookahead = cross_block_lookahead
         self.max_lookahead = max_lookahead
-        self.fuse_peephole = fuse_peephole
 
     # ------------------------------------------------------------------ #
     def extract(
@@ -255,9 +248,6 @@ class CliffordExtractor:
         x_columns, z_columns = columns.x, columns.z
 
         optimized_gates: list[Gate] = []
-        #: emission-fused peephole: gates stream into the optimizer the
-        #: moment a term emits them, so the tail never exists unoptimized
-        stream = GateStreamOptimizer(num_qubits) if self.fuse_peephole else None
         left_gates: list[Gate] = []
         counters = dict.fromkeys(STAGE_COUNTERS, 0)
         cx_gates = CxGates()
@@ -332,11 +322,9 @@ class CliffordExtractor:
                 if (columns.p1 >> row) & 1:
                     angle = -angle
 
-                emitted = [*basis_gates, *tree_gates, trusted_gate("rz", (root,), (angle,))]
-                if stream is not None:
-                    stream.extend(emitted)
-                else:
-                    optimized_gates.extend(emitted)
+                optimized_gates.extend(basis_gates)
+                optimized_gates.extend(tree_gates)
+                optimized_gates.append(trusted_gate("rz", (root,), (angle,)))
                 counters["rotations"] += 1
                 counters["basis_gates"] += len(basis_gates)
                 counters["tree_cx"] += len(tree_gates)
@@ -344,8 +332,6 @@ class CliffordExtractor:
                 left_gates.extend(tree_gates)
                 row = next_row
 
-        if stream is not None:
-            optimized_gates = stream.gates()
         optimized = QuantumCircuit.from_trusted_gates(num_qubits, optimized_gates)
         left_halves = QuantumCircuit.from_trusted_gates(num_qubits, left_gates)
         extracted = left_halves.inverse()
@@ -359,11 +345,8 @@ class CliffordExtractor:
             "num_blocks": len(bounds) - 1,
             "reorder_within_blocks": self.reorder_within_blocks,
             "recursive_tree": self.recursive_tree,
-            "peephole_fused": self.fuse_peephole,
             "stage_counters": counters,
         }
-        if stream is not None:
-            metadata["pre_optimization_cx"] = stream.appended_cx
         return ExtractionResult(
             optimized_circuit=optimized,
             extracted_clifford=extracted,

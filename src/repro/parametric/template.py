@@ -457,7 +457,7 @@ def compile_template(
     conjugation: CliffordTableau | None = None
     rotation_count = 0
     if level >= 2:
-        extractor = CliffordExtractor(**_EXTRACTION_FLAGS[level], fuse_peephole=False)
+        extractor = CliffordExtractor(**_EXTRACTION_FLAGS[level])
         trace = extractor.extract(sentinel_sum)
         raw_gates = list(trace.optimized_circuit)
         tail = trace.extracted_clifford

@@ -81,11 +81,9 @@ def synthesize_pauli_rotation(term: PauliTerm, tree: str = "chain", into=None):
     """Synthesize ``exp(-i * coefficient / 2 * P)``.
 
     With ``into=None`` a standalone :class:`QuantumCircuit` is returned.
-    ``into`` may be any gate sink with ``append``/``extend`` — another
-    circuit, or a :class:`~repro.circuits.circuit.CircuitBuilder` — in which
-    case the V-shaped block streams straight into it (the emission-fused
-    path: a peephole-optimizing builder folds the mirrored trees of adjacent
-    blocks away as they are appended) and the sink is returned.
+    ``into`` may be any gate sink with ``append``/``extend`` (another
+    circuit, say), in which case the V-shaped block is appended to it and
+    the sink is returned.
     """
     pauli = term.pauli
     sink = into if into is not None else QuantumCircuit(pauli.num_qubits)

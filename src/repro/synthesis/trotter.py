@@ -20,15 +20,8 @@ from repro.synthesis.pauli_rotation import synthesize_pauli_rotation
 def synthesize_trotter_circuit(
     terms: Sequence[PauliTerm] | SparsePauliSum,
     tree: str = "chain",
-    peephole: bool = False,
 ) -> QuantumCircuit:
-    """Concatenate one Pauli-rotation block per term, in order.
-
-    With ``peephole=True`` the blocks stream through a peephole-optimizing
-    :class:`~repro.circuits.circuit.CircuitBuilder`, so the mirrored trees of
-    adjacent blocks cancel at emission time and the returned circuit is
-    already a local-rewrite fixpoint.
-    """
+    """Concatenate one Pauli-rotation block per term, in order."""
     term_list = list(terms)
     if not term_list:
         raise SynthesisError("cannot synthesize a circuit from zero Pauli terms")
@@ -36,11 +29,6 @@ def synthesize_trotter_circuit(
     for term in term_list:
         if term.num_qubits != num_qubits:
             raise SynthesisError("all Pauli terms must act on the same number of qubits")
-    if peephole:
-        builder = QuantumCircuit.builder(num_qubits)
-        for term in term_list:
-            synthesize_pauli_rotation(term, tree=tree, into=builder)
-        return builder.build()
     circuit = QuantumCircuit(num_qubits)
     for term in term_list:
         synthesize_pauli_rotation(term, tree=tree, into=circuit)

@@ -32,19 +32,20 @@ amortized cost per appended gate is the length of its blocked-commuting
 prefix on its own wires — O(G) total for the CNOT-tree tails Clifford
 extraction emits, where almost every cancellation partner sits at the top of
 a wire stack.
+
+In the compiler pipelines local rewriting runs in one place: the
+:class:`~repro.compiler.passes.Peephole` pass streams each finished circuit
+through :func:`streaming_peephole_optimize` once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
-if TYPE_CHECKING:  # the real import is deferred: circuit.py imports us back
-    from repro.circuits.circuit import QuantumCircuit
-
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import (
-    CX_EQUIVALENT_WEIGHT,
     SINGLE_QUBIT_GATES,
     TWO_QUBIT_GATES,
     Gate,
@@ -150,11 +151,10 @@ def _verdict_rows() -> tuple[dict, dict]:
 
 _ONE_QUBIT_VERDICTS, _TWO_QUBIT_VERDICTS = _verdict_rows()
 
-#: name -> (CNOT-equivalent weight, name of the gate it merges or cancels
-#: with, whether its two qubits may be swapped, whether it is a rotation)
-_KINDS: dict[str, tuple[int, str | None, bool, bool]] = {
+#: name -> (name of the gate it merges or cancels with, whether its two
+#: qubits may be swapped, whether it is a rotation)
+_KINDS: dict[str, tuple[str | None, bool, bool]] = {
     name: (
-        CX_EQUIVALENT_WEIGHT.get(name, 0),
         name if name in _ROTATIONS else _PARTNER_NAME.get(name),
         name in _SYMMETRIC_GATES,
         name in _ROTATIONS,
@@ -204,8 +204,6 @@ class GateStreamOptimizer:
         self._live = 0
         self._dead = 0
         self._seq = 0
-        self._appended = 0
-        self._appended_cx = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -213,20 +211,6 @@ class GateStreamOptimizer:
     def __len__(self) -> int:
         """Number of gates currently surviving."""
         return self._live
-
-    @property
-    def appended(self) -> int:
-        """Total gates fed in (the unoptimized tail length)."""
-        return self._appended
-
-    @property
-    def appended_cx(self) -> int:
-        """CNOT-equivalent count of the *unoptimized* stream (SWAP costs 3).
-
-        Matches ``QuantumCircuit.cx_count()`` of the raw tail, so fused
-        emission can still report ``pre_optimization_cx``.
-        """
-        return self._appended_cx
 
     def gates(self) -> list[Gate]:
         """The surviving gates, in emission order."""
@@ -259,12 +243,9 @@ class GateStreamOptimizer:
         """
         wires = self._wires
         order = self._order
-        count = 0
         for gate in gates:
-            count += 1
             name = gate.name
-            weight, partner, symmetric, rotation = _KINDS[name]
-            self._appended_cx += weight
+            partner, symmetric, rotation = _KINDS[name]
             if name == "i":
                 continue
             qubits = gate.qubits
@@ -294,7 +275,6 @@ class GateStreamOptimizer:
                 for wire in qubits:
                     wires[wire].append(node)
                 self._live += 1
-        self._appended += count
 
     def _scan_two(self, name, qubits, partner, symmetric) -> "_Node | None":
         """The match of an arriving two-qubit gate, walking both wires newest first."""
@@ -394,7 +374,7 @@ class GateStreamOptimizer:
         self._dead = 0
 
 
-def streaming_peephole_optimize(circuit: "QuantumCircuit") -> "QuantumCircuit":
+def streaming_peephole_optimize(circuit: QuantumCircuit) -> QuantumCircuit:
     """Peephole-optimize a circuit in one streaming pass.
 
     Reaches the same fixpoint as the legacy
@@ -402,8 +382,6 @@ def streaming_peephole_optimize(circuit: "QuantumCircuit") -> "QuantumCircuit":
     ``max_iterations`` cap) by streaming the gate list through a
     :class:`GateStreamOptimizer`.
     """
-    from repro.circuits.circuit import QuantumCircuit
-
     optimizer = GateStreamOptimizer(circuit.num_qubits)
     optimizer.extend(circuit)
     return QuantumCircuit.from_trusted_gates(circuit.num_qubits, optimizer.gates())

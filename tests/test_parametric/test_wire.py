@@ -7,9 +7,10 @@ import pytest
 
 import repro
 from repro.circuits.qasm import to_qasm
+from repro.core.extraction import CliffordExtractor
 from repro.exceptions import WireFormatError
 from repro.parametric import ParametricProgram, compile_template
-from repro.parametric.template import _diff_results
+from repro.parametric.template import _EXTRACTION_FLAGS, _diff_results
 from repro.service.serialize import (
     PARAMETRIC_FORMAT,
     bind_request_from_wire,
@@ -17,6 +18,7 @@ from repro.service.serialize import (
     encode_array,
     parametric_program_from_wire,
     parametric_program_to_wire,
+    result_to_wire,
     template_from_wire,
     template_to_wire,
 )
@@ -128,6 +130,30 @@ class TestTemplateWire:
         del payload["skeleton"]
         with pytest.raises(WireFormatError):
             template_from_wire(payload)
+
+
+class TestBoundResultWire:
+    @staticmethod
+    def _untimed(result):
+        payload = _json_round_trip(result_to_wire(result))
+        payload.pop("compile_seconds")
+        payload["metadata"].pop("pass_timings")
+        if payload["extraction"] is not None:
+            payload["extraction"].pop("elapsed_seconds")
+        return payload
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_bind_encodes_like_a_compile_where_rewriting_removes_gates(self, level):
+        program = ParametricProgram.from_terms(
+            random_pauli_terms(_rng(17), 3, 5), [0, 1, 2, 0, 1]
+        )
+        params = np.array([0.7, -1.3, 0.4])
+        concrete = program.to_sum(params)
+        compiled = repro.compile(concrete, level=level)
+        raw = CliffordExtractor(**_EXTRACTION_FLAGS[level]).extract(concrete)
+        assert len(compiled.circuit) < len(raw.optimized_circuit)
+        bound = compile_template(program, level=level).bind(params)
+        assert self._untimed(bound) == self._untimed(compiled)
 
 
 class TestBindRequestWire:

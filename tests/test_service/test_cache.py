@@ -452,9 +452,10 @@ class TestUpgradeCompat:
 
     ``data/legacy_artifact.json.gz`` is an artifact file exactly as the
     release before the array-backend removal wrote it for ``LEGACY_TERMS``;
-    its metadata still carries the backend-name field that compiles no
-    longer record.  The pinned key is the one that release computed for the
-    same program, so a key-derivation change cannot slip through unnoticed.
+    its metadata still carries the backend-name field and the peephole
+    fixpoint flag that compiles no longer record.  The pinned key is the
+    one that release computed for the same program, so a key-derivation
+    change cannot slip through unnoticed.
     """
 
     LEGACY_TERMS = [
@@ -491,9 +492,12 @@ class TestUpgradeCompat:
             legacy.extraction.conjugation.content_key()
             == fresh.extraction.conjugation.content_key()
         )
-        # exactly one metadata field more than a fresh compile: the
-        # backend name the removed layer used to stamp
-        assert len(set(legacy.metadata) - set(fresh.metadata)) == 1
+        # the metadata fields a fresh compile no longer records: the backend
+        # name of the removed array layer, and the flag the removed
+        # emission-fused peephole path set
+        assert set(legacy.metadata) - set(fresh.metadata) == {
+            "array_backend", "peephole_fixpoint"
+        }
         assert set(fresh.metadata) <= set(legacy.metadata)
 
     def test_legacy_artifact_is_a_cache_hit(self, tmp_path):

@@ -6,21 +6,23 @@ as the iterated legacy sweeps (:func:`repro.transpile.peephole.peephole_optimize
 the unoptimized ground truth): identical gate count and a statevector match
 up to global phase, on randomized gate tails covering symmetric gates with
 reversed qubit order, near-zero and >2*pi merged angles, and fixpoints the
-legacy default iteration cap cannot reach.
+legacy default iteration cap cannot reach.  The preset pipelines' local
+rewriting is held to the same oracle: a compile equals the raw extraction
+streamed once through the engine.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 import repro
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import Gate
 from repro.circuits.statevector import circuits_equivalent
-from repro.compiler.passes import CliffordExtraction, GroupCommuting, Peephole
-from repro.compiler.pipeline import Pipeline
 from repro.core.extraction import CliffordExtractor
 from repro.exceptions import CircuitError
+from repro.service.serialize import result_to_wire
 from repro.synthesis.trotter import synthesize_trotter_circuit
 from repro.transpile.peephole import peephole_optimize
 from repro.transpile.wire_optimizer import (
@@ -202,13 +204,11 @@ class TestBeyondLegacyIterationCap:
 
 
 class TestGateStreamOptimizer:
-    def test_counters_track_raw_stream(self):
+    def test_cancels_pairs_and_drops_identity(self):
         optimizer = GateStreamOptimizer(2)
         optimizer.extend(
             [Gate("cx", (0, 1)), Gate("cx", (0, 1)), Gate("swap", (0, 1)), Gate("i", (0,))]
         )
-        assert optimizer.appended == 4
-        assert optimizer.appended_cx == 5  # 2 cx + swap counted as 3
         assert len(optimizer) == 1  # the two CNOTs cancelled, i dropped
         assert [gate.name for gate in optimizer.gates()] == ["swap"]
 
@@ -227,89 +227,50 @@ class TestGateStreamOptimizer:
         assert [gate.name for gate in optimizer.gates()] == ["h"]
 
 
-class TestCircuitBuilder:
-    def test_builder_matches_post_hoc_streaming(self, rng):
-        circuit = _random_tail(rng, 3, 40)
-        builder = QuantumCircuit.builder(3)
-        builder.extend(circuit)
-        assert list(builder.build()) == list(streaming_peephole_optimize(circuit))
-
-    def test_builder_bounds_check(self):
-        builder = QuantumCircuit.builder(2)
-        with pytest.raises(CircuitError):
-            builder.append(Gate("h", (5,)))
-
-    def test_plain_builder_keeps_raw_gates(self):
-        builder = QuantumCircuit.builder(1, peephole=False)
-        builder.append(Gate("h", (0,))).append(Gate("h", (0,)))
-        assert not builder.optimizing
-        assert len(builder.build()) == 2
-
-    def test_builder_counters(self):
-        builder = QuantumCircuit.builder(2)
-        builder.extend([Gate("cx", (0, 1)), Gate("cx", (0, 1))])
-        assert builder.appended == 2
-        assert builder.appended_cx == 2
-        assert len(builder) == 0
+#: the extractor flags of the preset levels that run Clifford Extraction
+_PRESET_EXTRACTION_FLAGS = {
+    2: {"reorder_within_blocks": False, "cross_block_lookahead": False},
+    3: {},
+}
 
 
-class TestEmissionFusedExtraction:
-    def test_fused_matches_unfused_plus_legacy_peephole(self, rng):
-        for _ in range(5):
-            terms = random_pauli_terms(rng, 4, 6)
-            fused = CliffordExtractor(fuse_peephole=True).extract(terms)
-            unfused = CliffordExtractor().extract(terms)
-            reference = peephole_optimize(
-                unfused.optimized_circuit, max_iterations=_LEGACY_FIXPOINT_ITERATIONS
-            )
-            assert len(fused.optimized_circuit) == len(reference)
-            assert circuits_equivalent(fused.optimized_circuit, reference, tolerance=1e-6)
-            # the Clifford tail is built from the raw left halves: identical
-            assert fused.extracted_clifford.gates == unfused.extracted_clifford.gates
-            assert fused.rotation_count == unfused.rotation_count
-            assert fused.metadata["peephole_fused"]
-            assert fused.metadata["pre_optimization_cx"] == unfused.optimized_circuit.cx_count()
+def _preset_programs():
+    """Seeded random programs, plus one whose extraction rewriting shrinks."""
+    rng = np.random.default_rng(2024)
+    return [pytest.param(random_pauli_terms(np.random.default_rng(17), 3, 5), id="seed-17")] + [
+        pytest.param(random_pauli_terms(rng, 4, 6), id=f"random-{index}") for index in range(4)
+    ]
 
-    def test_preset_pipeline_records_fused_fixpoint(self, rng):
-        terms = random_pauli_terms(rng, 3, 5)
-        result = repro.compile(terms, level=3)
-        assert result.metadata["peephole_fixpoint"]
-        assert "pre_optimization_cx" in result.metadata
 
-    def test_streaming_peephole_pass_skips_fused_circuit(self, rng):
-        terms = random_pauli_terms(rng, 3, 5)
-        fused = Pipeline(
-            [GroupCommuting(), CliffordExtraction(fuse_peephole=True), Peephole()]
-        ).run(terms)
-        rescanned = Pipeline(
-            [GroupCommuting(), CliffordExtraction(), Peephole()]
-        ).run(terms)
-        assert fused.circuit.gates == rescanned.circuit.gates
+class TestPresetLocalRewriting:
+    """The presets' local rewriting is the Peephole pass over the raw extraction."""
 
-    def test_legacy_engine_still_available(self, rng):
-        terms = random_pauli_terms(rng, 3, 5)
-        unfused = Pipeline([GroupCommuting(), CliffordExtraction()]).run(terms)
-        legacy = peephole_optimize(unfused.circuit)
-        streaming = repro.compile(terms, level=3)
-        assert legacy.gates == streaming.circuit.gates
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("terms", _preset_programs())
+    def test_compile_is_extraction_then_one_stream(self, level, terms):
+        result = repro.compile(terms, level=level)
+        raw = CliffordExtractor(**_PRESET_EXTRACTION_FLAGS[level]).extract(terms)
+        streamed = streaming_peephole_optimize(raw.optimized_circuit)
+        assert result.circuit.gates == streamed.gates
+        assert result.extracted_clifford.gates == raw.extracted_clifford.gates
 
-    def test_fused_naive_synthesis(self, rng):
-        from repro.compiler.passes import NaiveSynthesis
-
-        terms = random_pauli_terms(rng, 3, 5)
-        fused = Pipeline([NaiveSynthesis(fuse_peephole=True)]).run(terms)
-        reference = peephole_optimize(
-            synthesize_trotter_circuit(terms), max_iterations=_LEGACY_FIXPOINT_ITERATIONS
+        legacy = peephole_optimize(
+            raw.optimized_circuit, max_iterations=_LEGACY_FIXPOINT_ITERATIONS
         )
-        assert len(fused.circuit) == len(reference)
-        assert circuits_equivalent(fused.circuit, reference, tolerance=1e-6)
-        assert fused.metadata["peephole_fixpoint"]
+        assert len(result.circuit) == len(legacy)
+        assert circuits_equivalent(result.circuit, legacy, tolerance=1e-6)
 
-    def test_fused_trotter_synthesis(self, rng):
-        terms = random_pauli_terms(rng, 3, 6)
-        fused = synthesize_trotter_circuit(terms, peephole=True)
-        reference = peephole_optimize(
-            synthesize_trotter_circuit(terms), max_iterations=_LEGACY_FIXPOINT_ITERATIONS
-        )
-        assert len(fused) == len(reference)
-        assert circuits_equivalent(fused, reference, tolerance=1e-6)
+        raw_cx = raw.optimized_circuit.cx_count()
+        assert result.metadata["pre_optimization_cx"] == raw_cx
+        assert result.extraction.metadata["pre_optimization_cx"] == raw_cx
+
+        # the extraction record carries the circuit that runs, so the wire
+        # payload stores it once
+        assert result.extraction.optimized_circuit == result.circuit
+        wire = result_to_wire(result)
+        assert wire["extraction"]["optimized_circuit"] == {"same_as": "circuit"}
+
+    def test_seed_17_program_loses_a_gate_to_rewriting(self):
+        terms = random_pauli_terms(np.random.default_rng(17), 3, 5)
+        raw = CliffordExtractor().extract(terms)
+        assert len(repro.compile(terms, level=3).circuit) < len(raw.optimized_circuit)
