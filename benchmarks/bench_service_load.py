@@ -218,7 +218,7 @@ def chaos_probe(
         fleet = FleetFront(
             workers=2,
             cache_dir=cache_dir,
-            worker_args=["--window-ms", "1", "--sweep-interval", "0"],
+            worker_args=["--sweep-interval", "0"],
             enable_faults=True,
             breaker_cooldown=0.2,
         )
@@ -318,7 +318,7 @@ def bench_service_load(
     mixes: "dict[str, dict]" = {}
     with tempfile.TemporaryDirectory(prefix="repro-bench-load-") as cache_dir:
         server = ServiceServer(
-            cache=ArtifactCache(cache_dir), window_seconds=0.001,
+            cache=ArtifactCache(cache_dir),
             trace_sample=trace_sample,
         )
         with run_server_in_thread(server):
@@ -381,7 +381,7 @@ def bench_service_load(
         fleet = FleetFront(
             workers=fleet_workers,
             cache_dir=cache_dir,
-            worker_args=["--window-ms", "1", "--sweep-interval", "0"],
+            worker_args=["--sweep-interval", "0"],
         )
         with run_server_in_thread(fleet, startup_timeout=120.0):
             with Client(port=fleet.port) as primer:

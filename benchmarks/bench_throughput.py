@@ -225,7 +225,7 @@ def bench_service(http_requests: int = 50) -> dict:
 
         disk_seconds = _best_of(disk_hit, 5)
 
-        server = ServiceServer(cache=cache, window_seconds=0.001)
+        server = ServiceServer(cache=cache)
         with run_server_in_thread(server):
             with Client(port=server.port) as client:
                 client.compile(terms, include_result=False)  # prime connection
@@ -279,7 +279,7 @@ def bench_parametric(http_requests: int = 200) -> dict:
     ``bind_speedup`` being the raw ratio against a from-scratch level-3
     compile of the identical bound program.  ``bind_requests_per_sec`` is single-client HTTP
     throughput of ``POST /bind`` against the server's cached template (the
-    request is served inline on the event loop, never the batching window).
+    request is served inline on the event loop, never through the scheduler).
     """
     import tempfile
 
@@ -303,7 +303,7 @@ def bench_parametric(http_requests: int = 200) -> dict:
     )
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-parametric-") as cache_dir:
-        server = ServiceServer(cache=ArtifactCache(cache_dir), window_seconds=0.001)
+        server = ServiceServer(cache=ArtifactCache(cache_dir))
         with run_server_in_thread(server):
             with Client(port=server.port) as client:
                 handle = client.compile_template(program, level=3)

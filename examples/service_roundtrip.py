@@ -27,7 +27,7 @@ def main() -> None:
     print(f"workload: H2O — {len(terms)} Pauli rotations on 8 qubits")
 
     with tempfile.TemporaryDirectory(prefix="repro-service-demo-") as cache_dir:
-        server = ServiceServer(cache_dir=cache_dir, window_seconds=0.002)
+        server = ServiceServer(cache_dir=cache_dir)
         with run_server_in_thread(server):
             print(f"server listening on {server.address}")
             with Client(port=server.port) as client:

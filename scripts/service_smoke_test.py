@@ -72,8 +72,6 @@ class ServerProcess:
                 "0",
                 "--cache-dir",
                 cache_dir,
-                "--window-ms",
-                "2",
                 *(extra_args or []),
             ],
             stdout=subprocess.PIPE,

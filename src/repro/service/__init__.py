@@ -17,14 +17,15 @@ the serving substrate on top of it:
   file, an LRU size cap, and atomic writes so concurrent processes can share
   one cache directory.
 * :mod:`repro.service.scheduler` — :class:`BatchingScheduler`, a request
-  coalescer that buffers concurrent submissions for a few milliseconds and
-  feeds them through :func:`repro.compile_many` as one planned batch.
+  coalescer that feeds the submissions of one event-loop tick through
+  :func:`repro.compile_many` as one planned batch and lets a request join
+  an in-flight compile of the same artifact key.
 * :mod:`repro.service.server` / ``python -m repro.service`` — a stdlib-only
   ``asyncio`` HTTP JSON API (``POST /compile``, ``POST /compile_batch``,
   ``POST /compile_template``, ``POST /bind``, ``GET /result/<key>``,
   ``DELETE /result/<key>``, ``GET /healthz``, ``GET /metrics``).  Bind
   requests replay a pre-compiled :mod:`repro.parametric` template inline on
-  the event loop — microseconds per request, never the batching window —
+  the event loop — microseconds per request, never the scheduler —
   and splice the fresh angles into the template's pre-encoded result.
 * :mod:`repro.service.client` — the thin synchronous :class:`Client` used by
   the examples, the smoke test, and the benchmark.

@@ -24,11 +24,7 @@ import sys
 
 from repro.observability import DEFAULT_CAPACITY, DEFAULT_SAMPLE_RATE, TRACER
 from repro.service.cache import DEFAULT_MAX_BYTES, DEFAULT_MAX_TEMPLATE_BYTES
-from repro.service.scheduler import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_QUEUE_DEPTH,
-    DEFAULT_WINDOW_SECONDS,
-)
+from repro.service.scheduler import DEFAULT_MAX_QUEUE_DEPTH
 
 DEFAULT_CACHE_DIR = os.path.join("~", ".cache", "repro-service")
 
@@ -58,18 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_MAX_TEMPLATE_BYTES / (1024 * 1024),
         help="disk budget of the template store in MiB (default %(default)s)",
-    )
-    parser.add_argument(
-        "--window-ms",
-        type=float,
-        default=DEFAULT_WINDOW_SECONDS * 1000.0,
-        help="request-coalescing window in milliseconds (default %(default)s)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=DEFAULT_MAX_BATCH,
-        help="flush a window early once this many requests buffered",
     )
     parser.add_argument(
         "--pool-workers",
@@ -206,8 +190,6 @@ def _fleet_worker_args(args: argparse.Namespace) -> "list[str]":
     return [
         "--max-cache-mb", str(args.max_cache_mb),
         "--max-template-mb", str(args.max_template_mb),
-        "--window-ms", str(args.window_ms),
-        "--max-batch", str(args.max_batch),
         "--pool-workers", str(args.pool_workers),
         "--ttl-seconds", str(args.ttl_seconds),
         "--sweep-interval", str(args.sweep_interval),
@@ -255,8 +237,6 @@ def main(argv: "list[str] | None" = None) -> int:
             cache=cache,
             host=args.host,
             port=args.port,
-            window_seconds=args.window_ms / 1000.0,
-            max_batch=args.max_batch,
             pool_workers=args.pool_workers,
             sweep_interval=args.sweep_interval,
             max_queue_depth=args.max_queue_depth,

@@ -249,7 +249,7 @@ class FleetFront:
         runs the workers cacheless (sharding then only buys CPU parallelism).
     worker_args:
         Extra ``python -m repro.service`` CLI arguments forwarded verbatim
-        to every worker (``--window-ms``, ``--pool-workers``, ...).
+        to every worker (``--pool-workers``, ``--max-queue-depth``, ...).
     """
 
     def __init__(

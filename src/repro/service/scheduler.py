@@ -1,15 +1,14 @@
-"""Request coalescing: buffer concurrent submissions, compile them as one batch.
+"""Request coalescing: compile the misses of one loop tick as one batch.
 
 The server accepts requests one at a time, but the compiler is at its best
 over *batches* — :func:`repro.compiler.plan_batch` decides between an
 in-process serial loop and the scheduler's compile pool from the batch's
 total term count, and a shared
 :class:`~repro.clifford.engine.ConjugationCache` pools tableau freezes across
-programs.  :class:`BatchingScheduler` bridges the two: a submission parks an
-``asyncio`` future and starts (or joins) a short collection window — a few
-milliseconds, the knob is ``window_seconds`` — after which everything that
-accumulated is handed to a worker thread and compiled by
-:func:`execute_batch` as one planned batch.
+programs.  :class:`BatchingScheduler` bridges the two without a timer: the
+submissions of one event-loop tick go to a worker thread as one
+:func:`execute_batch` call, and a submission whose artifact key is already
+compiling waits for that compile (single-flight).
 
 :func:`execute_batch` is deliberately synchronous and server-free so tests
 and offline tools can drive it directly.
@@ -26,14 +25,11 @@ mid-batch finishes that batch serially in-process
 in-process, because the scheduler always hands ``compile_many`` a
 conjugation cache.
 
-A hit in the cache's memory layer never enters the batching window: the
-server answers it on the event loop from the stored bytes, so only misses,
-disk hits and ``use_cache=false`` requests are submitted here, each
-carrying the artifact key the server already hashed from the wire arrays.
-Bind requests (:mod:`repro.parametric`) skip the window too:
-:func:`execute_bind` replays a pre-compiled template's merge chains in
-microseconds, so parking one behind even a 2 ms collection window would cost
-10x its own latency.  The server calls it inline on the event loop.
+A hit in the cache's memory layer never reaches the scheduler: the server
+answers it on the event loop from the stored bytes, so only misses, disk
+hits and ``use_cache=false`` requests are submitted here, each carrying the
+artifact key the server already hashed from the wire arrays.  Bind requests
+skip it too: the server calls :func:`execute_bind` inline.
 
 :func:`execute_batch` groups jobs by compilation
 config (target / level / pipeline), resolves each group against the
@@ -69,12 +65,6 @@ from repro.service.telemetry import Telemetry
 
 if TYPE_CHECKING:
     from repro.parametric.template import BindReplay
-
-#: default collection window, seconds ("a few ms")
-DEFAULT_WINDOW_SECONDS = 0.002
-
-#: a full batch flushes immediately instead of waiting out the window
-DEFAULT_MAX_BATCH = 256
 
 #: default cap on pending + in-flight scheduler jobs before load shedding;
 #: far above any steady-state depth the load harness reaches, so it only
@@ -425,8 +415,8 @@ def execute_bind(
     """Replay one parameter vector against a compiled template (fast path).
 
     Synchronous and scheduler-free by design: a bind replays the template's
-    merge chains in microseconds, so it runs inline instead of joining a
-    batching window.  Returns the template's
+    merge chains in microseconds, so it runs inline instead of taking the
+    executor hop of a compile batch.  Returns the template's
     :class:`~repro.parametric.template.BindReplay`: the angles and
     coefficients the response splices into the template's pre-encoded
     result, or the full compile of a degenerate binding.  Counts
@@ -445,30 +435,31 @@ def execute_bind(
 
 
 class BatchingScheduler:
-    """Coalesce concurrent ``submit`` calls into windowed compile batches.
+    """Compile the ``submit`` calls of one loop tick as one batch.
 
     Must be used from a running ``asyncio`` event loop.  The first submission
-    of a window arms a flush timer (``window_seconds`` later); subsequent
-    submissions pile onto the same pending list, and a full batch
-    (``max_batch``) flushes immediately.  The flush hands the whole batch to
-    a worker thread (the loop's default executor) running
+    of a tick schedules :meth:`_flush` with ``loop.call_soon``, which hands
+    everything pending (the ``asyncio.gather`` behind ``/compile_batch``,
+    same-tick ``/compile`` misses) to a worker thread running
     :func:`execute_batch`, then resolves every parked future.
+
+    Single-flight: a job that may be answered from the cache (``use_cache``
+    and a known artifact key) is the one compile of its key until its batch
+    resolves; a later submission of that key awaits its future.  Waiters
+    await through :func:`asyncio.shield`, so a request that times out cannot
+    cancel the compile the others wait on.
     """
 
     def __init__(
         self,
         cache: ArtifactCache | None = None,
         telemetry: Telemetry | None = None,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        max_batch: int = DEFAULT_MAX_BATCH,
         pool_workers: int = 0,
         pool: CompilePool | None = None,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
     ):
         self.cache = cache
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.window_seconds = float(window_seconds)
-        self.max_batch = int(max_batch)
         #: cap on pending + in-flight jobs before :meth:`submit` sheds with
         #: :class:`~repro.exceptions.OverloadedError` (0 disables shedding)
         self.max_queue_depth = int(max_queue_depth)
@@ -482,7 +473,8 @@ class BatchingScheduler:
         )
         self._pending: list[CompileJob] = []
         self._in_flight = 0
-        self._flush_handle: "asyncio.TimerHandle | None" = None
+        #: artifact key -> future of the unresolved job compiling it
+        self._flights: "dict[str, asyncio.Future]" = {}
         self.batches_flushed = 0
         self.jobs_submitted = 0
         self.jobs_shed = 0
@@ -507,7 +499,8 @@ class BatchingScheduler:
         """Queue one compile request; resolves when its batch completes.
 
         ``key`` is the request's artifact key when the caller already has it
-        (the batch then does not hash the program again).
+        (the batch then does not hash the program again, and single-flight
+        joins on it).
 
         ``deadline`` is an absolute ``time.monotonic()`` timestamp: a job
         still queued when it passes is abandoned with
@@ -515,6 +508,15 @@ class BatchingScheduler:
         Sheds immediately with :class:`~repro.exceptions.OverloadedError`
         when pending + in-flight depth is at ``max_queue_depth``.
         """
+        single_flight = use_cache and key is not None
+        # a join adds no work, so it is never shed
+        while single_flight and key in self._flights:
+            self.telemetry.inc("service.joined_compiles")
+            completed = await asyncio.shield(self._flights[key])
+            # a job abandoned on its own (earlier) deadline compiled nothing:
+            # this request then compiles for itself
+            if not isinstance(completed.error, DeadlineExceededError):
+                return _outcome(completed)
         loop = asyncio.get_running_loop()
         depth = len(self._pending) + self._in_flight
         if self.max_queue_depth and depth >= self.max_queue_depth:
@@ -538,25 +540,15 @@ class BatchingScheduler:
             submitted_wall=time.time(),
             submitted_perf=time.perf_counter(),
         )
+        if not self._pending:
+            loop.call_soon(self._flush, loop)
         self._pending.append(job)
         self.jobs_submitted += 1
-        if len(self._pending) >= self.max_batch:
-            self._flush(loop)
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(
-                self.window_seconds, self._flush, loop
-            )
-        completed: CompletedJob = await job.future
-        if completed.error is not None:
-            raise completed.error
-        return completed
+        if single_flight:
+            self._flights[key] = job.future
+        return _outcome(await asyncio.shield(job.future))
 
     def _flush(self, loop: "asyncio.AbstractEventLoop") -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        if not self._pending:
-            return
         batch, self._pending = self._pending, []
         self._in_flight += len(batch)
         self.batches_flushed += 1
@@ -573,11 +565,19 @@ class BatchingScheduler:
             )
         except BaseException as error:  # defensive: execute_batch traps per-job
             for job in batch:
-                if not job.future.done():
-                    job.future.set_exception(error)
-            return
+                job.future.set_exception(error)
+            raise
         finally:
             self._in_flight -= len(batch)
+            for job in batch:
+                if self._flights.get(job.key) is job.future:
+                    del self._flights[job.key]
         for job, outcome in zip(batch, completed):
-            if not job.future.done():
-                job.future.set_result(outcome)
+            job.future.set_result(outcome)
+
+
+def _outcome(completed: CompletedJob) -> CompletedJob:
+    """A resolved job's outcome, or its per-job error raised."""
+    if completed.error is not None:
+        raise completed.error
+    return completed

@@ -11,8 +11,8 @@ Endpoints (all JSON bodies/responses):
   (a memory miss, a disk hit, ``use_cache=false``, a payload the raw path
   cannot read) goes through the batching scheduler.
 * ``POST /compile_batch`` — ``{"programs": [...]}`` with shared options;
-  memory hits are answered inline as above, the rest coalesce into the same
-  scheduler window and compile as one planned batch.  Per-entry errors are
+  memory hits are answered inline as above, the rest are submitted in one
+  loop tick and compile as one planned scheduler batch.  Per-entry errors are
   reported per entry.
 * ``POST /compile_template`` — one ``repro.parametric/v1`` program; traces
   the pipeline once into a compiled template, stores it under a
@@ -21,7 +21,7 @@ Endpoints (all JSON bodies/responses):
 * ``POST /bind`` — a ``repro.parametric/v1`` bind request (template named by
   ``template_key`` or shipped inline) plus a ``params`` vector; replays the
   template's merge chains **inline on the event loop** — a bind takes
-  microseconds, so it never waits out the batching window.  The response's
+  microseconds, so it never takes the scheduler's executor hop.  The response's
   ``result`` is spliced: the fresh angle and coefficient arrays go into a
   per-template pre-encoded result, so no gate objects are built and the
   bytes equal an encode of ``template.bind(params)`` outside the timing
@@ -36,9 +36,9 @@ Endpoints (all JSON bodies/responses):
 
 The server is a single ``asyncio`` process: request handling stays on the
 event loop, while compilation runs on worker threads via the
-:class:`~repro.service.scheduler.BatchingScheduler`, so concurrent
-``POST /compile`` requests that miss the memory layer buffer for a few
-milliseconds and execute as one :func:`repro.compile_many` batch.  HTTP/1.1
+:class:`~repro.service.scheduler.BatchingScheduler`: the ``POST /compile``
+misses of one loop tick execute as one :func:`repro.compile_many` batch,
+and a miss whose key is already compiling waits for that compile.  HTTP/1.1
 keep-alive is supported (one request at a time per connection).
 
 Start it with ``python -m repro.service``; drive it with
@@ -71,9 +71,7 @@ from repro.observability import (
 from repro.service import faults
 from repro.service.cache import ArtifactCache, StoredResult, wire_cache_key
 from repro.service.scheduler import (
-    DEFAULT_MAX_BATCH,
     DEFAULT_MAX_QUEUE_DEPTH,
-    DEFAULT_WINDOW_SECONDS,
     BatchingScheduler,
     CompletedJob,
     execute_bind,
@@ -265,8 +263,6 @@ class ServiceServer:
         host: str = "127.0.0.1",
         port: int = 0,
         cache: ArtifactCache | None = None,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        max_batch: int = DEFAULT_MAX_BATCH,
         max_cache_bytes: int | None = None,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         pool_workers: int = 0,
@@ -291,8 +287,6 @@ class ServiceServer:
         self.scheduler = BatchingScheduler(
             cache=self.cache,
             telemetry=self.telemetry,
-            window_seconds=window_seconds,
-            max_batch=max_batch,
             pool_workers=pool_workers,
             max_queue_depth=max_queue_depth,
         )
@@ -623,8 +617,6 @@ class ServiceServer:
                 "jobs_submitted": self.scheduler.jobs_submitted,
                 "batches_flushed": self.scheduler.batches_flushed,
                 "jobs_shed": self.scheduler.jobs_shed,
-                "window_seconds": self.scheduler.window_seconds,
-                "max_batch": self.scheduler.max_batch,
                 "max_queue_depth": self.scheduler.max_queue_depth,
             },
             "tracer": self.tracer.snapshot(),
@@ -910,7 +902,7 @@ class ServiceServer:
         )
 
     def _post_bind(self, payload: dict) -> "tuple[int, dict | _Spliced]":
-        """Bind a template — inline on the event loop, no batching window.
+        """Bind a template — inline on the event loop, no scheduler.
 
         A non-degenerate bind splices its angles and coefficients into the
         template's pre-encoded result
@@ -985,8 +977,8 @@ class ServiceServer:
             except ReproError as error:
                 return {"error": str(error), "type": type(error).__name__}
 
-        # submitted in one loop tick, so the scheduler coalesces the whole
-        # batch into a single window
+        # submitted in one loop tick, so the scheduler compiles the whole
+        # batch as one
         entries = await asyncio.gather(*(_one(wire) for wire in wire_programs))
         return 200, _Spliced(
             {}, "results", b"[" + b",".join(map(_json_bytes, entries)) + b"]"

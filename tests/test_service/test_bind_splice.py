@@ -35,7 +35,6 @@ from tests.conftest import random_pauli_terms
 def server(tmp_path_factory):
     instance = ServiceServer(
         cache_dir=tmp_path_factory.mktemp("bind-splice-cache"),
-        window_seconds=0.001,
     )
     with run_server_in_thread(instance):
         yield instance

@@ -147,7 +147,7 @@ class TestTemplateEviction:
 class TestServerSweepTask:
     def test_background_sweep_runs_and_surfaces_on_metrics(self, tmp_path):
         cache = ArtifactCache(tmp_path, ttl_seconds=3600.0)
-        server = ServiceServer(cache=cache, sweep_interval=0.05, window_seconds=0.001)
+        server = ServiceServer(cache=cache, sweep_interval=0.05)
         with run_server_in_thread(server):
             with Client(port=server.port) as client:
                 deadline = time.time() + 10

@@ -38,7 +38,7 @@ def chaos_fleet(tmp_path_factory):
     front = FleetFront(
         workers=2,
         cache_dir=str(tmp_path_factory.mktemp("chaos-cache")),
-        worker_args=["--window-ms", "1", "--sweep-interval", "0"],
+        worker_args=["--sweep-interval", "0"],
         enable_faults=True,
         breaker_cooldown=0.2,
     )

@@ -18,7 +18,7 @@ def _rng(seed=0):
 
 class TestKeepAliveReuse:
     def test_sequential_requests_share_one_connection(self, tmp_path):
-        server = ServiceServer(cache_dir=tmp_path, window_seconds=0.001)
+        server = ServiceServer(cache_dir=tmp_path)
         with run_server_in_thread(server):
             with Client(port=server.port) as client:
                 client.healthz()
@@ -33,7 +33,7 @@ class TestKeepAliveReuse:
                 assert client._connection is connection
 
     def test_threads_with_own_clients_agree(self, tmp_path):
-        server = ServiceServer(cache_dir=tmp_path, window_seconds=0.002)
+        server = ServiceServer(cache_dir=tmp_path)
         terms = random_pauli_terms(_rng(7), 4, 6)
         keys = []
         errors = []
@@ -57,7 +57,7 @@ class TestKeepAliveReuse:
 
 class TestServerRestartMidSession:
     def test_client_survives_a_server_restart(self, tmp_path):
-        first = ServiceServer(cache_dir=tmp_path, window_seconds=0.001)
+        first = ServiceServer(cache_dir=tmp_path)
         terms = random_pauli_terms(_rng(20), 4, 6)
         with run_server_in_thread(first):
             port = first.port
@@ -66,7 +66,7 @@ class TestServerRestartMidSession:
             assert not miss.cache_hit
         # same port, fresh process-equivalent: the keep-alive socket the
         # client still holds is now dead and must be replaced transparently
-        second = ServiceServer(cache_dir=tmp_path, port=port, window_seconds=0.001)
+        second = ServiceServer(cache_dir=tmp_path, port=port)
         with run_server_in_thread(second):
             hit = client.compile(terms)
             assert hit.cache_hit  # the disk cache outlived the restart
@@ -89,7 +89,7 @@ class TestFleetDrainMidSession:
         fleet = FleetFront(
             workers=2,
             cache_dir=str(tmp_path / "cache"),
-            worker_args=["--window-ms", "1", "--sweep-interval", "0"],
+            worker_args=["--sweep-interval", "0"],
         )
         terms = random_pauli_terms(_rng(30), 4, 6)
         with run_server_in_thread(fleet, startup_timeout=90.0):

@@ -251,7 +251,7 @@ class TestSchedulerShedding:
         terms = [random_pauli_terms(rng, 4, 4) for _ in range(3)]
 
         async def go():
-            scheduler = BatchingScheduler(window_seconds=0.2, max_queue_depth=1)
+            scheduler = BatchingScheduler(max_queue_depth=1)
             try:
                 outcomes = await asyncio.gather(
                     *(scheduler.submit(t, level=1) for t in terms),
@@ -272,7 +272,6 @@ class TestSchedulerShedding:
 def fault_server(tmp_path_factory):
     server = ServiceServer(
         cache_dir=str(tmp_path_factory.mktemp("fault-cache")),
-        window_seconds=0.001,
         enable_faults=True,
     )
     with run_server_in_thread(server):
@@ -293,7 +292,7 @@ def _raw_post(server, path, payload, headers=None):
 
 class TestServerHardening:
     def test_fault_endpoint_requires_opt_in(self, tmp_path):
-        server = ServiceServer(window_seconds=0.001)
+        server = ServiceServer()
         with run_server_in_thread(server):
             status, payload = _raw_post(server, "/fault", {"spec": "a:error"})
         assert status == 403

@@ -68,7 +68,7 @@ def fleet(tmp_path_factory):
     front = FleetFront(
         workers=2,
         cache_dir=str(tmp_path_factory.mktemp("fleet-cache")),
-        worker_args=["--window-ms", "1", "--sweep-interval", "0"],
+        worker_args=["--sweep-interval", "0"],
     )
     with run_server_in_thread(front, startup_timeout=90.0):
         yield front

@@ -3,8 +3,6 @@
 import base64
 import http.client
 import json
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -119,7 +117,6 @@ def _malformed(wire):
 def warm_server(tmp_path_factory):
     server = ServiceServer(
         cache=ArtifactCache(str(tmp_path_factory.mktemp("hit-cache"))),
-        window_seconds=0.001,
         trace_sample=0.0,
     )
     with run_server_in_thread(server):
@@ -231,40 +228,25 @@ class TestSplicedHits:
         assert warm_server.scheduler.jobs_submitted == submitted
 
 
-class TestWindow:
-    def test_only_a_memory_hit_skips_the_window(self, tmp_path):
+class TestSchedulerPath:
+    def test_only_a_memory_hit_skips_the_scheduler(self, tmp_path):
         rng = np.random.default_rng(70)
-        window = 5.0
         cache = ArtifactCache(str(tmp_path / "cache"))
         on_disk, in_memory, fresh = (random_pauli_terms(rng, 4, 6) for _ in range(3))
         cache.put(cache.key_for(on_disk), repro.compile(on_disk))
         cache.forget_memory()
         cache.put(cache.key_for(in_memory), repro.compile(in_memory))
-        server = ServiceServer(cache=cache, window_seconds=window)
-        seconds = {}
-
-        def timed(name, program):
-            with Client(port=server.port) as client:
-                started = time.perf_counter()
+        server = ServiceServer(cache=cache)
+        with run_server_in_thread(server), Client(port=server.port) as client:
+            for name, program, submitted, cache_hit in (
+                ("memory hit", in_memory, 0, True),
+                ("disk hit", on_disk, 1, True),
+                ("miss", fresh, 1, False),
+            ):
+                before = server.scheduler.jobs_submitted
                 response = client.compile(program)
-                seconds[name] = (time.perf_counter() - started, response.cache_hit)
-
-        with run_server_in_thread(server):
-            slow = [
-                threading.Thread(target=timed, args=("disk hit", on_disk)),
-                threading.Thread(target=timed, args=("miss", fresh)),
-            ]
-            for thread in slow:
-                thread.start()
-            time.sleep(0.2)  # both are parked in the window now
-            timed("memory hit", in_memory)
-            for thread in slow:
-                thread.join()
-        assert seconds["memory hit"][0] < 0.5
-        assert seconds["memory hit"][1] and seconds["disk hit"][1]
-        assert not seconds["miss"][1]
-        assert seconds["disk hit"][0] >= window * 0.9
-        assert seconds["miss"][0] >= window * 0.9
+                assert server.scheduler.jobs_submitted - before == submitted, name
+                assert response.cache_hit == cache_hit, name
 
 
 class TestRecompileAfterDamage:
@@ -279,7 +261,7 @@ class TestRecompileAfterDamage:
         artifact["compile_seconds"] = None
         path.write_text(json.dumps(artifact))
         cache.forget_memory()
-        server = ServiceServer(cache=cache, window_seconds=0.001)
+        server = ServiceServer(cache=cache)
         with run_server_in_thread(server), Client(port=server.port) as client:
             responses = [client.compile(terms) for _ in range(3)]
         assert [response.cache_hit for response in responses] == [False, True, True]

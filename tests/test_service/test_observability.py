@@ -288,7 +288,6 @@ class TestPrometheusParserStrictness:
 def traced_server(tmp_path_factory):
     server = ServiceServer(
         cache=ArtifactCache(str(tmp_path_factory.mktemp("trace-cache"))),
-        window_seconds=0.001,
         trace_sample=0.0,  # only explicitly traced requests sample
     )
     with run_server_in_thread(server):
@@ -370,7 +369,6 @@ class TestOneTimedRegion:
     def _serve(self, tmp_path):
         server = ServiceServer(
             cache=ArtifactCache(str(tmp_path / "cache")),
-            window_seconds=0.001,
             trace_sample=0.0,
         )
         return server, run_server_in_thread(server)
@@ -436,7 +434,6 @@ class TestSlowRequestLog:
         if layer == "server":
             server = ServiceServer(
                 cache=ArtifactCache(str(tmp_path / "cache")),
-                window_seconds=0.001,
                 trace_sample=0.0,
                 slow_request_ms=0.0001,  # everything is "slow"
             )
@@ -445,7 +442,7 @@ class TestSlowRequestLog:
             server = FleetFront(
                 workers=1,
                 cache_dir=str(tmp_path / "cache"),
-                worker_args=["--window-ms", "1", "--sweep-interval", "0"],
+                worker_args=["--sweep-interval", "0"],
                 trace_sample=0.0,
                 slow_request_ms=0.0001,
             )
@@ -478,7 +475,7 @@ def traced_fleet(tmp_path_factory):
     front = FleetFront(
         workers=2,
         cache_dir=str(tmp_path_factory.mktemp("trace-fleet-cache")),
-        worker_args=["--window-ms", "1", "--sweep-interval", "0"],
+        worker_args=["--sweep-interval", "0"],
         enable_faults=True,
         breaker_cooldown=0.2,
         trace_sample=0.0,

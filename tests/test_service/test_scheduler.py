@@ -1,13 +1,15 @@
 """Request coalescing and the batch executor."""
 
 import asyncio
+import time
 
 import pytest
 
 import repro
-from repro.exceptions import CompilerError, InvalidProgramError, ReproError
+from repro.exceptions import CompilerError, DeadlineExceededError, InvalidProgramError, ReproError
 from repro.paulis.pauli import PauliString
 from repro.paulis.term import PauliTerm
+from repro.service import faults
 from repro.service.cache import ArtifactCache
 from repro.service.scheduler import BatchingScheduler, CompileJob, execute_batch
 from repro.service.telemetry import Telemetry
@@ -150,62 +152,107 @@ class TestExecuteBatch:
 
 
 class TestBatchingScheduler:
-    def _run(self, coro):
-        return asyncio.run(coro)
-
     def test_same_tick_submissions_coalesce_into_one_batch(self, cache, rng):
         programs = [random_pauli_terms(rng, 4, 5) for _ in range(5)]
 
         async def scenario():
-            scheduler = BatchingScheduler(cache=cache, window_seconds=0.005)
+            scheduler = BatchingScheduler(cache=cache)
             outcomes = await asyncio.gather(
                 *(scheduler.submit(program) for program in programs)
             )
             return scheduler, outcomes
 
-        scheduler, outcomes = self._run(scenario())
+        scheduler, outcomes = asyncio.run(scenario())
         assert scheduler.batches_flushed == 1
         reference = [repro.compile(p, level=3) for p in programs]
         for outcome, expected in zip(outcomes, reference):
             assert outcome.result.circuit == expected.circuit
 
-    def test_full_batch_flushes_before_the_window(self, cache, rng):
-        programs = [random_pauli_terms(rng, 4, 4) for _ in range(4)]
-
-        async def scenario():
-            scheduler = BatchingScheduler(
-                cache=cache, window_seconds=30.0, max_batch=4
-            )
-            outcomes = await asyncio.wait_for(
-                asyncio.gather(*(scheduler.submit(p) for p in programs)), timeout=20.0
-            )
-            return scheduler, outcomes
-
-        scheduler, outcomes = self._run(scenario())
-        # a 30s window would time the wait_for out; max_batch flushed it
-        assert scheduler.batches_flushed == 1
-        assert all(outcome.result is not None for outcome in outcomes)
-
     def test_submit_raises_per_job_errors(self, cache):
         zero_qubit = [PauliTerm(PauliString([], []), 1.0)]
 
         async def scenario():
-            scheduler = BatchingScheduler(cache=cache, window_seconds=0.001)
+            scheduler = BatchingScheduler(cache=cache)
             with pytest.raises(InvalidProgramError):
                 await scheduler.submit(zero_qubit)
 
-        self._run(scenario())
+        asyncio.run(scenario())
 
     def test_sequential_windows_are_separate_batches(self, cache, rng):
         program = random_pauli_terms(rng, 4, 5)
 
         async def scenario():
-            scheduler = BatchingScheduler(cache=cache, window_seconds=0.001)
+            scheduler = BatchingScheduler(cache=cache)
             first = await scheduler.submit(program)
             second = await scheduler.submit(program)
             return scheduler, first, second
 
-        scheduler, first, second = self._run(scenario())
+        scheduler, first, second = asyncio.run(scenario())
         assert scheduler.batches_flushed == 2
         assert not first.cache_hit
         assert second.cache_hit
+
+
+class TestSingleFlight:
+    """A submission whose key is compiling waits for that compile."""
+
+    @pytest.fixture
+    def held_compile(self):
+        # every compile sleeps half a second inside its batch
+        faults.REGISTRY.configure("scheduler.compile:delay:500ms")
+        yield
+        faults.REGISTRY.clear()
+
+    def test_submission_during_a_compile_joins_it(self, cache, rng, held_compile):
+        program = random_pauli_terms(rng, 4, 5)
+        key = cache.key_for(program)
+
+        async def scenario():
+            scheduler = BatchingScheduler(cache=cache)
+            first = asyncio.ensure_future(scheduler.submit(program, key=key))
+            await asyncio.sleep(0.1)  # the first batch is compiling now
+            second = await scheduler.submit(list(program), key=key)
+            return scheduler, await first, second
+
+        scheduler, first, second = asyncio.run(scenario())
+        assert scheduler.telemetry.counter("service.compiled_programs") == 1
+        assert scheduler.telemetry.counter("service.joined_compiles") == 1
+        expected = repro.compile(program, level=3).circuit
+        assert first.result.circuit == second.result.circuit == expected
+
+    def test_timed_out_owner_keeps_the_joiner(self, cache, rng, held_compile):
+        program = random_pauli_terms(rng, 4, 5)
+        key = cache.key_for(program)
+
+        async def scenario():
+            scheduler = BatchingScheduler(cache=cache)
+            # as the server does: the owner's deadline also bounds its await
+            owner = asyncio.ensure_future(asyncio.wait_for(
+                scheduler.submit(program, key=key, deadline=time.monotonic() + 0.2),
+                timeout=0.2,
+            ))
+            await asyncio.sleep(0.1)
+            joiner = await scheduler.submit(program, key=key)
+            with pytest.raises(asyncio.TimeoutError):
+                await owner
+            return scheduler, joiner
+
+        scheduler, joiner = asyncio.run(scenario())
+        assert scheduler.telemetry.counter("service.compiled_programs") == 1
+        assert joiner.result.circuit == repro.compile(program, level=3).circuit
+
+    def test_joiner_of_an_abandoned_job_compiles_for_itself(self, cache, rng):
+        program = random_pauli_terms(rng, 4, 5)
+        key = cache.key_for(program)
+
+        async def scenario():
+            scheduler = BatchingScheduler(cache=cache)
+            return await asyncio.gather(
+                scheduler.submit(program, key=key, deadline=time.monotonic() - 1),
+                scheduler.submit(program, key=key),
+                return_exceptions=True,
+            )
+
+        owner, joiner = asyncio.run(scenario())
+        assert isinstance(owner, DeadlineExceededError)
+        assert joiner.result.circuit == repro.compile(program, level=3).circuit

@@ -20,7 +20,6 @@ from tests.conftest import random_pauli_terms
 def server(tmp_path_factory):
     instance = ServiceServer(
         cache_dir=tmp_path_factory.mktemp("service-cache"),
-        window_seconds=0.001,
     )
     with run_server_in_thread(instance):
         yield instance
@@ -249,7 +248,7 @@ class TestConcurrency:
             before = batch_client.metrics()["scheduler"]["batches_flushed"]
             batch_client.compile_batch(programs, use_cache=False)
             after = batch_client.metrics()["scheduler"]["batches_flushed"]
-        # 6 programs submitted in one loop tick: one window, not six
+        # 6 programs submitted in one loop tick: one batch, not six
         assert after - before == 1
 
 
