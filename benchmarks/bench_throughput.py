@@ -15,12 +15,12 @@ measures how fast the workload's Pauli terms conjugate through it:
 * ``extraction_terms_per_sec`` — terms processed per second by the
   table-native ``CliffordExtraction`` pass itself (best-of-3 per-pass
   wall-clock from the full level-3 compile), the throughput of Algorithm 2
-  on the packed store.  Local optimization is the separate ``Peephole``
-  pass and is not part of this figure;
+  on the packed store, rotation merging included (the presets run no
+  separate ``Peephole`` pass);
 * ``peephole_gates_per_sec`` — gates per second of the streaming
   wire-indexed peephole engine
   (:func:`repro.transpile.wire_optimizer.streaming_peephole_optimize`) over
-  the workload's raw extraction tail.  This is the
+  the workload's extraction output.  This is the
   scale-flatness signal: the rate must hold from the small to the medium
   tier, or the engine has regressed to super-linear behaviour.
 
@@ -153,9 +153,9 @@ def bench_workload(name: str, min_time: float) -> dict:
     def frozen_tableau():
         conjugator.conjugate_table(PackedPauliTable.from_paulis(paulis))
 
-    # Streaming peephole throughput over the raw extraction tail: the gate
-    # stream the preset's Peephole pass rewrites, measured on its own so the
-    # rate is comparable across tiers.
+    # Streaming peephole throughput over the extraction output (already
+    # rotation-merged: the presets run no Peephole pass), measured on its own
+    # so the engine's rate stays comparable across tiers.
     raw_tail = Pipeline(
         [GroupCommuting(), CliffordExtraction()], name="raw-tail"
     ).run(terms).circuit

@@ -1,0 +1,111 @@
+"""SHA-256 digests of compiler output, for diffing two checkouts.
+
+Prints one digest per group of outputs, so running the script in two
+checkouts and diffing the printed lines shows whether a change moved any
+gate, angle, tail or tableau:
+
+* ``table3 level N`` — the 17 Table III rows compiled at level 2 and 3;
+* ``random level N`` — seeded random programs (2-11 qubits, 2-59 terms, with
+  appended duplicate, negated-duplicate and zero-sum terms) at level 2 and 3;
+* ``template level N`` — the template wire payload of each small-tier row;
+  ``template level N (structure)`` leaves out the metadata dictionaries,
+  which carry the pass list and the stage counters.
+
+Angles are hashed through ``float.hex``, so a digest moves on any bit of any
+angle.  Run from the repository root:
+
+    PYTHONPATH=src python scripts/output_digests.py [--programs 1000]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+
+import numpy as np
+
+import repro
+from repro.paulis.pauli import PauliString
+from repro.paulis.term import PauliTerm
+from repro.workloads.registry import MEDIUM_BENCHMARKS, SMALL_BENCHMARKS, get_benchmark
+
+TABLE3_ROWS = MEDIUM_BENCHMARKS + ["UCC-(6,12)", "benzene", "LABS-(n20)"]
+
+
+def _gates(circuit) -> list:
+    return [
+        [gate.name, list(gate.qubits), [float(p).hex() for p in gate.params]]
+        for gate in circuit
+    ]
+
+
+def result_record(result) -> list:
+    """Gates with exact angles, the extracted tail and the conjugation tableau."""
+    return [
+        _gates(result.circuit),
+        _gates(result.extracted_clifford),
+        [str(part) if isinstance(part, int) else part.hex()
+         for part in result.extraction.conjugation.content_key()],
+    ]
+
+
+def random_program(seed: int) -> list[PauliTerm]:
+    """A seeded random program, with rewriting bait appended half the time."""
+    rng = np.random.default_rng(seed)
+    num_qubits = int(rng.integers(2, 12))
+    terms = []
+    for _ in range(int(rng.integers(2, 60))):
+        x = rng.random(num_qubits) < 0.5
+        z = rng.random(num_qubits) < 0.5
+        if not (x.any() or z.any()):
+            z[int(rng.integers(num_qubits))] = True
+        phase = int(np.count_nonzero(x & z))
+        terms.append(PauliTerm(PauliString(x, z, phase), float(rng.uniform(-np.pi, np.pi))))
+    if rng.random() < 0.5:
+        for _ in range(int(rng.integers(1, 6))):
+            source = terms[int(rng.integers(len(terms)))]
+            kind = int(rng.integers(3))
+            if kind == 0:  # duplicate string, fresh angle
+                terms.append(PauliTerm(source.pauli, float(rng.uniform(-np.pi, np.pi))))
+            elif kind == 1:  # negated duplicate
+                terms.append(PauliTerm(source.pauli, -source.coefficient))
+            else:  # zero-sum pair
+                angle = float(rng.uniform(-np.pi, np.pi))
+                terms.append(PauliTerm(source.pauli, angle))
+                terms.append(PauliTerm(source.pauli, -angle))
+    return terms
+
+
+def digest(records) -> str:
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--programs", type=int, default=1000, help="random programs per level")
+    args = parser.parse_args()
+
+    from repro.parametric import ParametricProgram, compile_template
+    from repro.service.serialize import template_to_wire
+
+    table3 = {name: get_benchmark(name).terms() for name in TABLE3_ROWS}
+    programs = [random_program(seed) for seed in range(args.programs)]
+    for level in (2, 3):
+        records = [result_record(repro.compile(terms, level=level)) for terms in table3.values()]
+        print(f"table3 level {level}: {digest(records)}")
+        records = [result_record(repro.compile(terms, level=level)) for terms in programs]
+        print(f"random level {level}: {digest(records)}  ({len(records)} programs)")
+        payloads = []
+        for name in SMALL_BENCHMARKS:
+            terms = table3[name]
+            program = ParametricProgram.from_terms(terms, list(range(len(terms))))
+            payloads.append(template_to_wire(compile_template(program, level=level)))
+        print(f"template level {level}: {digest(payloads)}")
+        for payload in payloads:
+            del payload["metadata_base"], payload["extraction_metadata"]
+        print(f"template level {level} (structure): {digest(payloads)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.circuits.gate import CX_EQUIVALENT_WEIGHT, Gate
 from repro.exceptions import CircuitError
@@ -179,10 +179,6 @@ class QuantumCircuit:
                 total += weight
         return total
 
-    def two_qubit_count(self) -> int:
-        """Number of two-qubit gate instances (SWAP counts once)."""
-        return sum(1 for gate in self._gates if gate.num_qubits == 2)
-
     def single_qubit_count(self) -> int:
         """Number of single-qubit gate instances (identities excluded)."""
         return sum(1 for gate in self._gates if gate.num_qubits == 1 and gate.name != "i")
@@ -227,10 +223,6 @@ class QuantumCircuit:
     # ------------------------------------------------------------------ #
     # Convenience constructors
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_gates(cls, num_qubits: int, gates: Sequence[Gate]) -> "QuantumCircuit":
-        return cls(num_qubits, gates)
-
     @classmethod
     def from_trusted_gates(cls, num_qubits: int, gates: list[Gate]) -> "QuantumCircuit":
         """Adopt ``gates`` without per-gate bounds checks (and without copying).

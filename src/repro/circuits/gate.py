@@ -30,9 +30,6 @@ CLIFFORD_GATES = frozenset(
     {"i", "x", "y", "z", "h", "s", "sdg", "sx", "sxdg", "cx", "cz", "swap"}
 )
 
-#: gates that entangle two qubits (SWAP counts: it costs 3 CNOTs on hardware)
-ENTANGLING_GATES = frozenset({"cx", "cz", "swap", "rzz"})
-
 #: CNOT-equivalent cost per two-qubit gate, the weighting behind every
 #: ``cx_count`` metric in the evaluation (SWAP decomposes into 3 CNOTs)
 CX_EQUIVALENT_WEIGHT = {"cx": 1, "cz": 1, "rzz": 1, "swap": 3}
@@ -136,10 +133,6 @@ class Gate:
     @property
     def is_clifford(self) -> bool:
         return self.name in CLIFFORD_GATES
-
-    @property
-    def is_entangling(self) -> bool:
-        return self.name in ENTANGLING_GATES
 
     @property
     def is_diagonal(self) -> bool:

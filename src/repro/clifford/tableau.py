@@ -177,16 +177,6 @@ class CliffordTableau:
     # ------------------------------------------------------------------ #
     # Structure queries used by Clifford Absorption
     # ------------------------------------------------------------------ #
-    def x_block(self) -> np.ndarray:
-        """The 2n x n boolean matrix of X components of every row."""
-        x, _, _ = self._rows.to_bool_arrays()
-        return x
-
-    def z_block(self) -> np.ndarray:
-        """The 2n x n boolean matrix of Z components of every row."""
-        _, z, _ = self._rows.to_bool_arrays()
-        return z
-
     def phases(self) -> np.ndarray:
         """Phase exponents (of ``i``) of every row."""
         return self._rows.phases.copy() % 4

@@ -87,7 +87,7 @@ class GroupCommuting(Pass):
 
 class CliffordExtraction(Pass):
     """Clifford Extraction (Algorithm 2): synthesize left halves, push the
-    mirrored Cliffords through the remaining program, return the tail."""
+    mirrored Cliffords through the remaining program, return the tail, merging rotations."""
 
     def __init__(
         self,
@@ -128,6 +128,7 @@ class CliffordExtraction(Pass):
         program.extraction = extraction
         program.metadata["rotation_count"] = extraction.rotation_count
         program.metadata.setdefault("num_blocks", extraction.metadata.get("num_blocks"))
+        program.metadata["pre_optimization_cx"] = extraction.metadata["pre_optimization_cx"]
         context.properties["conjugation_tableau"] = extraction.conjugation
         context.properties["rotation_count"] = extraction.rotation_count
 
@@ -151,24 +152,16 @@ class Peephole(Pass):
     :class:`~repro.transpile.wire_optimizer.GateStreamOptimizer` — one
     amortized-linear pass, no iteration cap.  The iterated ground-truth
     sweeps (:func:`~repro.transpile.peephole.peephole_optimize`) are an
-    oracle for tests, not a pipeline stage.
-
-    When the circuit is the one the extraction record emitted, the record
-    takes the rewritten circuit (and its raw CNOT count) as well, so a
-    result's ``extraction.optimized_circuit`` is always the circuit that
-    runs.  Rewriting preserves the unitary, so ``optimized_circuit``
-    followed by ``extracted_clifford`` still equals the original program.
+    oracle for tests, not a pipeline stage.  Level 1 runs it; levels 2-3 do
+    not (extraction merges rotations), outside the Fig. 9 ablation.
+    Extraction's circuit is already this stream's fixpoint, so streaming it
+    again leaves ``extraction.optimized_circuit`` equal to the circuit.
     """
 
     def run(self, program: Program, context: PassContext) -> None:
         circuit = self._require_circuit(program)
-        raw_cx = circuit.cx_count()
-        program.metadata.setdefault("pre_optimization_cx", raw_cx)
+        program.metadata.setdefault("pre_optimization_cx", circuit.cx_count())
         program.circuit = streaming_peephole_optimize(circuit)
-        extraction = program.extraction
-        if extraction is not None and extraction.optimized_circuit is circuit:
-            extraction.optimized_circuit = program.circuit
-            extraction.metadata["pre_optimization_cx"] = raw_cx
 
 
 class PostRoutingPeephole(Peephole):

@@ -7,8 +7,8 @@
 * **2** — Clifford Extraction with the recursive tree but without the greedy
   in-block reordering or cross-block lookahead (a cheaper QuCLEAR);
 * **3** — the full QuCLEAR flow of the paper's Fig. 6: commuting-block
-  grouping, full-featured Clifford Extraction, peephole rewriting, and
-  routing to the target (the absorbers are built lazily by the result).
+  grouping, full-featured Clifford Extraction (which merges rotations too),
+  and routing to the target (the absorbers are built lazily by the result).
 
 When no target is supplied the routing pass is a no-op, so a level-3 run on
 an all-to-all device produces exactly the circuit of
@@ -36,14 +36,15 @@ def quclear_passes(
     reorder_within_blocks: bool = True,
     recursive_tree: bool = True,
     cross_block_lookahead: bool = True,
-    local_optimize: bool = True,
+    local_optimize: bool = False,
     max_lookahead: int | None = None,
 ) -> list:
     """The logical-circuit portion of the QuCLEAR flow as a pass list.
 
     Grouping, extraction with the requested feature flags, and (when
     ``local_optimize``, the switch of the paper's Fig. 9 ablation) the
-    :class:`Peephole` pass — no routing, no absorption preparation.
+    :class:`Peephole` pass, which the presets leave out: extraction merges
+    rotations itself.  No routing, no absorption preparation.
     """
     passes: list = [
         GroupCommuting(),
@@ -78,8 +79,8 @@ def _device_tail() -> list:
 
 
 def quclear_preset(name: str = "quclear", **flags) -> Pipeline:
-    """The full QuCLEAR preset (grouping, extraction, peephole, routing)
-    with custom feature flags — what level 3 runs."""
+    """The full QuCLEAR preset (grouping, extraction, routing) with custom
+    feature flags — what level 3 runs."""
     return Pipeline(quclear_passes(**flags) + _device_tail(), name=name)
 
 

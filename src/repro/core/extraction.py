@@ -28,9 +28,18 @@ everything else off the same integers:
   (:func:`~repro.core.tree_synthesis.synthesize_tree_on_columns`) jumps
   straight to the first guide row on which a group of qubits splits.
 
+Rotation merging happens here too: the only local rewrite left on the
+emission is folding a term conjugated to a lone ``±Z`` into the ``Rz`` still
+open on its wire (no basis gate or CNOT target on it since).  A folded term
+joins that rotation's chain of ``(row, sign)`` entries, and the angles are
+summed with the streaming peephole's arithmetic, so the circuit is
+gate-for-gate what :class:`~repro.transpile.wire_optimizer.GateStreamOptimizer`
+makes of the unmerged emission.  A sum in the ``1e-12`` kill window streams
+the unmerged emission instead: deleting a rotation can expose cancellations.
+
 The original per-term loop is preserved in
 :mod:`repro.core.extraction_legacy` as the ground truth the equivalence tests
-diff bit-for-bit.
+diff bit-for-bit (against the unmerged emission).
 
 The equivalence maintained throughout is::
 
@@ -43,7 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,9 +70,12 @@ from repro.paulis.packed import PackedPauliTable, apply_gate_to_words
 from repro.paulis.pauli import PauliString
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
+from repro.transpile.wire_optimizer import _TWO_PI, _ZERO_EPS, GateStreamOptimizer, merged_angles
 
 #: integer counters recorded in ``ExtractionResult.metadata["stage_counters"]``
-STAGE_COUNTERS = ("rotations", "basis_gates", "tree_cx", "candidates_scored", "rows_moved")
+STAGE_COUNTERS = (
+    "rotations", "basis_gates", "tree_cx", "candidates_scored", "rows_moved", "rotations_merged"
+)
 
 @dataclass
 class ExtractionResult:
@@ -82,13 +94,13 @@ class ExtractionResult:
     terms:
         The input rotation terms, unchanged.
     rotation_count:
-        Number of ``Rz`` rotations emitted (identity terms are dropped).
+        Number of non-identity terms rotated, folded ones included.
     metadata:
-        Pass flags plus ``stage_counters``: integer counts of the rotations,
+        Pass flags, ``pre_optimization_cx`` (the CNOT count before any
+        rewriting) and ``stage_counters``: integer counts of the rotations,
         basis-change gates and tree CNOTs emitted, the candidates whose cost
-        the in-block selection evaluated, and the rows it moved.  A pipeline
-        ``Peephole`` pass that rewrites ``optimized_circuit`` adds the raw
-        CNOT count as ``pre_optimization_cx``.
+        the in-block selection evaluated, the rows it moved, and the
+        rotations folded into an earlier ``Rz`` (``rotations_merged``).
     """
 
     optimized_circuit: QuantumCircuit
@@ -102,6 +114,44 @@ class ExtractionResult:
     @property
     def num_qubits(self) -> int:
         return self.optimized_circuit.num_qubits
+
+
+class RotationMerges(NamedTuple):
+    """Where one extraction folded rotations.
+
+    ``gates`` is the emission without the folded rotations; ``gates[positions[k]]``
+    carries the raw angle of the first ``(row, sign)`` entry of ``chains[k]``.
+    ``folded`` holds each folded rotation and the index of ``gates`` it was
+    emitted before; ``dirty`` the chains whose angle needs summing or
+    normalizing (a chain may repeat).
+    """
+
+    num_qubits: int
+    gates: list[Gate]
+    positions: list[int]
+    chains: list[list[tuple[int, float]]]
+    folded: list[tuple[int, Gate]]
+    dirty: list[int]
+    coefficients: np.ndarray
+
+    def unmerged_gates(self) -> list[Gate]:
+        """The emission with every folded rotation back in its place."""
+        gates = self.gates.copy()
+        for position, rotation in reversed(self.folded):
+            gates.insert(position, rotation)
+        return gates
+
+    def realize(self) -> QuantumCircuit:
+        """The circuit that runs: every chain's angle summed and normalized."""
+        gates = self.gates.copy() if self.dirty else self.gates
+        angles = merged_angles([self.chains[k] for k in self.dirty], self.coefficients)
+        if angles is None:
+            gates = GateStreamOptimizer(self.num_qubits).extend(self.unmerged_gates()).gates()
+        else:
+            for chain, angle in zip(self.dirty, angles):
+                position = self.positions[chain]
+                gates[position] = trusted_gate("rz", gates[position].qubits, (angle,))
+        return QuantumCircuit.from_trusted_gates(self.num_qubits, gates)
 
 
 def _conjugate_through_gates(pauli: PauliString, gates: Sequence[Gate]) -> PauliString:
@@ -167,8 +217,8 @@ class CliffordExtractor:
     max_lookahead:
         Optional cap on how many future strings may guide a single tree.
 
-    ``optimized_circuit`` is the raw emission; local rewriting is the
-    separate :class:`~repro.compiler.passes.Peephole` stage of the pipeline.
+    ``optimized_circuit`` is the emission with rotations merged (see the
+    module docstring); no other local rewriting is left for a pipeline.
     """
 
     def __init__(
@@ -205,7 +255,23 @@ class CliffordExtractor:
         never mutated.  :class:`SparsePauliSum` input always uses the sum's
         own store.  The input is transposed to bit columns once and the
         rest of the pass runs on them.
+
+        This is :meth:`trace` followed by :meth:`RotationMerges.realize`.
         """
+        result, merges = self.trace(terms, blocks, block_bounds, packed_table)
+        result.optimized_circuit = merges.realize()
+        return result
+
+    def trace(
+        self,
+        terms: Sequence[PauliTerm] | SparsePauliSum,
+        blocks: list[list[PauliTerm]] | None = None,
+        block_bounds: Sequence[int] | None = None,
+        packed_table: PackedPauliTable | None = None,
+    ) -> tuple[ExtractionResult, RotationMerges]:
+        """:meth:`extract` without summing merged angles: the result's
+        ``optimized_circuit`` is ``merges.gates``.  Templates read their
+        chains from the returned record."""
         if isinstance(terms, SparsePauliSum):
             source_sum: SparsePauliSum | None = terms
             term_list: list[PauliTerm] | None = None
@@ -249,6 +315,13 @@ class CliffordExtractor:
 
         optimized_gates: list[Gate] = []
         left_gates: list[Gate] = []
+        # per emitted rz its position and chain; per qubit the chain of its
+        # open rz (-1: none), closed by a basis gate or a CX target
+        positions: list[int] = []
+        chains: list[list[tuple[int, float]]] = []
+        folded: list[tuple[int, Gate]] = []
+        dirty: list[int] = []
+        open_rz = [-1] * num_qubits
         counters = dict.fromkeys(STAGE_COUNTERS, 0)
         cx_gates = CxGates()
         h_gates = [cached_gate("h", (qubit,)) for qubit in range(num_qubits)]
@@ -277,6 +350,7 @@ class CliffordExtractor:
                 for qubit in range(num_qubits):
                     if (x_columns[qubit] >> row) & 1:
                         support.append(qubit)
+                        open_rz[qubit] = -1
                         if (z_columns[qubit] >> row) & 1:
                             num_y += 1
                             basis_gates.append(sdg_gates[qubit])
@@ -317,15 +391,29 @@ class CliffordExtractor:
                             "current Pauli to Z on its root "
                             f"(got {columns.row(row).to_label()!r})"
                         )
-                angle = float(coefficients[row])
                 # a Hermitian Z carries phase exponent 0 or 2: the high bit
-                if (columns.p1 >> row) & 1:
-                    angle = -angle
-
-                optimized_gates.extend(basis_gates)
-                optimized_gates.extend(tree_gates)
-                optimized_gates.append(trusted_gate("rz", (root,), (angle,)))
+                sign = -1.0 if (columns.p1 >> row) & 1 else 1.0
+                angle = sign * float(coefficients[row])
+                rotation = trusted_gate("rz", (root,), (angle,))
                 counters["rotations"] += 1
+                chain = -1 if basis_gates or tree_gates else open_rz[root]
+                if chain >= 0:
+                    # a lone Z on a wire whose rz is still open: fold into it
+                    chains[chain].append((row, sign))
+                    folded.append((len(optimized_gates), rotation))
+                    dirty.append(chain)
+                    counters["rotations_merged"] += 1
+                else:
+                    optimized_gates.extend(basis_gates)
+                    optimized_gates.extend(tree_gates)
+                    for gate in tree_gates:
+                        open_rz[gate.qubits[1]] = -1
+                    open_rz[root] = len(chains)
+                    if not _ZERO_EPS <= abs(angle) <= _TWO_PI:
+                        dirty.append(len(chains))
+                    positions.append(len(optimized_gates))
+                    chains.append([(row, sign)])
+                    optimized_gates.append(rotation)
                 counters["basis_gates"] += len(basis_gates)
                 counters["tree_cx"] += len(tree_gates)
                 left_gates.extend(basis_gates)
@@ -346,8 +434,9 @@ class CliffordExtractor:
             "reorder_within_blocks": self.reorder_within_blocks,
             "recursive_tree": self.recursive_tree,
             "stage_counters": counters,
+            "pre_optimization_cx": counters["tree_cx"],
         }
-        return ExtractionResult(
+        result = ExtractionResult(
             optimized_circuit=optimized,
             extracted_clifford=extracted,
             conjugation=conjugation,
@@ -356,6 +445,10 @@ class CliffordExtractor:
             elapsed_seconds=elapsed,
             metadata=metadata,
         )
+        merges = RotationMerges(
+            num_qubits, optimized_gates, positions, chains, folded, dirty, coefficients
+        )
+        return result, merges
 
     # ------------------------------------------------------------------ #
     def _find_next_row(

@@ -36,14 +36,6 @@ class CompilerComparison:
     def cx_counts(self) -> dict[str, int]:
         return {name: int(metrics["cx_count"]) for name, metrics in self.results.items()}
 
-    def entangling_depths(self) -> dict[str, int]:
-        return {
-            name: int(metrics["entangling_depth"]) for name, metrics in self.results.items()
-        }
-
-    def compile_times(self) -> dict[str, float]:
-        return {name: metrics["compile_seconds"] for name, metrics in self.results.items()}
-
     def best_compiler(self, metric: str = "cx_count") -> str:
         return min(self.results, key=lambda name: self.results[name][metric])
 

@@ -21,13 +21,6 @@ def gf2_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return (matrix @ vector.astype(np.int64)) % 2 == 1
 
 
-def gf2_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Matrix-matrix product over GF(2)."""
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    return (left @ right) % 2 == 1
-
-
 def gf2_gauss_elim(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Row-reduce ``matrix`` over GF(2).
 

@@ -3,24 +3,27 @@
 Every pass in the preset pipelines is *structurally* driven: commuting-block
 grouping, the greedy in-block reordering, tree synthesis, and the extracted
 Clifford tail read only the Pauli words — rotation angles appear exclusively
-as the ``rz`` parameters on tree roots.  The peephole engine's control flow
-is almost angle-free too: its commutation checks and cancellation scans never
-read ``params``, and the only angle-dependent *decision* is dropping a
-(near-)zero merged rotation.
+as the ``rz`` parameters on tree roots.  Local rewriting is almost angle-free
+too: which rotations merge is decided by the gate structure, and the only
+angle-dependent *decision* is dropping a (near-)zero merged rotation.
 
-:func:`compile_template` exploits this: it runs the full preset pipeline once
-over a :class:`~repro.parametric.program.ParametricProgram` with *sentinel*
-coefficients (term ``i`` carries ``float(i + 1)``), records which input terms
-fold into each surviving rotation and in what order (a *merge chain*), and
-keeps the angle-free gate skeleton plus the pre-extracted tail and
-conjugation tableau.  :meth:`CompiledTemplate.bind` then substitutes concrete
-angles by replaying only the chain arithmetic — no pass executes, no gate is
-re-scanned — and the result is bit-identical to a from-scratch
-:func:`repro.compile` at the same angles.
+:func:`compile_template` exploits this: it traces the preset once over a
+:class:`~repro.parametric.program.ParametricProgram`, records which input
+terms fold into each surviving rotation and in what order (a *merge chain*),
+and keeps the angle-free gate skeleton plus the pre-extracted tail and
+conjugation tableau.  At levels 2-3 the chains are extraction's own merge
+record (:meth:`~repro.core.extraction.CliffordExtractor.trace`, which folds
+rotations as it emits and never sums an angle there).  At level 1 the
+peephole engine is re-run with *sentinel* coefficients (term ``i`` carries
+``float(i + 1)``) that :class:`_SymbolicStream` decodes into chains.
+:meth:`CompiledTemplate.bind` then substitutes concrete angles by replaying
+only the chain arithmetic — no pass executes, no gate is re-scanned — and the
+result is bit-identical to a from-scratch :func:`repro.compile` at the same
+angles.
 
 The one case the skeleton cannot reproduce is a *degenerate* binding: a
 merged rotation whose angle lands within ``1e-12`` of zero, which the
-concrete peephole would delete (changing the gate structure).  Binding
+concrete pipeline would delete (changing the gate structure).  Binding
 detects this while replaying the chain prefix sums and transparently falls
 back to a full compile, so correctness never depends on the fast path.
 
@@ -32,7 +35,6 @@ pipeline fails loudly at ``compile_template`` time, never at serving time.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import NamedTuple, Sequence
 
@@ -52,7 +54,7 @@ from repro.parametric.program import ParametricProgram, validate_parameters
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
 from repro.synthesis.trotter import synthesize_trotter_circuit
-from repro.transpile.wire_optimizer import _FOUR_PI, _ZERO_EPS, GateStreamOptimizer
+from repro.transpile.wire_optimizer import GateStreamOptimizer, merged_angles
 
 #: feature flags of the extraction presets, keyed by optimization level
 _EXTRACTION_FLAGS = {
@@ -65,45 +67,45 @@ _CALIBRATION_ATTEMPTS = 8
 
 
 class _SymbolicStream(GateStreamOptimizer):
-    """The peephole engine re-run with symbolic rotation angles.
+    """The peephole engine re-run with symbolic rotation angles (level 1).
 
     Structural behaviour (scans, commutation checks, inverse-pair kills) is
     inherited unchanged; only :meth:`_merge_rotation` is replaced.  A sentinel
     rotation is never normalized, never deleted, and never updates a float —
-    instead the signed sentinel code is appended to the surviving node's
-    *merge chain*, recording exactly which input terms the concrete engine
-    would sum into that gate, in the same order.
+    instead its decoded ``(term_index, sign)`` entry is appended to the
+    surviving node's *merge chain*, recording exactly which input terms the
+    concrete engine would sum into that gate, in the same order.
 
     Rotation nodes are pinned by strong references for the stream's lifetime
     (they are never killed — a rotation only matches other rotations), so the
     ``id``-keyed chain map cannot suffer from recycled ids.
     """
 
-    def __init__(self, num_qubits: int):
+    def __init__(self, num_qubits: int, num_terms: int):
         super().__init__(num_qubits)
+        self._num_terms = num_terms
         self._chain_nodes: list = []
-        self._chain_codes: dict[int, list[int]] = {}
+        self._chains: dict[int, list[tuple[int, float]]] = {}
 
     def _merge_rotation(self, gate: Gate, node) -> None:
-        code = _sentinel_code(gate.params[0])
+        entry = _sentinel_entry(gate.params[0], self._num_terms)
         if node is not None:
-            self._chain_codes[id(node)].append(code)
+            self._chains[id(node)].append(entry)
             return
         self._push(gate, 0.0)
         fresh = self._order[-1]
-        self._chain_codes[id(fresh)] = [code]
+        self._chains[id(fresh)] = [entry]
         self._chain_nodes.append(fresh)
 
-    def finalize(self) -> tuple[list[Gate], list[int], list[list[int]]]:
+    def finalize(self) -> tuple[list[Gate], list[int], list[list[tuple[int, float]]]]:
         """Surviving gates, rotation positions within them, and their chains."""
         skeleton: list[Gate] = []
         positions: list[int] = []
-        chains: list[list[int]] = []
-        codes = self._chain_codes
+        chains: list[list[tuple[int, float]]] = []
         for node in self._order:
             if not node.alive:
                 continue
-            chain = codes.get(id(node))
+            chain = self._chains.get(id(node))
             if chain is not None:
                 positions.append(len(skeleton))
                 chains.append(chain)
@@ -111,32 +113,15 @@ class _SymbolicStream(GateStreamOptimizer):
         return skeleton, positions, chains
 
 
-def _sentinel_code(param: float) -> int:
-    """Decode a sentinel rotation angle back into its signed term code."""
+def _sentinel_entry(param: float, num_terms: int) -> tuple[int, float]:
+    """Decode a sentinel rotation angle into its ``(term_index, sign)`` entry."""
     code = int(round(param))
-    if code == 0 or float(code) != param:
+    if code == 0 or float(code) != param or abs(code) > num_terms:
         raise CompilerError(
             f"template trace produced a non-sentinel rotation angle {param!r}; "
             "the pipeline must have transformed an angle it was not expected to"
         )
-    return code
-
-
-def _chains_from_codes(codes: list[list[int]], num_terms: int) -> list[list[tuple[int, float]]]:
-    """Signed sentinel codes -> per-chain ``(term_index, sign)`` entries."""
-    chains: list[list[tuple[int, float]]] = []
-    for chain in codes:
-        entries: list[tuple[int, float]] = []
-        for code in chain:
-            term = abs(code) - 1
-            if term >= num_terms:
-                raise CompilerError(
-                    f"template trace produced sentinel code {code} outside the "
-                    f"{num_terms}-term program"
-                )
-            entries.append((term, 1.0 if code > 0 else -1.0))
-        chains.append(entries)
-    return chains
+    return abs(code) - 1, 1.0 if code > 0 else -1.0
 
 
 def _generic_parameters(num_params: int, attempt: int) -> np.ndarray:
@@ -246,7 +231,7 @@ class CompiledTemplate:
         Runs :meth:`replay` and stitches the skeleton into a fresh
         :class:`~repro.compiler.result.CompilationResult` — bit-identical to
         ``repro.compile`` of the bound program.  Degenerate bindings (a
-        merged rotation within ``1e-12`` of zero, which the concrete peephole
+        merged rotation within ``1e-12`` of zero, which the concrete pipeline
         would delete) return the full pipeline's result instead.
         """
         replay = self.replay(params)
@@ -282,32 +267,16 @@ class CompiledTemplate:
     def _chain_angles(self, coefficients: list[float]) -> list[float] | None:
         """Final rotation angles per chain, or ``None`` on a degenerate sum.
 
-        Mirrors the streaming optimizer's float arithmetic exactly: angles
-        accumulate as a raw left-to-right sum in merge order and every
-        intermediate state is normalized with ``math.remainder(acc, 4*pi)``
-        — any intermediate landing inside the kill window means the concrete
-        engine would have deleted the gate, so the skeleton is invalid for
-        this binding.
+        The streaming optimizer's float arithmetic
+        (:func:`~repro.transpile.wire_optimizer.merged_angles`), which
+        extraction's own merges use too: any prefix sum landing inside the
+        kill window means the concrete pipeline would have deleted the gate,
+        so the skeleton is invalid for this binding.
         """
-        angles: list[float] = []
-        append = angles.append
-        if not self._normalize:
-            # level 0 emits raw angles, never merges, never deletes
-            for chain in self._chains:
-                term, sign = chain[0]
-                append(sign * coefficients[term])
-            return angles
-        remainder = math.remainder
-        for chain in self._chains:
-            acc = 0.0
-            merged = 0.0
-            for term, sign in chain:
-                acc += sign * coefficients[term]
-                merged = remainder(acc, _FOUR_PI)
-                if -_ZERO_EPS < merged < _ZERO_EPS:
-                    return None
-            append(merged)
-        return angles
+        if self._normalize:
+            return merged_angles(self._chains, coefficients)
+        # level 0 emits raw angles, never merges, never deletes
+        return [sign * coefficients[term] for [(term, sign)] in self._chains]
 
     def assemble(self, replay: "BindReplay") -> CompilationResult:
         """The :class:`CompilationResult` of a non-degenerate replay."""
@@ -368,45 +337,6 @@ class CompiledTemplate:
     def _full_compile(self, array: np.ndarray) -> CompilationResult:
         return _compile_concrete(self.program.to_sum(array), target=self.target, level=self.level)
 
-    # ------------------------------------------------------------------ #
-    # Wire-format reconstruction (see repro.service.serialize)
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def restore(
-        cls,
-        program: ParametricProgram,
-        level: int,
-        target: Target | None,
-        skeleton: list[Gate],
-        positions: list[int],
-        chains: list[list[tuple[int, float]]],
-        normalize: bool,
-        tail: QuantumCircuit | None,
-        conjugation: CliffordTableau | None,
-        rotation_count: int,
-        name: str,
-        metadata_base: dict,
-        extraction_metadata: dict,
-        always_fallback: bool,
-    ) -> "CompiledTemplate":
-        """Rebuild a template from serialized parts, skipping the trace."""
-        return cls(
-            program=program,
-            level=level,
-            target=target,
-            skeleton=skeleton,
-            positions=positions,
-            chains=chains,
-            normalize=normalize,
-            tail=tail,
-            conjugation=conjugation,
-            rotation_count=rotation_count,
-            name=name,
-            metadata_base=metadata_base,
-            extraction_metadata=extraction_metadata,
-            always_fallback=always_fallback,
-        )
-
 
 # ---------------------------------------------------------------------- #
 # Template construction
@@ -456,30 +386,30 @@ def compile_template(
     tail: QuantumCircuit | None = None
     conjugation: CliffordTableau | None = None
     rotation_count = 0
+    normalize = level > 0
     if level >= 2:
-        extractor = CliffordExtractor(**_EXTRACTION_FLAGS[level])
-        trace = extractor.extract(sentinel_sum)
-        raw_gates = list(trace.optimized_circuit)
+        # extraction records its merges structurally: the chains come from
+        # the record, never from summed sentinels
+        trace, merges = CliffordExtractor(**_EXTRACTION_FLAGS[level]).trace(sentinel_sum)
+        skeleton, positions, chains = merges.gates, merges.positions, merges.chains
         tail = trace.extracted_clifford
         conjugation = trace.conjugation
         rotation_count = trace.rotation_count
     else:
         raw_gates = list(synthesize_trotter_circuit(sentinel_sum.terms, tree="chain"))
-
-    if level == 0:
-        # no peephole at level 0: the raw emission *is* the circuit
-        skeleton = raw_gates
-        positions = [
-            index for index, gate in enumerate(raw_gates) if gate.name == "rz"
-        ]
-        codes = [[_sentinel_code(raw_gates[index].params[0])] for index in positions]
-        normalize = False
-    else:
-        stream = _SymbolicStream(program.num_qubits)
-        stream.extend(raw_gates)
-        skeleton, positions, codes = stream.finalize()
-        normalize = True
-    chains = _chains_from_codes(codes, num_terms)
+        if level == 0:
+            # no peephole at level 0: the raw emission *is* the circuit
+            skeleton = raw_gates
+            positions = [
+                index for index, gate in enumerate(raw_gates) if gate.name == "rz"
+            ]
+            chains = [
+                [_sentinel_entry(raw_gates[index].params[0], num_terms)] for index in positions
+            ]
+        else:
+            stream = _SymbolicStream(program.num_qubits, num_terms)
+            stream.extend(raw_gates)
+            skeleton, positions, chains = stream.finalize()
 
     template = CompiledTemplate(
         program=program,
@@ -521,9 +451,9 @@ def _calibrate(template: CompiledTemplate, device: Target | None, level: int) ->
         if program.num_params == 0:
             break  # constant program: perturbing cannot change anything
     if calibration is None:
-        # every calibration draw hits the peephole kill window (e.g. a
-        # constant term folding to zero): the skeleton can never be used,
-        # every bind takes the full-compile fallback
+        # every calibration draw hits the kill window (e.g. a constant
+        # term folding to zero): the skeleton can never be used, every bind
+        # takes the full-compile fallback
         template._always_fallback = True
         calibration = _generic_parameters(program.num_params, 0)
 

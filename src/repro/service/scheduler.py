@@ -351,6 +351,8 @@ def _execute_group(
                 completed[index] = CompletedJob(stored_key, None, error=result)
             continue
         compiled += 1
+        for name, value in _stage_counters(result).items():
+            telemetry.inc(f"extraction.{name}", value)
         stored = None
         if cache is not None and stored_key is not None:
             # a failed store must not fail the request — the compile already
@@ -375,13 +377,20 @@ def _execute_group(
     telemetry.inc("service.compiled_programs", compiled)
 
 
+def _stage_counters(result) -> dict:
+    """A compiled result's extraction ``stage_counters`` (empty if none)."""
+    extraction = getattr(result, "extraction", None)
+    return extraction.metadata.get("stage_counters", {}) if extraction else {}
+
+
 def _record_batch_children(
     batch, position: int, result, pool: CompilePool | None
 ) -> None:
     """``pool.dispatch`` and per-pass spans under one job's ``scheduler.batch``.
 
     Both are derived from the batch region's own measurement (and the
-    result's pass timings), so they are recorded, not timed.
+    result's pass timings), so they are recorded, not timed; the
+    ``pass.CliffordExtraction`` span is tagged with the stage counters.
     """
     parent = batch.child(position)
     if parent is None:
@@ -403,6 +412,7 @@ def _record_batch_children(
             cursor,
             float(seconds),
             parent_id=parent.span_id,
+            tags=_stage_counters(result) if pass_name == "CliffordExtraction" else None,
         )
         cursor += float(seconds)
 

@@ -712,7 +712,7 @@ def template_from_wire(payload: dict):
     if not isinstance(metadata_base, dict) or not isinstance(extraction_metadata, dict):
         raise WireFormatError("template metadata must be JSON objects")
     try:
-        return CompiledTemplate.restore(
+        return CompiledTemplate(
             program=program,
             level=int(_field(payload, "level", "template")),
             target=target,

@@ -9,8 +9,8 @@ This sub-package stands in for the Qiskit transpiler used by the paper:
   path is the streaming engine below.
 * :mod:`repro.transpile.wire_optimizer` — the streaming wire-indexed
   peephole engine: per-qubit frontier stacks reach the same rewrite fixpoint
-  in one amortized-linear pass, eagerly at gate-append time; the
-  pipeline's ``Peephole`` pass streams each circuit through it once.
+  in one amortized-linear pass, eagerly at gate-append time; the level-1
+  ``Peephole`` pass streams each circuit through it once.
 * :mod:`repro.transpile.coupling` — coupling-map models of the two
   limited-connectivity backends of Fig. 11 (IBM Manhattan's 65-qubit
   heavy-hex lattice and Google Sycamore's 64-qubit 2-D grid).

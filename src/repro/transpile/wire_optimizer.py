@@ -33,9 +33,11 @@ prefix on its own wires — O(G) total for the CNOT-tree tails Clifford
 extraction emits, where almost every cancellation partner sits at the top of
 a wire stack.
 
-In the compiler pipelines local rewriting runs in one place: the
-:class:`~repro.compiler.passes.Peephole` pass streams each finished circuit
-through :func:`streaming_peephole_optimize` once.
+Local rewriting runs in one place per level: at level 1 (and after routing)
+the :class:`~repro.compiler.passes.Peephole` pass streams the circuit through
+:func:`streaming_peephole_optimize`; at levels 2-3
+:class:`~repro.core.extraction.CliffordExtractor` merges rotations as it emits,
+with :func:`merged_angles`, and this engine is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -372,6 +374,29 @@ class GateStreamOptimizer:
         for qubit, stack in enumerate(self._wires):
             self._wires[qubit] = [node for node in stack if node.alive]
         self._dead = 0
+
+
+def merged_angles(chains, coefficients) -> list[float] | None:
+    """Each chain's merged angle as the stream computes it, or ``None``.
+
+    A chain lists the ``(term, sign)`` rotations merged into one gate, in
+    stream order: their raw left-to-right sum, normalized with
+    ``math.remainder(·, 4*pi)``.  ``None`` when a prefix lands in the kill
+    window, where the stream deletes the gate.
+    """
+    angles: list[float] = []
+    append = angles.append
+    remainder = math.remainder
+    for chain in chains:
+        acc = 0.0
+        merged = 0.0
+        for term, sign in chain:
+            acc += sign * coefficients[term]
+            merged = remainder(acc, _FOUR_PI)
+            if -_ZERO_EPS < merged < _ZERO_EPS:
+                return None
+        append(merged)
+    return angles
 
 
 def streaming_peephole_optimize(circuit: QuantumCircuit) -> QuantumCircuit:

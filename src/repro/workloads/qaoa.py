@@ -158,13 +158,3 @@ def labs_energy(bitstring: str) -> int:
         sum(spins[i] * spins[i + offset] for i in range(length - offset)) ** 2
         for offset in range(1, length)
     )
-
-
-def labs_statistics(num_qubits: int) -> dict[str, int]:
-    """Term counts used by the benchmark registry."""
-    problem = labs_hamiltonian(num_qubits)
-    return {
-        "num_qubits": num_qubits,
-        "problem_terms": len(problem),
-        "qaoa_terms": len(problem) + num_qubits,
-    }

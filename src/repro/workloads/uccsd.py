@@ -117,13 +117,3 @@ def uccsd_ansatz_terms(
                 continue
             terms.append(PauliTerm(pauli.copy(), -2.0 * weight))
     return terms
-
-
-def uccsd_statistics(num_electrons: int, num_spin_orbitals: int) -> dict[str, int]:
-    """Summary used by the benchmark registry (number of excitations / Paulis)."""
-    terms = uccsd_ansatz_terms(num_electrons, num_spin_orbitals)
-    return {
-        "num_qubits": num_spin_orbitals,
-        "num_excitations": len(uccsd_excitations(num_electrons, num_spin_orbitals)),
-        "num_paulis": len(terms),
-    }

@@ -56,6 +56,17 @@ class TestPresetEquivalence:
         with pytest.raises(CompilerError):
             result.observable_absorber()
 
+    def test_only_level1_and_the_ablation_run_the_peephole_pass(self):
+        from repro.compiler import quclear_pipeline
+
+        names = {level: preset_pipeline(level).pass_names() for level in range(4)}
+        assert "Peephole" in names[1]
+        assert names[2] == names[3] == [
+            "GroupCommuting", "CliffordExtraction", "SabreRouting", "PostRoutingPeephole",
+        ]
+        assert "Peephole" in quclear_pipeline(local_optimize=True).pass_names()
+        assert "Peephole" not in quclear_pipeline().pass_names()
+
     def test_invalid_level(self, rng):
         with pytest.raises(CompilerError):
             repro.compile(random_pauli_terms(rng, 2, 2), level=7)

@@ -1,11 +1,13 @@
 """Bit-for-bit equivalence: table-native extractor vs. the legacy loop.
 
 The table-native :class:`~repro.core.extraction.CliffordExtractor` must
-reproduce the legacy per-term implementation exactly — identical optimized
-circuit, identical extracted Clifford tail, identical conjugation tableau
+reproduce the legacy per-term implementation exactly — identical unmerged
+emission, identical extracted Clifford tail, identical conjugation tableau
 (bit patterns *and* phases) — on every input and under every feature-flag
 combination, because the legacy loop is the repository's phase-convention
-ground truth (see ``repro/core/extraction_legacy.py``).
+ground truth (see ``repro/core/extraction_legacy.py``).  The circuit it
+returns merges rotations, so it must equal the streaming peephole engine run
+over the legacy emission.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.core.tree_synthesis import chain_tree_cost, synthesize_tree
 from repro.paulis.pauli import PauliString
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
+from repro.transpile.wire_optimizer import streaming_peephole_optimize
 
 from tests.conftest import random_clifford_circuit, random_pauli_terms
 
@@ -50,10 +53,14 @@ def random_sparse_terms(
 
 def assert_bit_identical(terms, **flags) -> None:
     packed = CliffordExtractor(**flags).extract(terms)
+    _, merges = CliffordExtractor(**flags).trace(terms)
     legacy = LegacyCliffordExtractor(**flags).extract(
         list(terms) if isinstance(terms, SparsePauliSum) else terms
     )
-    assert packed.optimized_circuit == legacy.optimized_circuit
+    assert merges.unmerged_gates() == legacy.optimized_circuit.gates
+    assert packed.optimized_circuit.gates == streaming_peephole_optimize(
+        legacy.optimized_circuit
+    ).gates
     assert packed.extracted_clifford == legacy.extracted_clifford
     # content_key covers the symplectic bits AND the row phases of the tableau
     assert packed.conjugation.content_key() == legacy.conjugation.content_key()
@@ -285,7 +292,8 @@ class TestStageCounters:
         result = CliffordExtractor().extract(terms)
         counters = result.metadata["stage_counters"]
         assert set(counters) == {
-            "rotations", "basis_gates", "tree_cx", "candidates_scored", "rows_moved"
+            "rotations", "basis_gates", "tree_cx", "candidates_scored", "rows_moved",
+            "rotations_merged",
         }
         assert all(isinstance(value, int) for value in counters.values())
         assert counters["rotations"] == result.rotation_count

@@ -135,3 +135,5 @@ class TestHybridWorkflows:
         reconstructed = optimized.circuit.compose(optimized.extracted_clifford)
         assert circuits_equivalent(synthesize_trotter_circuit(terms), reconstructed)
         assert optimized.cx_count() <= plain.cx_count()
+        # extraction already merged rotations: the extra pass finds nothing
+        assert optimized.circuit == plain.circuit == optimized.extraction.optimized_circuit

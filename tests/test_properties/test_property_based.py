@@ -170,9 +170,11 @@ class TestCompilationProperties:
     @settings(deadline=None, max_examples=25, suppress_health_check=[HealthCheck.too_slow])
     @given(small_programs())
     def test_extraction_emits_one_rotation_per_term(self, terms):
-        result = CliffordExtractor().extract(terms)
+        result, merges = CliffordExtractor().trace(terms)
         non_identity = sum(1 for term in terms if not term.pauli.is_identity())
-        assert result.optimized_circuit.count_ops().get("rz", 0) == non_identity
+        assert sum(gate.name == "rz" for gate in merges.unmerged_gates()) == non_identity
+        merged = result.metadata["stage_counters"]["rotations_merged"]
+        assert len(merges.positions) + merged == non_identity
 
     @settings(deadline=None, max_examples=20, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(2, 4).flatmap(lambda n: clifford_circuits(n, max_gates=20)))

@@ -427,6 +427,28 @@ class TestOneTimedRegion:
                       if s["name"].startswith("pass.")]
             assert passes and all(p["parent_id"] == span["span_id"] for p in passes)
 
+    def test_extraction_stage_counters_reach_metrics_and_spans(self, tmp_path):
+        from repro.paulis.term import PauliTerm
+        from repro.service.scheduler import CompileJob, execute_batch
+
+        telemetry = Telemetry()
+        # XY three times: two rotations fold into the first
+        terms = [PauliTerm.from_label(label, 0.1 * (index + 1))
+                 for index, label in enumerate(["XY", "ZZ", "XY", "XY"])]
+        context = TraceContext("c" * 32, "f" * 16)
+        (job,) = execute_batch(
+            [CompileJob(program=terms, trace=context)],
+            cache=ArtifactCache(str(tmp_path / "cache")),
+            telemetry=telemetry,
+        )
+        counters = job.result.extraction.metadata["stage_counters"]
+        assert counters["rotations_merged"] == 2
+        for name, value in counters.items():
+            assert telemetry.counter(f"extraction.{name}") == value
+        (span,) = [s for s in TRACER.trace(context.trace_id)
+                   if s["name"] == "pass.CliffordExtraction"]
+        assert span["tags"] == counters
+
 
 class TestSlowRequestLog:
     @pytest.mark.parametrize("layer", ["server", "fleet"])

@@ -243,24 +243,24 @@ def _preset_programs():
 
 
 class TestPresetLocalRewriting:
-    """The presets' local rewriting is the Peephole pass over the raw extraction."""
+    """The presets' local rewriting is extraction's rotation merge, which must
+    equal the Peephole stream over the unmerged emission."""
 
     @pytest.mark.parametrize("level", [2, 3])
     @pytest.mark.parametrize("terms", _preset_programs())
     def test_compile_is_extraction_then_one_stream(self, level, terms):
         result = repro.compile(terms, level=level)
-        raw = CliffordExtractor(**_PRESET_EXTRACTION_FLAGS[level]).extract(terms)
-        streamed = streaming_peephole_optimize(raw.optimized_circuit)
+        trace, merges = CliffordExtractor(**_PRESET_EXTRACTION_FLAGS[level]).trace(terms)
+        raw = QuantumCircuit(merges.num_qubits, merges.unmerged_gates())
+        streamed = streaming_peephole_optimize(raw)
         assert result.circuit.gates == streamed.gates
-        assert result.extracted_clifford.gates == raw.extracted_clifford.gates
+        assert result.extracted_clifford.gates == trace.extracted_clifford.gates
 
-        legacy = peephole_optimize(
-            raw.optimized_circuit, max_iterations=_LEGACY_FIXPOINT_ITERATIONS
-        )
+        legacy = peephole_optimize(raw, max_iterations=_LEGACY_FIXPOINT_ITERATIONS)
         assert len(result.circuit) == len(legacy)
         assert circuits_equivalent(result.circuit, legacy, tolerance=1e-6)
 
-        raw_cx = raw.optimized_circuit.cx_count()
+        raw_cx = raw.cx_count()
         assert result.metadata["pre_optimization_cx"] == raw_cx
         assert result.extraction.metadata["pre_optimization_cx"] == raw_cx
 
@@ -272,5 +272,6 @@ class TestPresetLocalRewriting:
 
     def test_seed_17_program_loses_a_gate_to_rewriting(self):
         terms = random_pauli_terms(np.random.default_rng(17), 3, 5)
-        raw = CliffordExtractor().extract(terms)
-        assert len(repro.compile(terms, level=3).circuit) < len(raw.optimized_circuit)
+        trace, merges = CliffordExtractor().trace(terms)
+        assert len(repro.compile(terms, level=3).circuit) < len(merges.unmerged_gates())
+        assert trace.metadata["stage_counters"]["rotations_merged"] > 0
