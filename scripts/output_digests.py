@@ -7,6 +7,11 @@ gate, angle, tail or tableau:
 * ``table3 level N`` — the 17 Table III rows compiled at level 2 and 3;
 * ``random level N`` — seeded random programs (2-11 qubits, 2-59 terms, with
   appended duplicate, negated-duplicate and zero-sum terms) at level 2 and 3;
+* ``random-large level N`` — seeded 300-800-term programs at level 2 and 3,
+  long enough for the extractor to drop emitted rows from its columns
+  (``REBASE_ROWS``) more than once: even seeds are dense random strings in
+  many small commuting blocks, odd seeds one to three long commuting blocks
+  (LABS-like) with lone-``Z`` terms that fold into earlier rotations;
 * ``template level N`` — the template wire payload of each small-tier row;
   ``template level N (structure)`` leaves out the metadata dictionaries,
   which carry the pass list and the stage counters.
@@ -14,7 +19,7 @@ gate, angle, tail or tableau:
 Angles are hashed through ``float.hex``, so a digest moves on any bit of any
 angle.  Run from the repository root:
 
-    PYTHONPATH=src python scripts/output_digests.py [--programs 1000]
+    PYTHONPATH=src python scripts/output_digests.py [--programs 1000] [--large-programs 24]
 """
 
 from __future__ import annotations
@@ -77,6 +82,37 @@ def random_program(seed: int) -> list[PauliTerm]:
     return terms
 
 
+def random_large_program(seed: int) -> list[PauliTerm]:
+    """A seeded 300-800-term program: many small blocks (even seeds) or few long ones."""
+    rng = np.random.default_rng(10_000 + seed)
+    num_qubits = int(rng.integers(4, 25))
+    num_terms = int(rng.integers(300, 801))
+    terms = []
+    if seed % 2 == 0:
+        for _ in range(num_terms):
+            x = rng.random(num_qubits) < 0.4
+            z = rng.random(num_qubits) < 0.4
+            if not (x.any() or z.any()):
+                z[int(rng.integers(num_qubits))] = True
+            terms.append(PauliTerm(
+                PauliString(x, z, int(np.count_nonzero(x & z))), float(rng.uniform(-np.pi, np.pi))
+            ))
+        return terms
+    # strings built from one letter per qubit commute, so a section is one block
+    sections = int(rng.integers(1, 4))
+    for section in range(sections):
+        letters = rng.integers(1, 4, num_qubits) if section else np.full(num_qubits, 3)
+        for _ in range(num_terms // sections):
+            support = np.zeros(num_qubits, dtype=bool)
+            support[rng.choice(num_qubits, int(rng.integers(1, 5)), replace=False)] = True
+            x = support & (letters != 3)
+            z = support & (letters != 1)
+            terms.append(PauliTerm(
+                PauliString(x, z, int(np.count_nonzero(x & z))), float(rng.uniform(-np.pi, np.pi))
+            ))
+    return terms
+
+
 def digest(records) -> str:
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
@@ -84,6 +120,9 @@ def digest(records) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--programs", type=int, default=1000, help="random programs per level")
+    parser.add_argument(
+        "--large-programs", type=int, default=24, help="random-large programs per level"
+    )
     args = parser.parse_args()
 
     from repro.parametric import ParametricProgram, compile_template
@@ -91,11 +130,14 @@ def main() -> None:
 
     table3 = {name: get_benchmark(name).terms() for name in TABLE3_ROWS}
     programs = [random_program(seed) for seed in range(args.programs)]
+    large = [random_large_program(seed) for seed in range(args.large_programs)]
     for level in (2, 3):
         records = [result_record(repro.compile(terms, level=level)) for terms in table3.values()]
         print(f"table3 level {level}: {digest(records)}")
         records = [result_record(repro.compile(terms, level=level)) for terms in programs]
         print(f"random level {level}: {digest(records)}  ({len(records)} programs)")
+        records = [result_record(repro.compile(terms, level=level)) for terms in large]
+        print(f"random-large level {level}: {digest(records)}  ({len(records)} programs)")
         payloads = []
         for name in SMALL_BENCHMARKS:
             terms = table3[name]

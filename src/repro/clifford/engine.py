@@ -70,7 +70,9 @@ def stream_gates_over_suffix(
     :class:`~repro.paulis.columns.PauliColumns` the extractor uses, a few
     big-integer operations per gate.  The extractor streams over the whole
     column table: rows it has already emitted are conjugated too, which is
-    harmless (they are never read again) and cheaper than masking them out.
+    harmless (they are never read again) and cheaper than masking them out,
+    but only until its next rebase, which drops them from the columns (see
+    :mod:`repro.core.extraction`).
     """
     table.apply_gates(gates, start=start, stop=stop)
 

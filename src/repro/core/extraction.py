@@ -10,16 +10,20 @@ of it classically.
 
 The pass runs on a column-major table
 (:class:`~repro.paulis.columns.PauliColumns`): one Python integer per qubit
-and symplectic half whose bit ``r`` belongs to row ``r``, with the ``2n``
-tableau generator rows riding in the top bits.  Every emitted gate is a few
-big-integer operations that conjugate all rows at once (a CX is two XORs).
-The input is transposed to columns once, and the per-term loop reads
-everything else off the same integers:
+and symplectic half whose bit ``r`` belongs to row ``base + r``, with the
+``2n`` tableau generator rows riding in the top bits.  Every emitted gate is
+a few big-integer operations that conjugate all rows at once (a CX is two
+XORs).  ``base`` starts at 0; once more than :data:`REBASE_ROWS` rows below
+the lowest row still to be emitted are dead, the columns drop them and
+``base`` grows, so gates stop paying for rows nobody reads.  Coefficients,
+merge chains and the tableau slice use absolute rows ``base + r``.  The
+input is transposed to columns once, and the per-term loop reads everything
+else off the same integers:
 
 * the term's support, basis-change layer, Hermiticity and root checks are
-  bit tests on its row, with the layer's gates taken from per-compile
-  tables (no :class:`~repro.circuits.gate.Gate` is built per term except
-  the rotation);
+  mask tests against its row's bit, with the layer's gates taken from
+  per-compile tables (no :class:`~repro.circuits.gate.Gate` is built per
+  term except the rotation);
 * in-block reordering never moves a row: a commuting block's rows still
   waiting are a bit mask, and the row chosen to go next is emitted right
   after, so the rest always stay in ascending row order;
@@ -77,6 +81,10 @@ STAGE_COUNTERS = (
     "rotations", "basis_gates", "tree_cx", "candidates_scored", "rows_moved", "rotations_merged"
 )
 
+#: dead rows (below the lowest row still to be emitted) the columns may carry
+#: before they are shifted out
+REBASE_ROWS = 256
+
 @dataclass
 class ExtractionResult:
     """Output of a Clifford Extraction pass.
@@ -95,6 +103,13 @@ class ExtractionResult:
         The input rotation terms, unchanged.
     rotation_count:
         Number of non-identity terms rotated, folded ones included.
+    elapsed_seconds:
+        Wall-clock time of the pass, from the column transpose on.
+    stage_seconds:
+        That time split into ``transpose`` (program to bit columns),
+        ``term_loop`` (every term's basis layer, selection, tree and
+        rotation) and ``tail`` (the Clifford tail and the tableau).  The
+        clock is read per pass, never per term.
     metadata:
         Pass flags, ``pre_optimization_cx`` (the CNOT count before any
         rewriting) and ``stage_counters``: integer counts of the rotations,
@@ -110,6 +125,7 @@ class ExtractionResult:
     rotation_count: int = 0
     elapsed_seconds: float = 0.0
     metadata: dict = field(default_factory=dict)
+    stage_seconds: dict = field(default_factory=dict)
 
     @property
     def num_qubits(self) -> int:
@@ -275,7 +291,7 @@ class CliffordExtractor:
         if isinstance(terms, SparsePauliSum):
             source_sum: SparsePauliSum | None = terms
             term_list: list[PauliTerm] | None = None
-            base = source_sum.packed_table
+            table = source_sum.packed_table
             coefficients = source_sum.coefficient_vector()
             num_qubits = source_sum.num_qubits
         else:
@@ -296,7 +312,7 @@ class CliffordExtractor:
                     f"{packed_table.num_qubits} qubits) does not match the "
                     f"{len(term_list)}-term, {num_qubits}-qubit program"
                 )
-            base = (
+            table = (
                 packed_table
                 if packed_table is not None
                 else PackedPauliTable.from_paulis(t.pauli for t in term_list)
@@ -304,14 +320,15 @@ class CliffordExtractor:
             coefficients = np.array([t.coefficient for t in term_list], dtype=float)
 
         start = time.perf_counter()
-        num_rows = len(base)
-        bounds = _resolve_block_bounds(base, blocks, block_bounds)
+        num_rows = len(table)
+        bounds = _resolve_block_bounds(table, blocks, block_bounds)
 
         # One column table for the whole pass: the program rows followed by
         # the 2n tableau generator rows, so every gate updates the remaining
         # program AND the conjugation tableau in the same column operation.
-        columns = PauliColumns.from_table(base, generator_rows=True)
+        columns = PauliColumns.from_table(table, generator_rows=True)
         x_columns, z_columns = columns.x, columns.z
+        transposed = time.perf_counter()
 
         optimized_gates: list[Gate] = []
         left_gates: list[Gate] = []
@@ -329,7 +346,10 @@ class CliffordExtractor:
         reorder = self.reorder_within_blocks
         recursive = self.recursive_tree
         max_lookahead = self.max_lookahead
+        cross_blocks = self.cross_block_lookahead
         program_rows = (1 << num_rows) - 1
+        # column bit r is row base + r; rows below base are gone
+        base = 0
 
         for block_start, block_end in zip(bounds, bounds[1:]):
             # Row bits never move; the block's waiting rows are a bit mask.
@@ -338,30 +358,41 @@ class CliffordExtractor:
             # row, the chosen next row, the other waiting rows in ascending
             # order.  That is also the tree's guide sequence, followed by the
             # later blocks (not reordered yet) when lookahead may cross.
-            waiting = ((1 << block_end) - 1) ^ ((1 << block_start) - 1)
-            beyond = program_rows >> block_end << block_end if self.cross_block_lookahead else 0
-            row = block_start
+            waiting = ((1 << (block_end - base)) - 1) ^ ((1 << (block_start - base)) - 1)
+            beyond = program_rows >> block_end << block_end >> base if cross_blocks else 0
+            row = block_start - base
             while waiting:
-                waiting ^= 1 << row
+                if row >= REBASE_ROWS:
+                    # every row below the lowest waiting one (row among them)
+                    # is emitted
+                    dead = (waiting & -waiting).bit_length() - 1
+                    if dead >= REBASE_ROWS:
+                        columns.drop_rows(dead)
+                        base += dead
+                        row -= dead
+                        waiting >>= dead
+                        beyond >>= dead
+                bit = 1 << row
+                waiting ^= bit
                 next_row = (waiting & -waiting).bit_length() - 1
                 support: list[int] = []
                 basis_gates: list[Gate] = []
                 num_y = 0
                 for qubit in range(num_qubits):
-                    if (x_columns[qubit] >> row) & 1:
+                    if x_columns[qubit] & bit:
                         support.append(qubit)
                         open_rz[qubit] = -1
-                        if (z_columns[qubit] >> row) & 1:
+                        if z_columns[qubit] & bit:
                             num_y += 1
                             basis_gates.append(sdg_gates[qubit])
                         basis_gates.append(h_gates[qubit])
-                    elif (z_columns[qubit] >> row) & 1:
+                    elif z_columns[qubit] & bit:
                         support.append(qubit)
                 if not support:
                     # exp(-i theta/2 I) is a global phase; nothing to emit.
                     row = next_row
                     continue
-                if ((columns.p0 >> row) ^ num_y) & 1:
+                if bool(columns.p0 & bit) != num_y & 1:
                     raise SynthesisError(
                         f"term {columns.row(row)!r} conjugated to a non-Hermitian Pauli"
                     )
@@ -383,23 +414,21 @@ class CliffordExtractor:
                 # Only support qubits were touched, so the row is Z on its
                 # root iff it is so on the support.
                 for qubit in support:
-                    if (x_columns[qubit] >> row) & 1 or ((z_columns[qubit] >> row) & 1) != (
-                        qubit == root
-                    ):
+                    if x_columns[qubit] & bit or bool(z_columns[qubit] & bit) != (qubit == root):
                         raise SynthesisError(
                             "internal error: the synthesized tree does not reduce the "
                             "current Pauli to Z on its root "
                             f"(got {columns.row(row).to_label()!r})"
                         )
                 # a Hermitian Z carries phase exponent 0 or 2: the high bit
-                sign = -1.0 if (columns.p1 >> row) & 1 else 1.0
-                angle = sign * float(coefficients[row])
+                sign = -1.0 if columns.p1 & bit else 1.0
+                angle = sign * float(coefficients[base + row])
                 rotation = trusted_gate("rz", (root,), (angle,))
                 counters["rotations"] += 1
                 chain = -1 if basis_gates or tree_gates else open_rz[root]
                 if chain >= 0:
                     # a lone Z on a wire whose rz is still open: fold into it
-                    chains[chain].append((row, sign))
+                    chains[chain].append((base + row, sign))
                     folded.append((len(optimized_gates), rotation))
                     dirty.append(chain)
                     counters["rotations_merged"] += 1
@@ -412,21 +441,27 @@ class CliffordExtractor:
                     if not _ZERO_EPS <= abs(angle) <= _TWO_PI:
                         dirty.append(len(chains))
                     positions.append(len(optimized_gates))
-                    chains.append([(row, sign)])
+                    chains.append([(base + row, sign)])
                     optimized_gates.append(rotation)
                 counters["basis_gates"] += len(basis_gates)
                 counters["tree_cx"] += len(tree_gates)
                 left_gates.extend(basis_gates)
                 left_gates.extend(tree_gates)
                 row = next_row
+        looped = time.perf_counter()
 
         optimized = QuantumCircuit.from_trusted_gates(num_qubits, optimized_gates)
-        left_halves = QuantumCircuit.from_trusted_gates(num_qubits, left_gates)
-        extracted = left_halves.inverse()
+        # The left halves hold only h, cx and sdg: the tail is their reverse
+        # with each sdg swapped for the interned s.
+        s_gates = [cached_gate("s", (qubit,)) for qubit in range(num_qubits)]
+        extracted = QuantumCircuit.from_trusted_gates(num_qubits, [
+            s_gates[gate.qubits[0]] if gate.name == "sdg" else gate
+            for gate in reversed(left_gates)
+        ])
         conjugation = CliffordTableau.from_packed_rows(
-            columns.to_table(num_rows, num_rows + 2 * num_qubits)
+            columns.to_table(num_rows - base, columns.num_rows)
         )
-        elapsed = time.perf_counter() - start
+        end = time.perf_counter()
         if term_list is None:
             term_list = source_sum.terms
         metadata = {
@@ -442,8 +477,13 @@ class CliffordExtractor:
             conjugation=conjugation,
             terms=term_list,
             rotation_count=counters["rotations"],
-            elapsed_seconds=elapsed,
+            elapsed_seconds=end - start,
             metadata=metadata,
+            stage_seconds={
+                "transpose": transposed - start,
+                "term_loop": looped - transposed,
+                "tail": end - looped,
+            },
         )
         merges = RotationMerges(
             num_qubits, optimized_gates, positions, chains, folded, dirty, coefficients
@@ -468,7 +508,8 @@ class CliffordExtractor:
         would get with the candidate as the only guide.
 
         That cost is the candidate's off-support weight (tree-invariant) plus
-        :func:`chain_tree_cost` on the support, which is zero exactly when the
+        :func:`chain_tree_cost` of its letter counts on the support (mask
+        tests against the candidate's bit), which is zero exactly when the
         candidate is the identity on the support.  The off-support weights of
         all candidates are summed at once into a bit-sliced counter, one plane
         per binary digit, and the weight classes are visited in ascending
@@ -480,9 +521,13 @@ class CliffordExtractor:
             return candidates.bit_length() - 1
         x_columns, z_columns = columns.x, columns.z
         on_support = 0
+        support_columns = []
         for qubit in support:
-            on_support |= x_columns[qubit] | z_columns[qubit]
+            x_column, z_column = x_columns[qubit], z_columns[qubit]
+            on_support |= x_column | z_column
+            support_columns.append((x_column, z_column))
         identity_on_support = candidates & ~on_support
+        size = len(support)
 
         digits: list[int] = []
         in_support = set(support)
@@ -524,12 +569,19 @@ class CliffordExtractor:
                     if best_cost is not None and best_cost == weight + 1 and row > best_row:
                         break
                     counters["candidates_scored"] += 1
+                    num_z = num_y = num_x = 0
+                    for x_column, z_column in support_columns:
+                        if x_column & low:
+                            if z_column & low:
+                                num_y += 1
+                            else:
+                                num_x += 1
+                        elif z_column & low:
+                            num_z += 1
                     cost = weight + chain_tree_cost(
-                        [(x_columns[qubit] >> row) & 1 for qubit in support],
-                        [(z_columns[qubit] >> row) & 1 for qubit in support],
+                        num_z, size - num_z - num_y - num_x, num_y, num_x
                     )
                     if best_cost is None or (cost, row) < (best_cost, best_row):
                         best_cost, best_row = cost, row
             weight += 1
         return best_row
-

@@ -22,7 +22,8 @@ gates:
   letters agree on a guide forms a single sub-group there, so the recursion
   level is skipped.  The first guide row on which a group's letters differ is
   the lowest set bit of ``(OR_x ^ AND_x) | (OR_z ^ AND_z)`` over the group's
-  columns, masked to the guide rows still ahead.
+  columns, masked to the guide rows still ahead, and every letter is read
+  by a mask test against that row's bit.
 * :func:`synthesize_tree` asks a callable for one guide per depth and groups
   by ``guide.letter(qubit)``.  It is the reference the legacy extractor and
   the differential tests use.
@@ -170,7 +171,8 @@ def synthesize_tree_on_columns(
         first_row, later_rows = _first_rows(first_row, later_rows, max_depth)
     if cx_gates is None:
         cx_gates = CxGates()
-    root = _column_tree(qubits, x_columns, z_columns, first_row, later_rows, gates, cx_gates)
+    first_bit = 1 << first_row if first_row >= 0 else 0
+    root = _column_tree(qubits, x_columns, z_columns, first_bit, later_rows, gates, cx_gates)
     return gates, root
 
 
@@ -178,12 +180,16 @@ def _column_tree(
     qubits: list[int],
     x_columns: Sequence[int],
     z_columns: Sequence[int],
-    first_row: int,
+    first_bit: int,
     ahead: int,
     gates: list[Gate],
     cx_gates: CxGates,
 ) -> int:
-    """Emit the tree over ``qubits`` (two or more) into ``gates``; returns its root."""
+    """Emit the tree over ``qubits`` (two or more) into ``gates``; returns its root.
+
+    ``first_bit`` is the first guide row's bit (``0``: none), ``ahead`` the
+    mask of the guide rows after it.
+    """
     or_x = or_z = 0
     and_x = and_z = -1
     for qubit in qubits:
@@ -194,33 +200,32 @@ def _column_tree(
         or_z |= z_column
         and_z &= z_column
     split = (or_x ^ and_x) | (or_z ^ and_z)
-    if first_row >= 0 and (split >> first_row) & 1:
+    if split & first_bit:
         # sub-groups go on from the first of the later rows
-        row = first_row
+        bit = first_bit
     else:
         split &= ahead
         if not split:
             gates.extend(map(cx_gates.__getitem__, zip(qubits, qubits[1:])))
             return qubits[-1]
-        low = split & -split
-        row = low.bit_length() - 1
-        ahead &= -(low << 1)
+        bit = split & -split
+        ahead &= -(bit << 1)
 
     z_group: list[int] = []
     i_group: list[int] = []
     y_group: list[int] = []
     x_group: list[int] = []
     for qubit in qubits:
-        if (x_columns[qubit] >> row) & 1:
-            (y_group if (z_columns[qubit] >> row) & 1 else x_group).append(qubit)
-        elif (z_columns[qubit] >> row) & 1:
+        if x_columns[qubit] & bit:
+            (y_group if z_columns[qubit] & bit else x_group).append(qubit)
+        elif z_columns[qubit] & bit:
             z_group.append(qubit)
         else:
             i_group.append(qubit)
     roots = []
     for group in (z_group, i_group, y_group, x_group):  # _ROOT_PRIORITY
         if len(group) > 1:
-            roots.append(_column_tree(group, x_columns, z_columns, -1, ahead, gates, cx_gates))
+            roots.append(_column_tree(group, x_columns, z_columns, 0, ahead, gates, cx_gates))
         else:
             roots.append(group[0] if group else -1)
     pairs, root = _root_pairs(*roots)
@@ -256,19 +261,49 @@ def _root_pairs(
     return pairs, ix_root
 
 
-def chain_tree_cost(x_bits: Sequence[int], z_bits: Sequence[int]) -> int:
+def chain_tree_cost(num_z: int, num_i: int, num_y: int, num_x: int) -> int:
     """Support weight of a guide after conjugation through its chain tree.
 
-    ``x_bits`` / ``z_bits`` are the guide's symplectic bits on the support of
-    the Pauli currently being synthesized, in support (ascending-qubit) order.
-    The function replays — on plain Python integers, without building
-    :class:`~repro.circuits.gate.Gate` objects — exactly the non-recursive
-    tree that :func:`synthesize_tree` would emit for this guide (per-letter
-    chains connected ``Z -> Y``, ``I -> X``, ``Z/Y -> I/X``) and the CNOT
-    conjugation rule ``x_t ^= x_c``, ``z_c ^= z_t``, returning the guide's
-    remaining weight on the support.  This is the cheap cost model of
-    Algorithm 2's ``find_next_pauli``; adding the guide's (tree-invariant)
+    Counts in, weight out: the arguments are how many of the guide's letters
+    on the support of the Pauli currently being synthesized are ``Z``, ``I``,
+    ``Y`` and ``X``.  The non-recursive tree :func:`synthesize_tree` emits for
+    this guide groups the support by letter, so the weight it leaves depends
+    on those counts alone.  Per group, under ``x_t ^= x_c``, ``z_c ^= z_t``:
+
+    * a ``Z`` chain leaves one ``Z`` on its root, which the ``Z -> Y`` CNOT
+      clears when a ``Y`` group exists;
+    * a ``Y`` chain of ``k`` leaves ``k // 2`` letters off its root and a
+      ``Y`` (``k`` odd) or ``Z`` (``k`` even) on it;
+    * an ``X`` chain of ``k`` alternates ``X, I, X, ...``: ``k // 2`` off its
+      root, an ``X`` on it when ``k`` is odd;
+    * an ``I`` chain stays ``I``, and the ``I -> X`` CNOT changes nothing;
+    * the final ``Z/Y -> I/X`` CNOT flips the ``I/X`` survivor's ``X`` bit
+      exactly when the ``Z/Y`` survivor is a ``Y``.
+
+    :func:`_chain_tree_replay` replays the tree letter by letter and is the
+    oracle the tests hold this closed form to.  This is the cheap cost model
+    of Algorithm 2's ``find_next_pauli``; adding the guide's (tree-invariant)
     off-support weight gives the exact cost the legacy extractor computes.
+    """
+    odd_y = num_y & 1
+    if num_x:
+        root = (num_x & 1) ^ odd_y
+    else:
+        root = odd_y if num_i else 0
+    zy_weight = num_y // 2 + 1 if num_y else (1 if num_z else 0)
+    return zy_weight + num_x // 2 + root
+
+
+def _chain_tree_replay(x_bits: Sequence[int], z_bits: Sequence[int]) -> int:
+    """:func:`chain_tree_cost` of a guide given bit by bit, by replaying its tree.
+
+    ``x_bits`` / ``z_bits`` are the guide's symplectic bits on the support,
+    in support (ascending-qubit) order.  Replays — on plain Python integers,
+    without building :class:`~repro.circuits.gate.Gate` objects — exactly the
+    non-recursive tree :func:`synthesize_tree` would emit for this guide
+    (per-letter chains connected ``Z -> Y``, ``I -> X``, ``Z/Y -> I/X``) and
+    returns the guide's remaining weight on the support.  The reference of
+    the closed form; keep it unoptimized.
     """
     x = [int(bit) for bit in x_bits]
     z = [int(bit) for bit in z_bits]

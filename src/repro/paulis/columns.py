@@ -56,9 +56,13 @@ def _unpack_planes(planes: Sequence[int], start: int, count: int) -> np.ndarray:
 class PauliColumns:
     """A Pauli table stored as per-qubit bit columns plus two phase planes.
 
-    ``x`` and ``z`` are lists mutated in place by :meth:`apply_gates`, so a
-    caller may hold on to them across gate batches; ``p0`` / ``p1`` are
-    rebound and must be read from the instance.
+    ``x`` and ``z`` are lists mutated in place by :meth:`apply_gates` and
+    :meth:`drop_rows`, so a caller may hold on to them across gate batches;
+    ``p0`` / ``p1`` are rebound and must be read from the instance.  Bit
+    ``r`` of every column is row ``r``; read a row's letter with a mask test,
+    ``x[q] & (1 << r)``, which unlike ``(x[q] >> r) & 1`` copies nothing.
+    :meth:`drop_rows` shifts rows out at the bottom, so a caller that keeps
+    an offset can stop paying for rows it no longer reads.
     """
 
     __slots__ = ("num_qubits", "num_rows", "x", "z", "p0", "p1")
@@ -118,15 +122,28 @@ class PauliColumns:
         """A standalone copy of one row as a :class:`PauliString`."""
         return self.to_table(index, index + 1).row(0)
 
+    def drop_rows(self, count: int) -> None:
+        """Delete rows ``[0, count)``: row ``count + r`` becomes row ``r``."""
+        self.x[:] = [column >> count for column in self.x]
+        self.z[:] = [column >> count for column in self.z]
+        self.p0 >>= count
+        self.p1 >>= count
+        self.num_rows -= count
+
     # ------------------------------------------------------------------ #
     def apply_gates(self, gates: Sequence["Gate"], start: int = 0, stop: int | None = None) -> None:
         """Conjugate rows ``[start, stop)`` through ``gates`` (time order) in place.
 
         Every gate updates whole columns.  A narrower row range costs one
-        save and one restore of the rows outside it per call, not per gate.
+        save and one restore of the rows outside it per call, not per gate;
+        the whole table costs neither.
         """
-        stop = self.num_rows if stop is None else stop
-        keep = ((1 << start) - 1) | (((1 << self.num_rows) - 1) >> stop << stop)
+        if stop is None:
+            stop = self.num_rows
+        if start or stop < self.num_rows:
+            keep = ((1 << start) - 1) | (((1 << self.num_rows) - 1) >> stop << stop)
+        else:
+            keep = 0
         if keep:
             saved = [plane & keep for plane in (*self.x, *self.z, self.p0, self.p1)]
         x, z = self.x, self.z

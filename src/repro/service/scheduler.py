@@ -353,6 +353,8 @@ def _execute_group(
         compiled += 1
         for name, value in _stage_counters(result).items():
             telemetry.inc(f"extraction.{name}", value)
+        for name, seconds in _stage_seconds(result).items():
+            telemetry.observe(f"extraction.{name}_seconds", seconds)
         stored = None
         if cache is not None and stored_key is not None:
             # a failed store must not fail the request — the compile already
@@ -381,6 +383,11 @@ def _stage_counters(result) -> dict:
     """A compiled result's extraction ``stage_counters`` (empty if none)."""
     extraction = getattr(result, "extraction", None)
     return extraction.metadata.get("stage_counters", {}) if extraction else {}
+
+
+def _stage_seconds(result) -> dict:
+    """A compiled result's extraction ``stage_seconds`` (empty if none)."""
+    return getattr(getattr(result, "extraction", None), "stage_seconds", {})
 
 
 def _record_batch_children(

@@ -12,12 +12,14 @@ over the legacy emission.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.extraction import CliffordExtractor, _conjugate_through_gates
 from repro.core.extraction_legacy import LegacyCliffordExtractor
-from repro.core.tree_synthesis import chain_tree_cost, synthesize_tree
+from repro.core.tree_synthesis import _chain_tree_replay, chain_tree_cost, synthesize_tree
 from repro.paulis.pauli import PauliString
 from repro.paulis.sum import SparsePauliSum
 from repro.paulis.term import PauliTerm
@@ -132,9 +134,15 @@ class TestRandomizedEquivalence:
         assert via_blocks.conjugation.content_key() == via_bounds.conjugation.content_key()
 
 
+def letter_counts(x_bits, z_bits) -> tuple[int, int, int, int]:
+    """How many ``(x, z)`` bit pairs are Z, I, Y and X: ``chain_tree_cost``'s arguments."""
+    letters = [(int(x_bit), int(z_bit)) for x_bit, z_bit in zip(x_bits, z_bits)]
+    return tuple(letters.count(bits) for bits in ((0, 1), (0, 0), (1, 1), (1, 0)))
+
+
 class TestChainTreeCostModel:
     def test_matches_explicit_tree_conjugation(self, rng):
-        """The pure-int cost model equals synthesize_tree + conjugation."""
+        """The replay and the count form equal synthesize_tree + conjugation."""
         for _ in range(120):
             size = int(rng.integers(1, 9))
             support = sorted(
@@ -153,13 +161,93 @@ class TestChainTreeCostModel:
                 support, lambda depth: guide if depth == 0 else None, recursive=False
             )
             expected = _conjugate_through_gates(guide, gates).weight
-            assert chain_tree_cost(x_bits, z_bits) == expected
+            assert _chain_tree_replay(x_bits, z_bits) == expected
+            assert chain_tree_cost(*letter_counts(x_bits, z_bits)) == expected
+
+    def test_counts_match_the_replay_on_every_short_guide(self):
+        """All 87 380 letter sequences of length 1-8 (494 distinct counts)."""
+        bits = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+        keys = set()
+        for length in range(1, 9):
+            for letters in itertools.product("IXYZ", repeat=length):
+                x_bits = [bits[letter][0] for letter in letters]
+                z_bits = [bits[letter][1] for letter in letters]
+                counts = letter_counts(x_bits, z_bits)
+                keys.add(counts)
+                assert chain_tree_cost(*counts) == _chain_tree_replay(x_bits, z_bits), letters
+        assert len(keys) == 494
 
     def test_identity_guide_costs_zero(self):
-        assert chain_tree_cost([0, 0, 0], [0, 0, 0]) == 0
+        assert chain_tree_cost(0, 3, 0, 0) == 0
+        assert _chain_tree_replay([0, 0, 0], [0, 0, 0]) == 0
 
     def test_all_z_guide_costs_one(self):
-        assert chain_tree_cost([0, 0, 0, 0], [1, 1, 1, 1]) == 1
+        assert chain_tree_cost(4, 0, 0, 0) == 1
+        assert _chain_tree_replay([0, 0, 0, 0], [1, 1, 1, 1]) == 1
+
+
+def labs_like_terms(
+    rng: np.random.Generator, num_qubits: int, num_terms: int, letter: str
+) -> list[PauliTerm]:
+    """Weight-2 and weight-4 strings of one letter: a single commuting block."""
+    terms = []
+    for _ in range(num_terms):
+        support = np.zeros(num_qubits, dtype=bool)
+        support[rng.choice(num_qubits, int(rng.choice([2, 4])), replace=False)] = True
+        x = support if letter in "XY" else np.zeros(num_qubits, dtype=bool)
+        z = support if letter in "ZY" else np.zeros(num_qubits, dtype=bool)
+        phase = int(np.count_nonzero(x & z))
+        terms.append(PauliTerm(PauliString(x, z, phase), float(rng.uniform(-3.0, 3.0))))
+    return terms
+
+
+class TestRebase:
+    """Programs long enough that the extractor drops emitted rows from its
+    columns (``REBASE_ROWS``) more than once, held to the legacy loop."""
+
+    @pytest.fixture
+    def rebases(self, monkeypatch):
+        from repro.paulis.columns import PauliColumns
+
+        dropped: list[int] = []
+        drop_rows = PauliColumns.drop_rows
+
+        def spy(columns, count):
+            dropped.append(count)
+            drop_rows(columns, count)
+
+        monkeypatch.setattr(PauliColumns, "drop_rows", spy)
+        return dropped
+
+    @staticmethod
+    def assert_rebased_twice(rebases) -> None:
+        from repro.core.extraction import REBASE_ROWS
+
+        # assert_bit_identical runs the extractor twice (extract and trace)
+        assert len(rebases) >= 4
+        assert min(rebases) >= REBASE_ROWS
+
+    def test_many_small_blocks(self, rng, rebases):
+        terms = random_pauli_terms(rng, 8, 600)
+        for flags in ({}, {"max_lookahead": 3}):
+            rebases.clear()
+            assert_bit_identical(terms, **flags)
+            self.assert_rebased_twice(rebases)
+
+    def test_two_long_blocks(self, rng, rebases):
+        terms = labs_like_terms(rng, 6, 300, "Z") + labs_like_terms(rng, 6, 300, "X")
+        assert_bit_identical(terms)
+        self.assert_rebased_twice(rebases)
+
+    def test_one_long_block_in_program_order(self, rng, rebases):
+        terms = labs_like_terms(rng, 8, 600, "Z")
+        assert_bit_identical(terms, reorder_within_blocks=False)
+        self.assert_rebased_twice(rebases)
+
+    def test_beyond_64_qubits(self, rng, rebases):
+        terms = random_sparse_terms(rng, 70, 540, density=0.05)
+        assert_bit_identical(terms)
+        self.assert_rebased_twice(rebases)
 
 
 class TestExtractionResultParity:
@@ -255,7 +343,7 @@ class TestSelectionArgmin:
                 1 for q in range(table.num_qubits) if q not in support and pauli.letter(q) != "I"
             )
             on_support = [pauli.letter(q) for q in support]
-            cost = off_weight + chain_tree_cost(
+            cost = off_weight + _chain_tree_replay(
                 [int(letter in "XY") for letter in on_support],
                 [int(letter in "ZY") for letter in on_support],
             )
@@ -299,6 +387,29 @@ class TestStageCounters:
         assert counters["rotations"] == result.rotation_count
         assert counters["basis_gates"] + counters["tree_cx"] == len(result.extracted_clifford)
         assert counters["rows_moved"] <= counters["rotations"]
+
+    def test_probed_names_are_called_per_score_and_per_term(self, monkeypatch):
+        """The traced benchmark counts calls to these module-level names, so
+        the extractor must call each one where the counters say the work is:
+        the cost once per scored candidate, the tree and the stream once per
+        non-identity term."""
+        import repro.core.extraction as extraction
+        from repro.workloads.registry import get_benchmark
+
+        calls = dict.fromkeys(("chain_tree_cost", "synthesize_tree", "stream_gates_over_suffix"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(extraction, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(extraction, name, counted)
+        terms = get_benchmark("LABS-(n10)").terms()
+        terms.append(PauliTerm.from_label("I" * terms[0].num_qubits, 0.3))
+        counters = CliffordExtractor().extract(terms).metadata["stage_counters"]
+        assert counters["candidates_scored"] > 0
+        assert calls["chain_tree_cost"] == counters["candidates_scored"]
+        assert counters["rotations"] == len(terms) - 1
+        assert calls["synthesize_tree"] == calls["stream_gates_over_suffix"] == len(terms) - 1
 
     def test_no_selection_without_reordering(self, rng):
         terms = random_pauli_terms(rng, 5, 20)

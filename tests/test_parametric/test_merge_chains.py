@@ -85,3 +85,36 @@ class TestExtractionChains:
         assert template._skeleton == skeleton
         assert template._positions == positions
         assert template._chains == chains
+
+    def test_chains_past_a_rebase_bind_bit_identically(self, level, monkeypatch):
+        """A 340-row program: the extractor drops its first emitted rows, and
+        the merge chains of the duplicates after them keep absolute rows."""
+        from repro.core.extraction import REBASE_ROWS
+        from repro.paulis.columns import PauliColumns
+
+        rng = np.random.default_rng(11)
+        terms = random_pauli_terms(rng, 5, 300)
+        for source in random_pauli_terms(rng, 5, 20):
+            terms += [source, PauliTerm(source.pauli, 1.0)]
+        program = ParametricProgram.from_terms(terms, list(range(len(terms))))
+
+        dropped: list[int] = []
+        drop_rows = PauliColumns.drop_rows
+        monkeypatch.setattr(
+            PauliColumns, "drop_rows",
+            lambda columns, count: (dropped.append(count), drop_rows(columns, count))[1],
+        )
+        template = compile_template(program, level=level)
+        assert dropped and min(dropped) >= REBASE_ROWS
+        past_rebase = [
+            chain for chain in template._chains
+            if len(chain) >= 2 and min(term for term, _ in chain) > dropped[0]
+        ]
+        assert len(past_rebase) >= 10
+        for seed in range(3):
+            params = np.random.default_rng(seed).uniform(-7.0, 7.0, program.num_params)
+            bound = template.bind(params)
+            reference = repro.compile(program.to_sum(params), level=level)
+            assert _diff_results(bound, reference) is None
+            assert _exact(bound.circuit) == _exact(reference.circuit)
+        assert template.fallback_binds == 0

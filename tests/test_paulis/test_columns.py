@@ -43,6 +43,15 @@ class TestConversion:
         labels = [p.to_label() for p in generators]
         assert labels == ["IIX", "IIZ", "IXI", "IZI", "XII", "ZII"]
 
+    @pytest.mark.parametrize("num_qubits", [3, 70])
+    def test_drop_rows_keeps_the_rest_in_place(self, rng, num_qubits):
+        table = random_table(rng, num_qubits, 300)
+        columns = PauliColumns.from_table(table)
+        x_columns = columns.x
+        columns.drop_rows(257)
+        assert columns.x is x_columns and columns.num_rows == 43
+        assert_same_rows(columns, table.select(np.arange(257, 300)))
+
     def test_empty_table(self):
         columns = PauliColumns.from_table(PackedPauliTable.zeros(0, 3))
         assert columns.num_rows == 0

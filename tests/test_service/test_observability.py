@@ -450,6 +450,25 @@ class TestOneTimedRegion:
         assert span["tags"] == counters
 
 
+    def test_extraction_stage_timings_reach_metrics(self, tmp_path):
+        from repro.service.scheduler import CompileJob, execute_batch
+
+        telemetry = Telemetry()
+        programs = [get_benchmark(name).terms() for name in ("UCC-(2,4)", "LiH")]
+        execute_batch(
+            [CompileJob(program=terms) for terms in programs],
+            cache=ArtifactCache(str(tmp_path / "cache")),
+            telemetry=telemetry,
+        )
+        latency = telemetry.snapshot()["latency"]
+        for stage in ("transpose", "term_loop", "tail"):
+            stats = latency[f"extraction.{stage}_seconds"]
+            assert stats["count"] == 2 and stats["sum_seconds"] > 0
+        text = render_prometheus([({"telemetry": telemetry.snapshot()}, {})])
+        families = parse_prometheus_text(text)
+        assert families["repro_extraction_term_loop_seconds"]["type"] == "histogram"
+
+
 class TestSlowRequestLog:
     @pytest.mark.parametrize("layer", ["server", "fleet"])
     def test_slow_request_emits_structured_line(self, tmp_path, capfd, layer):
