@@ -19,7 +19,7 @@ gate, angle, tail or tableau:
 Angles are hashed through ``float.hex``, so a digest moves on any bit of any
 angle.  Run from the repository root:
 
-    PYTHONPATH=src python scripts/output_digests.py [--programs 1000] [--large-programs 24]
+    PYTHONPATH=src python scripts/output_digests.py [--programs 1000]
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from repro.paulis.term import PauliTerm
 from repro.workloads.registry import MEDIUM_BENCHMARKS, SMALL_BENCHMARKS, get_benchmark
 
 TABLE3_ROWS = MEDIUM_BENCHMARKS + ["UCC-(6,12)", "benzene", "LABS-(n20)"]
+#: random-large programs per level
+LARGE_PROGRAMS = 24
 
 
 def _gates(circuit) -> list:
@@ -120,9 +122,6 @@ def digest(records) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--programs", type=int, default=1000, help="random programs per level")
-    parser.add_argument(
-        "--large-programs", type=int, default=24, help="random-large programs per level"
-    )
     args = parser.parse_args()
 
     from repro.parametric import ParametricProgram, compile_template
@@ -130,7 +129,7 @@ def main() -> None:
 
     table3 = {name: get_benchmark(name).terms() for name in TABLE3_ROWS}
     programs = [random_program(seed) for seed in range(args.programs)]
-    large = [random_large_program(seed) for seed in range(args.large_programs)]
+    large = [random_large_program(seed) for seed in range(LARGE_PROGRAMS)]
     for level in (2, 3):
         records = [result_record(repro.compile(terms, level=level)) for terms in table3.values()]
         print(f"table3 level {level}: {digest(records)}")

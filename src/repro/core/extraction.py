@@ -352,8 +352,9 @@ class CliffordExtractor:
         base = 0
 
         for block_start, block_end in zip(bounds, bounds[1:]):
-            # Row bits never move; the block's waiting rows are a bit mask.
-            # The row chosen to go next is emitted right after the current
+            # Row bits keep program order and move only all together, when
+            # a rebase shifts them down; the block's waiting rows are a bit
+            # mask.  The row chosen to go next is emitted right after the current
             # one, so the logical order of the block is always: the current
             # row, the chosen next row, the other waiting rows in ascending
             # order.  That is also the tree's guide sequence, followed by the
