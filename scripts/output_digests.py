@@ -14,7 +14,13 @@ gate, angle, tail or tableau:
   (LABS-like) with lone-``Z`` terms that fold into earlier rotations;
 * ``template level N`` — the template wire payload of each small-tier row;
   ``template level N (structure)`` leaves out the metadata dictionaries,
-  which carry the pass list and the stage counters.
+  which carry the pass list and the stage counters;
+* ``blocks`` — the commuting-block bounds (``commuting_block_bounds``) of the
+  Table III rows, the ``random`` and ``random-large`` programs and a set of
+  adversarial shapes (thousands of equal ``Y`` strings, XX/YY/ZZ pair blocks
+  longer than ``2n``, ``Z``-only blocks longer than a machine word closed by
+  one ``X``, on 1-130 qubits), so a partition change is named apart from the
+  gate digests.
 
 Angles are hashed through ``float.hex``, so a digest moves on any bit of any
 angle.  Run from the repository root:
@@ -31,6 +37,8 @@ import json
 import numpy as np
 
 import repro
+from repro.core.commuting import commuting_block_bounds
+from repro.paulis.packed import PackedPauliTable
 from repro.paulis.pauli import PauliString
 from repro.paulis.term import PauliTerm
 from repro.workloads.registry import MEDIUM_BENCHMARKS, SMALL_BENCHMARKS, get_benchmark
@@ -115,6 +123,36 @@ def random_large_program(seed: int) -> list[PauliTerm]:
     return terms
 
 
+def adversarial_programs() -> list[list[PauliString]]:
+    """Shapes that stress the block scan's fast test and its exact check."""
+    rng = np.random.default_rng(20_000)
+    programs = [[PauliString.from_label("Y" * 8)] * 3000]
+    for num_qubits in (2, 64, 65, 130):
+        # XX, YY and ZZ on one pair commute: each run is one block on that pair
+        paulis = []
+        for _ in range(4):
+            pair = rng.choice(num_qubits, 2, replace=False)
+            for _ in range(2 * num_qubits + 7):
+                label = ["I"] * num_qubits
+                letter = "XYZ"[int(rng.integers(3))]
+                for qubit in pair:
+                    label[qubit] = letter
+                paulis.append(PauliString.from_label("".join(label)))
+        programs.append(paulis)
+    for num_qubits in (1, 64, 65, 130):
+        paulis = []
+        for _ in range(3):
+            for _ in range(70):
+                z = rng.random(num_qubits) < 0.3
+                z[int(rng.integers(num_qubits))] = True
+                paulis.append(PauliString(np.zeros(num_qubits, dtype=bool), z))
+            label = ["I"] * num_qubits
+            label[int(rng.integers(num_qubits))] = "X"
+            paulis.append(PauliString.from_label("".join(label)))
+        programs.append(paulis)
+    return programs
+
+
 def digest(records) -> str:
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
@@ -130,6 +168,10 @@ def main() -> None:
     table3 = {name: get_benchmark(name).terms() for name in TABLE3_ROWS}
     programs = [random_program(seed) for seed in range(args.programs)]
     large = [random_large_program(seed) for seed in range(LARGE_PROGRAMS)]
+    sources = [[term.pauli for term in terms] for terms in [*table3.values(), *programs, *large]]
+    sources += adversarial_programs()
+    records = [commuting_block_bounds(PackedPauliTable.from_paulis(paulis)) for paulis in sources]
+    print(f"blocks: {digest(records)}  ({len(records)} programs)")
     for level in (2, 3):
         records = [result_record(repro.compile(terms, level=level)) for terms in table3.values()]
         print(f"table3 level {level}: {digest(records)}")

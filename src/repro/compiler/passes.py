@@ -64,10 +64,11 @@ class Pass(abc.ABC):
 class GroupCommuting(Pass):
     """Partition the Pauli program into maximal runs of commuting strings.
 
-    The scan transposes the bit-packed store (the program sum's own table
-    when one entered the pipeline) to host bit columns; the partition is
-    recorded both as row offsets (``program.block_bounds``, what the
-    extractor consumes) and as term-list blocks for any legacy consumer.
+    The scan reads each row of the bit-packed store (the program sum's own
+    table when one entered the pipeline) as integers straight off its words,
+    with no transpose; the partition is recorded both as row offsets
+    (``program.block_bounds``, what the extractor consumes) and as term-list
+    blocks for any legacy consumer.
     """
 
     def run(self, program: Program, context: PassContext) -> None:

@@ -5,20 +5,46 @@ strings; the blocks themselves stay in program order.  This keeps the
 optimization free of any high-level knowledge about the benchmark (unlike
 Paulihedral, which also reorders blocks).
 
-The scan runs on bit columns (:mod:`repro.paulis.columns`): one Python
-integer per qubit whose bit ``r`` is row ``r``'s bit there.  Row ``r``
-anticommutes with row ``s`` iff bit ``s`` of
-``XOR_{q: x_rq} z[q]  ^  XOR_{q: z_rq} x[q]`` is set, so testing one string
-against the whole current block costs O(weight) integer operations.
+The scan runs on rows: each row's x and z bits are one Python integer each,
+read straight off the packed words, and the current block keeps the OR of
+its rows' x bits and of their z bits.  A row whose x bits miss the block's
+z bits and whose z bits miss its x bits shares no anticommuting letter with
+any row of the block, so one test admits it.  Any other row is checked
+exactly, by its symplectic product with a spanning set of the block: the
+rows admitted since the block began, folded to a GF(2) basis whenever more
+than ``2n`` of them pile up.  A commuting block spans an isotropic subspace
+of dimension at most ``n``, so the check costs at most ``2n`` products per
+row however long the block grows.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.paulis.columns import bit_planes, table_bits
-from repro.paulis.packed import PackedPauliTable
+from repro.paulis.packed import PackedPauliTable, row_ints
 from repro.paulis.term import PauliTerm
+
+
+def _gf2_basis(vectors: list[int]) -> list[int]:
+    """A GF(2) basis of the span of ``vectors`` (bit vectors as ints)."""
+    pivots: dict[int, int] = {}
+    for vector in vectors:
+        while vector:
+            top = vector.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = vector
+                break
+            vector ^= pivot
+    return list(pivots.values())
+
+
+def _anticommutes_with_any(row: int, span: list[int]) -> bool:
+    """Whether the row ``x | z << n`` anticommutes with some ``z | x << n`` of ``span``."""
+    for swapped in span:
+        if (row & swapped).bit_count() & 1:
+            return True
+    return False
 
 
 def commuting_block_bounds(table: PackedPauliTable) -> list[int]:
@@ -26,28 +52,32 @@ def commuting_block_bounds(table: PackedPauliTable) -> list[int]:
 
     Returns the block start offsets plus the final row count, so block ``k``
     is the row range ``[bounds[k], bounds[k + 1])``.  This is the table-native
-    form the extractor consumes — no term objects are materialized.  The
-    table is transposed to bit columns once.
+    form the extractor consumes — no term objects are materialized, and no
+    bit columns are built: the scan reads one integer per row and half.
     """
-    x_bits, z_bits = table_bits(table)
-    x_columns, z_columns = bit_planes(x_bits.T), bit_planes(z_bits.T)
+    num_qubits = table.num_qubits
+    x_rows, z_rows = row_ints(table.x_words), row_ints(table.z_words)
+    limit = 2 * num_qubits
     bounds = [0]
-    start = 0
-    for index, (x_row, z_row) in enumerate(zip(bit_planes(x_bits), bit_planes(z_bits))):
-        parity = 0
-        while x_row:
-            low = x_row & -x_row
-            parity ^= z_columns[low.bit_length() - 1]
-            x_row ^= low
-        while z_row:
-            low = z_row & -z_row
-            parity ^= x_columns[low.bit_length() - 1]
-            z_row ^= low
-        # bits [start, index) are the rows of the current block
-        if (parity >> start) & ((1 << (index - start)) - 1):
-            bounds.append(index)
-            start = index
-    bounds.append(len(table))
+    block_x = block_z = 0
+    # span spans the block's rows below `spanned`, each as z | x << n; it is
+    # extended only when a row needs the exact check
+    span: list[int] = []
+    spanned = 0
+    for index, (x_row, z_row) in enumerate(zip(x_rows, z_rows)):
+        if x_row & block_z or z_row & block_x:
+            for other in range(spanned, index):
+                span.append(z_rows[other] | x_rows[other] << num_qubits)
+                if len(span) > limit:
+                    span = _gf2_basis(span)
+            spanned = index
+            if _anticommutes_with_any(x_row | z_row << num_qubits, span):
+                bounds.append(index)
+                block_x = block_z = 0
+                span = []
+        block_x |= x_row
+        block_z |= z_row
+    bounds.append(len(x_rows))
     return bounds
 
 

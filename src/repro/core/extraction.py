@@ -30,7 +30,10 @@ else off the same integers:
 * that makes the tree's guide sequence (the chosen next row, the other
   waiting rows, then the later blocks) one row plus one mask, and the tree
   (:func:`~repro.core.tree_synthesis.synthesize_tree_on_columns`) jumps
-  straight to the first guide row on which a group of qubits splits.
+  straight to the first guide row on which a group of qubits splits;
+* the selection's bit-sliced count of each waiting row's off-support
+  letters is kept across a block's terms and updated only for the qubits
+  that joined or left the support.
 
 Rotation merging happens here too: the only local rewrite left on the
 emission is folding a term conjugated to a lone ``±Z`` into the ``Rz`` still
@@ -168,6 +171,67 @@ class RotationMerges(NamedTuple):
                 position = self.positions[chain]
                 gates[position] = trusted_gate("rz", gates[position].qubits, (angle,))
         return QuantumCircuit.from_trusted_gates(self.num_qubits, gates)
+
+
+class _OffSupportCount:
+    """Bit-sliced count of each waiting row's letters off the support, kept
+    across the selections of one commuting block.
+
+    ``digits[k]`` holds bit ``k`` of every row's count (row ``r`` at bit
+    ``r``), summed over the qubits outside the support of the last
+    :meth:`update`.  ``added[q]`` is the column qubit ``q`` contributed
+    (``None`` while it is not counted), so an update subtracts exactly that
+    for the qubits that joined the support and adds the current column of
+    the qubits that left it; every other qubit's column still holds.  Between
+    two selections of a block only the last term's tree runs CNOTs, on that
+    term's support, which is not counted; a basis layer's single-qubit gates
+    move a letter among X, Y and Z but never to or from I.  A new block
+    starts a new count, and a rebase shifts it with the columns.
+    """
+
+    __slots__ = ("digits", "added", "uncounted")
+
+    def __init__(self, num_qubits: int):
+        self.digits: list[int] = []
+        self.added: list[int | None] = [None] * num_qubits
+        self.uncounted: Sequence[int] = range(num_qubits)
+
+    def update(
+        self, x_columns: list[int], z_columns: list[int], candidates: int, support: list[int]
+    ) -> list[int]:
+        """The count over the qubits outside ``support``, for the ``candidates`` rows."""
+        digits, added = self.digits, self.added
+        for qubit in support:
+            borrow = added[qubit]
+            if borrow is not None:
+                added[qubit] = None
+                for place, digit in enumerate(digits):
+                    if not borrow:
+                        break
+                    digits[place] = digit ^ borrow
+                    borrow &= ~digit
+        in_support = set(support)
+        for qubit in self.uncounted:
+            if qubit in in_support:
+                continue
+            carry = (x_columns[qubit] | z_columns[qubit]) & candidates
+            added[qubit] = carry
+            for place, digit in enumerate(digits):
+                if not carry:
+                    break
+                digits[place] = digit ^ carry
+                carry &= digit
+            if carry:
+                digits.append(carry)
+        self.uncounted = support
+        while digits and not digits[-1]:
+            digits.pop()
+        return digits
+
+    def shift(self, dead: int) -> None:
+        """Follow :meth:`PauliColumns.drop_rows`: row ``dead + r`` becomes row ``r``."""
+        self.digits[:] = [digit >> dead for digit in self.digits]
+        self.added[:] = [None if column is None else column >> dead for column in self.added]
 
 
 def _conjugate_through_gates(pauli: PauliString, gates: Sequence[Gate]) -> PauliString:
@@ -362,6 +426,7 @@ class CliffordExtractor:
             waiting = ((1 << (block_end - base)) - 1) ^ ((1 << (block_start - base)) - 1)
             beyond = program_rows >> block_end << block_end >> base if cross_blocks else 0
             row = block_start - base
+            off_support = _OffSupportCount(num_qubits)
             while waiting:
                 if row >= REBASE_ROWS:
                     # every row below the lowest waiting one (row among them)
@@ -369,6 +434,7 @@ class CliffordExtractor:
                     dead = (waiting & -waiting).bit_length() - 1
                     if dead >= REBASE_ROWS:
                         columns.drop_rows(dead)
+                        off_support.shift(dead)
                         base += dead
                         row -= dead
                         waiting >>= dead
@@ -401,7 +467,9 @@ class CliffordExtractor:
                     columns.apply_gates(basis_gates)
 
                 if reorder and waiting & (waiting - 1):
-                    best = self._find_next_row(columns, waiting, support, counters)
+                    best = self._find_next_row(
+                        columns, waiting, support, counters, off_support
+                    )
                     if best != next_row:
                         next_row = best
                         counters["rows_moved"] += 1
@@ -498,6 +566,7 @@ class CliffordExtractor:
         candidates: int,
         support: list[int],
         counters: dict[str, int],
+        off_support: _OffSupportCount,
     ) -> int:
         """Greedy choice of the row to place right after the current one.
 
@@ -512,15 +581,17 @@ class CliffordExtractor:
         :func:`chain_tree_cost` of its letter counts on the support (mask
         tests against the candidate's bit), which is zero exactly when the
         candidate is the identity on the support.  The off-support weights of
-        all candidates are summed at once into a bit-sliced counter, one plane
-        per binary digit, and the weight classes are visited in ascending
-        order: a class holding a candidate that is the identity on the support
-        is decided without any cost evaluation, and no class above the best
-        cost found is visited.
+        all candidates are a bit-sliced counter, one plane per binary digit,
+        that ``off_support`` keeps across the block's selections: each call
+        updates it only for the qubits that joined or left the support.  The
+        weight classes are visited in ascending order: a class holding a
+        candidate that is the identity on the support is decided without any
+        cost evaluation, and no class above the best cost found is visited.
         """
+        x_columns, z_columns = columns.x, columns.z
+        digits = off_support.update(x_columns, z_columns, candidates, support)
         if not candidates & (candidates - 1):
             return candidates.bit_length() - 1
-        x_columns, z_columns = columns.x, columns.z
         on_support = 0
         support_columns = []
         for qubit in support:
@@ -529,20 +600,6 @@ class CliffordExtractor:
             support_columns.append((x_column, z_column))
         identity_on_support = candidates & ~on_support
         size = len(support)
-
-        digits: list[int] = []
-        in_support = set(support)
-        for qubit in range(columns.num_qubits):
-            if qubit in in_support:
-                continue
-            carry = (x_columns[qubit] | z_columns[qubit]) & candidates
-            for place, digit in enumerate(digits):
-                if not carry:
-                    break
-                digits[place] = digit ^ carry
-                carry &= digit
-            if carry:
-                digits.append(carry)
 
         best_cost: int | None = None
         best_row = -1

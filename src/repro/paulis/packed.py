@@ -70,6 +70,18 @@ def unpack_bits(words: np.ndarray, num_qubits: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=-1, count=int(num_qubits), bitorder="little").astype(bool)
 
 
+def row_ints(words: np.ndarray) -> list[int]:
+    """Each row of a ``(rows, W)`` word matrix as one Python int (bit ``q`` = qubit ``q``)."""
+    planes = words.T.tolist()
+    if not planes:
+        return [0] * words.shape[0]
+    rows = planes[0]
+    for word, plane in enumerate(planes[1:], start=1):
+        shift = WORD_BITS * word
+        rows = [low | high << shift for low, high in zip(rows, plane)]
+    return rows
+
+
 def popcount_rows(words: np.ndarray) -> np.ndarray:
     """Per-row population count of a host ``(rows, W)`` word matrix."""
     return np.bitwise_count(words).sum(axis=-1).astype(np.int64)
@@ -319,24 +331,28 @@ class PackedPauliTable:
 
     @classmethod
     def from_paulis(cls, paulis: Iterable["PauliString"]) -> "PackedPauliTable":
-        """Pack an iterable of :class:`PauliString` (all on the same register)."""
+        """Pack an iterable of :class:`PauliString` (all on the same register).
+
+        Every Pauli's word vectors are joined with one ``np.concatenate`` per
+        half and its phases read into one array, so packing costs no numpy
+        call per row.
+        """
         pauli_list = list(paulis)
         if not pauli_list:
             raise PauliError("cannot pack an empty collection of Paulis")
         num_qubits = pauli_list[0].num_qubits
-        words = words_for_qubits(num_qubits)
-        x_words = np.empty((len(pauli_list), words), dtype=np.uint64)
-        z_words = np.empty((len(pauli_list), words), dtype=np.uint64)
-        phases = np.empty(len(pauli_list), dtype=np.int64)
-        for index, pauli in enumerate(pauli_list):
+        for pauli in pauli_list:
             if pauli.num_qubits != num_qubits:
                 raise PauliError(
                     f"inconsistent qubit counts: {pauli.num_qubits} vs {num_qubits}"
                 )
-            x_words[index] = pauli.x_words
-            z_words[index] = pauli.z_words
-            phases[index] = pauli.phase
-        return cls(num_qubits, x_words, z_words, phases)
+        shape = (len(pauli_list), words_for_qubits(num_qubits))
+        return cls(
+            num_qubits,
+            np.concatenate([pauli.x_words for pauli in pauli_list]).reshape(shape),
+            np.concatenate([pauli.z_words for pauli in pauli_list]).reshape(shape),
+            np.array([pauli.phase for pauli in pauli_list], dtype=np.int64),
+        )
 
     @classmethod
     def from_labels(cls, labels: Sequence[str]) -> "PackedPauliTable":

@@ -397,7 +397,10 @@ def _record_batch_children(
 
     Both are derived from the batch region's own measurement (and the
     result's pass timings), so they are recorded, not timed; the
-    ``pass.CliffordExtraction`` span is tagged with the stage counters.
+    ``pass.CliffordExtraction`` span is tagged with the stage counters and
+    gets one child per extraction stage (``extraction.transpose``,
+    ``extraction.term_loop``, ``extraction.tail``), laid back to back from
+    its start with the durations in ``stage_seconds``.
     """
     parent = batch.child(position)
     if parent is None:
@@ -413,14 +416,26 @@ def _record_batch_children(
         )
     cursor = batch.start_time
     for pass_name, seconds in (getattr(result, "pass_timings", None) or {}).items():
-        TRACER.record(
+        extraction = pass_name == "CliffordExtraction"
+        span_id = TRACER.record(
             parent.trace_id,
             f"pass.{pass_name}",
             cursor,
             float(seconds),
             parent_id=parent.span_id,
-            tags=_stage_counters(result) if pass_name == "CliffordExtraction" else None,
+            tags=_stage_counters(result) if extraction else None,
         )
+        if extraction:
+            stage_start = cursor
+            for stage, stage_seconds in _stage_seconds(result).items():
+                TRACER.record(
+                    parent.trace_id,
+                    f"extraction.{stage}",
+                    stage_start,
+                    float(stage_seconds),
+                    parent_id=span_id,
+                )
+                stage_start += float(stage_seconds)
         cursor += float(seconds)
 
 

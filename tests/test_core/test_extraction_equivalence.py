@@ -244,6 +244,18 @@ class TestRebase:
         assert_bit_identical(terms, reorder_within_blocks=False)
         self.assert_rebased_twice(rebases)
 
+    def test_one_long_z_block_reordered(self, rng, rebases):
+        """One 600-row block, so the kept selection count is shifted by a
+        rebase in the middle of the block."""
+        from repro.core.extraction import REBASE_ROWS
+
+        terms = labs_like_terms(rng, 20, 600, "Z")
+        assert CliffordExtractor().extract(terms).metadata["num_blocks"] == 1
+        rebases.clear()
+        assert_bit_identical(terms)
+        # once in each of the two extractor runs
+        assert len(rebases) >= 2 and min(rebases) >= REBASE_ROWS
+
     def test_beyond_64_qubits(self, rng, rebases):
         terms = random_sparse_terms(rng, 70, 540, density=0.05)
         assert_bit_identical(terms)
@@ -352,6 +364,7 @@ class TestSelectionArgmin:
 
     @pytest.mark.parametrize("num_qubits, density", [(4, 0.3), (10, 0.3), (10, 0.7), (70, 0.05)])
     def test_random_tables(self, rng, num_qubits, density):
+        from repro.core.extraction import _OffSupportCount
         from repro.paulis.columns import PauliColumns
         from repro.paulis.packed import PackedPauliTable
 
@@ -369,9 +382,59 @@ class TestSelectionArgmin:
             candidates = [r for r in range(rows) if rng.random() < 0.7] or [0]
             mask = sum(1 << r for r in candidates)
             counters = dict.fromkeys(["candidates_scored"], 0)
-            chosen = extractor._find_next_row(columns, mask, support, counters)
+            chosen = extractor._find_next_row(
+                columns, mask, support, counters, _OffSupportCount(num_qubits)
+            )
             assert chosen == self.brute_force(table, candidates, support)
             assert counters["candidates_scored"] <= len(candidates)
+
+    @pytest.mark.parametrize("num_qubits", [6, 70])
+    def test_one_count_across_calls(self, rng, num_qubits):
+        """The kept count through tree-like gates on the support, single-qubit
+        gates anywhere, a rebase and a block reset, each call against the
+        exhaustive argmin."""
+        from repro.circuits.gate import Gate
+        from repro.core.extraction import _OffSupportCount
+        from repro.paulis.columns import PauliColumns
+        from repro.paulis.packed import PackedPauliTable
+
+        rows = 60
+        density = 0.3 if num_qubits < 10 else 0.05
+        x = rng.random((rows, num_qubits)) < density
+        z = rng.random((rows, num_qubits)) < density
+        table = PackedPauliTable.from_bool_arrays(x, z, np.count_nonzero(x & z, axis=1))
+        columns = PauliColumns.from_table(table)
+        extractor = CliffordExtractor()
+        off_support = _OffSupportCount(num_qubits)
+        waiting = (1 << 30) - 1
+        for calls in range(1, 25):
+            support = sorted(
+                int(q) for q in rng.choice(num_qubits, int(rng.integers(1, 6)), replace=False)
+            )
+            candidates = [r for r in range(columns.num_rows) if waiting >> r & 1]
+            counters = {"candidates_scored": 0}
+            chosen = extractor._find_next_row(columns, waiting, support, counters, off_support)
+            assert chosen == self.brute_force(columns.to_table(), candidates, support)
+            gates = []
+            for _ in range(int(rng.integers(0, 4))):
+                if len(support) > 1:
+                    control, target = rng.choice(support, 2, replace=False)
+                    gates.append(Gate("cx", (int(control), int(target))))
+            for _ in range(int(rng.integers(0, 4))):
+                gates.append(Gate(str(rng.choice(["h", "sdg"])), (int(rng.integers(num_qubits)),)))
+            columns.apply_gates(gates)
+            # emit the lowest waiting row, as the extraction loop does
+            waiting &= waiting - 1
+            if calls == 8:
+                dead = (waiting & -waiting).bit_length() - 1
+                columns.drop_rows(dead)
+                off_support.shift(dead)
+                waiting >>= dead
+            if calls == 16 or waiting & (waiting - 1) == 0:
+                # a new block: the next rows, counted from scratch
+                low = waiting.bit_length()
+                waiting = ((1 << columns.num_rows) - 1) >> low << low
+                off_support = _OffSupportCount(num_qubits)
 
 
 class TestStageCounters:

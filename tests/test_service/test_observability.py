@@ -449,6 +449,28 @@ class TestOneTimedRegion:
                    if s["name"] == "pass.CliffordExtraction"]
         assert span["tags"] == counters
 
+    def test_extraction_stages_are_children_of_the_pass_span(self, tmp_path):
+        from repro.service.scheduler import CompileJob, execute_batch
+
+        context = TraceContext("d" * 32, "f" * 16)
+        (job,) = execute_batch(
+            [CompileJob(program=get_benchmark("LiH").terms(), trace=context)],
+            cache=ArtifactCache(str(tmp_path / "cache")),
+            telemetry=Telemetry(),
+        )
+        spans = TRACER.trace(context.trace_id)
+        (parent,) = [s for s in spans if s["name"] == "pass.CliffordExtraction"]
+        children = {s["name"]: s for s in spans if s["parent_id"] == parent["span_id"]}
+        stages = ("transpose", "term_loop", "tail")
+        assert set(children) == {f"extraction.{stage}" for stage in stages}
+        start = parent["start_time"]
+        for stage in stages:
+            child = children[f"extraction.{stage}"]
+            assert child["start_time"] == start
+            assert child["duration_seconds"] == job.result.extraction.stage_seconds[stage]
+            start += child["duration_seconds"]
+        total = sum(child["duration_seconds"] for child in children.values())
+        assert 0 < total <= parent["duration_seconds"]
 
     def test_extraction_stage_timings_reach_metrics(self, tmp_path):
         from repro.service.scheduler import CompileJob, execute_batch
